@@ -5,8 +5,11 @@
 Runs round 0 of every workload at seed 1, confirms that the real
 outputs pass their checks, then feeds each check deliberately wrong
 copies (a Betti number off by one, a shifted generator degree, a flipped
-verdict, a Tor dimension off by one, a failed claim) and confirms that
-every one is rejected.  Exit code 1 if a wrong answer gets through.
+verdict, a Tor dimension off by one, a false claim with its exit code)
+and confirms that every one is rejected.  Each output goes through the
+same after-round check as in a benchmark run, so a wrong answer counted
+as a failed operation instead of an incorrect one gets through.  Exit
+code 1 if a wrong answer gets through.
 """
 
 import copy
@@ -18,7 +21,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+from run import Rounds  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+
+def _verdict(wl, op, rec):
+    """(failed, problem) as a benchmark run's after-round check sees rec."""
+    got = Rounds()
+    got.check(wl, [(op, rec)])
+    return got.failed, (got.problems[0] if got.problems else None)
 
 
 def _suite_mutants(rec):
@@ -47,7 +58,8 @@ def _query_mutants(rec, op):
         bad = copy.deepcopy(payload)
         first = next(iter(bad["examples"].values()))
         first["claims"][0]["ok"] = False
-        yield "one paper claim false", (code, bad, err)
+        first["pass"] = bad["pass"] = False
+        yield "one paper claim false, exit 1", (1, bad, err)
         return
     if op.kind == "classify":
         for key in ("is_burch", "is_weakly_mfull"):
@@ -84,12 +96,13 @@ def main():
     try:
         for name, cls in WORKLOADS.items():
             wl = cls(1, workdir / name)
+            wl.setup()
             kinds_seen = set()
             for op in wl.round_ops(0):
                 rec = wl.record(op, op.fn())
-                problem = wl.check(op, rec)
-                if problem is not None:
-                    print("%s %s: real output rejected: %s" % (name, op.label, problem))
+                failed, problem = _verdict(wl, op, rec)
+                if failed or problem is not None:
+                    print("%s %s: real output failed or rejected: %s" % (name, op.label, problem))
                     return 1
                 # one of each kind of output; hw once principal, once not
                 key = (op.kind, rec[1]["is_principal"]) if op.kind == "hw" else op.kind
@@ -103,14 +116,13 @@ def main():
                 else:
                     mutants = _query_mutants(rec, op)
                 for what, bad in mutants:
-                    problem = wl.check(op, bad)
+                    _, problem = _verdict(wl, op, bad)
                     if problem is None:
                         missed.append("%s %s: %s" % (name, op.label, what))
                     else:
                         caught += 1
                         print("caught  %-16s %-34s %-30s -> %s" % (name, op.label[:34], what, problem[:60]))
-            if hasattr(wl, "close"):
-                wl.close()
+            wl.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     for line in missed:

@@ -12,7 +12,7 @@ with the enclosing span.
 
 Besides calls and self time per layer, the tracer derives a few counts
 from arguments and results: distinct maps handed to kernel_minimal_gens
-(compared by value), dense matrix cells assembled by
+within each round (compared by value), dense matrix cells assembled by
 HomogeneousMap.matrix, and an elimination operation estimate from the
 shapes passed to rref, nullspace and reduce_row.
 """
@@ -61,7 +61,8 @@ class Tracer:
         self.calls = {}          # qualified name -> calls
         self.self_s = dict.fromkeys(LAYERS, 0.0)
         self.kmg_calls = 0
-        self.kmg_maps = set()
+        self.kmg_distinct = 0    # summed over rounds
+        self._kmg_maps = set()   # maps seen in the current round
         self.matrix_cells = 0
         self.elim_ops = 0
         self.max_cols = 0
@@ -114,7 +115,12 @@ class Tracer:
 
     def _kmg_before(self, args):
         self.kmg_calls += 1
-        self.kmg_maps.add(_map_key(args[0]))
+        self._kmg_maps.add(_map_key(args[0]))
+
+    def end_round(self):
+        """Count the round's distinct maps; the next round starts afresh."""
+        self.kmg_distinct += len(self._kmg_maps)
+        self._kmg_maps.clear()
 
     def _matrix_after(self, args, out):
         rows, src, tgt = out

@@ -77,7 +77,7 @@ class Rounds:
     def check(self, wl, records):
         for op, rec in records:
             self.attempted += 1
-            if getattr(wl, "failed", None) and wl.failed(rec):
+            if wl.failed(rec):
                 self.failed += 1
                 continue
             problem = wl.check(op, rec)
@@ -85,12 +85,13 @@ class Rounds:
                 self.problems.append("%s: %s" % (op.label, problem))
 
 
-def run_rounds(wl, rounds=None, seconds=None, keep=False):
+def run_rounds(wl, rounds=None, seconds=None, keep=False, after_round=None):
     """Run rounds until `seconds` of round time pass (at least one round),
     or exactly the rounds in range `rounds`.
 
     Outputs are checked after each round, outside the timed calls, and
     dropped; with keep=True they are kept in `records` instead.
+    `after_round`, if given, is called after each round's timed calls.
     """
     got = Rounds()
     used = 0.0
@@ -109,6 +110,8 @@ def run_rounds(wl, rounds=None, seconds=None, keep=False):
             records.append((op, wl.record(op, out), dt, before))
             del out
         probe.mark(force=True)
+        if after_round is not None:
+            after_round()
         for op, rec, dt, before in records:
             scaled = dt * probe.factor(before)
             raw += dt
@@ -162,7 +165,7 @@ def per_layer(wl, args):
     tracer = layertrace.Tracer()
     tracer.install()
     try:
-        traced = run_rounds(wl, rounds=range(k, 2 * k), keep=True)
+        traced = run_rounds(wl, rounds=range(k, 2 * k), keep=True, after_round=tracer.end_round)
     finally:
         tracer.uninstall()
     traced.check(wl, traced.records)
@@ -172,7 +175,7 @@ def per_layer(wl, args):
         metrics[layer + ".self_s"] = metric(tracer.self_s[layer] / k, "s")
     metrics.update({
         "homalg.kmg_calls": metric(tracer.kmg_calls / k, "count"),
-        "homalg.kmg_distinct": metric(len(tracer.kmg_maps) / k, "count"),
+        "homalg.kmg_distinct": metric(tracer.kmg_distinct / k, "count"),
         "homalg.matrix_cells": metric(tracer.matrix_cells / k, "count"),
         "linalg.elim_ops_est": metric(tracer.elim_ops / k, "count"),
         "linalg.max_cols": metric(tracer.max_cols, "count"),
@@ -203,13 +206,13 @@ def main(argv=None):
     workdir = WORK / ("%s-%d" % (args.workload, os.getpid()))
     try:
         wl = WORKLOADS[args.workload](args.seed, workdir)
+        wl.setup()
         if args.trace:
             metrics, *parts = per_layer(wl, args)
         else:
             metrics, got = end_to_end(wl, args, workdir)
             parts = [got]
-        if hasattr(wl, "close"):
-            wl.close()
+        wl.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     problems = sorted(set(p for got in parts for p in got.problems))

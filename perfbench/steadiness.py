@@ -1,9 +1,9 @@
-"""Run each workload several times and report how steady its figures are.
+"""Run each workload ten times and report how steady its figures are.
 
-    python3 perfbench/steadiness.py [--seed 1] [--runs 10] [--workload W ...]
-        [--seconds S] [--against .perfbench_runs/steadiness-seed1.json]
+    python3 perfbench/steadiness.py [--seed 1] [--against .perfbench_runs/steadiness-seed1.json]
 
-Run i uses seed S + i.  For every end-to-end metric the report gives the
+Every workload of BENCHMARK.json runs ten times for its run_seconds; run
+i uses seed S + i.  For every end-to-end metric the report gives the
 median over the runs, the quartiles (statistics.quantiles, n=4), and the
 spread (q3 - q1) / median next to the metric's bound from BENCHMARK.json.
 With --against, the medians are compared with an earlier report: a
@@ -24,6 +24,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = ROOT / ".perfbench_runs"
+RUNS = 10
 
 
 def run_once(workload, seed, seconds):
@@ -50,21 +51,17 @@ def worse_by(new, old, better):
 
 def main():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--workload", action="append", choices=names)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--against", type=Path)
     args = parser.parse_args()
 
     earlier = json.loads(args.against.read_text()) if args.against else {}
     report, ok = {}, True
-    for workload in args.workload or names:
+    for workload in (w["name"] for w in bench["workloads"]):
         began = time.perf_counter()
-        results = [run_once(workload, args.seed + i, args.seconds) for i in range(args.runs)]
-        per_run = (time.perf_counter() - began) / args.runs
+        results = [run_once(workload, args.seed + i, bench["run_seconds"]) for i in range(RUNS)]
+        per_run = (time.perf_counter() - began) / RUNS
         shares = sorted({(r["failed"], r["attempted"]) for r in results})
         entry = {
             "correct": all(r["correct"] for r in results),
@@ -79,7 +76,7 @@ def main():
             stats = summarize([r["metrics"][name]["value"] for r in results])
             line = "  %-14s median %12.5g  q1 %12.5g  q3 %12.5g  spread %6.3f  bound %.2f" % (
                 name, stats["median"], stats["q1"], stats["q3"], stats["spread"], spec["bound"])
-            if name != "setup_s" and stats["spread"] > spec["bound"]:
+            if stats["spread"] > spec["bound"]:
                 line += "  SPREAD OVER BOUND"
                 ok = False
             before = earlier.get(workload, {}).get("metrics", {}).get(name)

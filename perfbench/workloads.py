@@ -1,25 +1,32 @@
 """The three workloads: what each round runs and how each output is checked.
 
-A workload is built from a seed (its set-up) and then hands out rounds.
-Round r is a list of operations; each operation is one call into the
-program, timed on its own.  Rounds differ only in their inputs (a suite
-seed, a field prime, a set of problem files), never in the kind or
-number of operations, so no result of round r can be reused by round
-r + 1.  Every check compares an output with a computation that does not
-go through the code path that produced it.
+A workload is built from a seed, which makes only the benchmark's own
+seeded choices; `setup()` then makes the calls into the program that
+come before the first timed operation (the part `setup_s` times).  Then
+it hands out rounds.  Round r is a list of operations; each operation is
+one call into the program, timed on its own.  Rounds differ only in
+their inputs (a suite seed, a field prime, a set of problem files),
+never in the kind or number of operations.  Inputs of different rounds
+can still share work: the fuzz suites draw small rings from fixed pools
+and build their algebras over GF(101), and query_mix runs the same
+`paper --all` and `hw` (also over GF(101)) every round, so maps recur
+across rounds there; on deep_resolution they do not.  Every check
+compares an output with a computation that does not go through the code
+path that produced it.
 
 burchkit is imported by the caller's sys.path set-up; the layer modules
 are always reached as module attributes, so a traced run sees every call.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import random
 from dataclasses import dataclass
 
 import oracles
-from burchkit import cli, fuzz, homalg, rings
+from burchkit import fuzz, homalg, rings
 
 
 @dataclass
@@ -37,9 +44,23 @@ def _round_rng(seed, r, salt):
     return random.Random("%s:%d:%d" % (salt, seed, r))
 
 
+class Workload:
+    """What every workload does unless it says otherwise."""
+
+    def setup(self):
+        """Calls into the program that precede the first timed operation."""
+
+    def failed(self, rec):
+        """True if the operation produced no output to check."""
+        return False
+
+    def close(self):
+        pass
+
+
 # ------------------------------------------------------------ theorem_suites
 
-class TheoremSuites:
+class TheoremSuites(Workload):
     """All falsification suites through fuzz.run_suite, one seed per round."""
 
     name = "theorem_suites"
@@ -62,6 +83,8 @@ class TheoremSuites:
 
     def __init__(self, seed, workdir):
         self.seed = seed
+
+    def setup(self):
         self.suites = fuzz.suite_names()
 
     def round_ops(self, r):
@@ -88,7 +111,7 @@ class TheoremSuites:
 
 # ----------------------------------------------------------- deep_resolution
 
-class DeepResolution:
+class DeepResolution(Workload):
     """Residue-field resolutions and Tor, each input computed once per round.
 
     Round r runs every input over its own field prime, so no map of one
@@ -114,25 +137,25 @@ class DeepResolution:
         "semigroup.NumericalSemigroup.__contains__",
     )
 
-    SMALL_PRIMES = oracles.primes_in(101, 400)
-    WORD_PRIMES = oracles.primes_in(2**31 - 4000, 2**31)
-
     def __init__(self, seed, workdir):
         rng = random.Random("deep:%d" % seed)
-        self.small = list(self.SMALL_PRIMES)
-        self.word = list(self.WORD_PRIMES)
+        self.small = oracles.primes_in(101, 400)
+        self.word = oracles.primes_in(2**31 - 4000, 2**31)
         rng.shuffle(self.small)
         rng.shuffle(self.word)
         exps = [2, 3, 4]
         rng.shuffle(exps)
         self.ci_exps = tuple(exps)
+        self.cube = oracles.monomials_of_degree(2, 3)
+        self.square = oracles.monomials_of_degree(3, 2)
+        self.ci = [tuple(a if j == i else 0 for j in range(3)) for i, a in enumerate(self.ci_exps)]
+
+    def setup(self):
         self.inputs = [
-            ("cube2", rings.QuotientRing(2, oracles.monomials_of_degree(2, 3)), 8, "small"),
+            ("cube2", rings.QuotientRing(2, self.cube), 8, "small"),
             ("sg6", rings.SemigroupRing((6, 7, 9, 11)), 6, "small"),
-            ("golod3", rings.QuotientRing(3, oracles.monomials_of_degree(3, 2)), 6, "small"),
-            ("ci3", rings.QuotientRing(3, [
-                tuple(a if j == i else 0 for j in range(3)) for i, a in enumerate(self.ci_exps)
-            ]), 8, "word"),
+            ("golod3", rings.QuotientRing(3, self.square), 6, "small"),
+            ("ci3", rings.QuotientRing(3, self.ci), 8, "word"),
             ("sg4", rings.SemigroupRing((4, 5, 6, 7)), 6, "word"),
         ]
 
@@ -324,18 +347,13 @@ class _SemigroupFile:
         return self.window
 
 
-def _run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-class QueryMix:
+class QueryMix(Workload):
     """Seeded problem files queried through cli.main, plus `paper --all`.
 
     Each round writes its own files before it starts and removes them
     after; a round is every query on every file, then `paper --all`.
+    The CLI builds its rings inside every timed call, so set-up is
+    importing burchkit and its CLI.
     """
 
     name = "query_mix"
@@ -360,7 +378,15 @@ class QueryMix:
         self.workdir = workdir
         workdir.mkdir(parents=True, exist_ok=True)
         self._written = {}
-        self._write_round(0)
+
+    def setup(self):
+        self.cli = importlib.import_module("burchkit.cli")
+
+    def _run(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = self.cli.main(argv)
+        return code, out.getvalue(), err.getvalue()
 
     def _write_round(self, r):
         if r in self._written:
@@ -382,8 +408,8 @@ class QueryMix:
         ops = []
         for path, prob in self._write_round(r):
             for kind, argv, extra in prob.queries(str(path)):
-                ops.append(Op(kind, " ".join(argv[:1] + argv[2:]), lambda argv=argv: _run_cli(argv), (prob, argv, extra)))
-        ops.append(Op("paper", "paper --all", lambda: _run_cli(["paper", "--all"])))
+                ops.append(Op(kind, " ".join(argv[:1] + argv[2:]), lambda argv=argv: self._run(argv), (prob, argv, extra)))
+        ops.append(Op("paper", "paper --all", lambda: self._run(["paper", "--all"])))
         return ops
 
     def record(self, op, out):
@@ -392,7 +418,9 @@ class QueryMix:
         return code, payload, stderr.strip()
 
     def failed(self, rec):
-        return rec[0] != 0
+        # exit code 2 is an error with no JSON; `paper` exits 1 with its
+        # claims when one is false, and that is checked, not counted
+        return rec[1] is None
 
     def check(self, op, rec):
         code, payload, stderr = rec
@@ -401,9 +429,11 @@ class QueryMix:
                 (name, c["claim"]) for name, ex in payload["examples"].items()
                 for c in ex["claims"] if not c["ok"]
             ]
-            if not payload["pass"] or bad:
-                return "paper claims failed: %r" % bad
+            if code != 0 or not payload["pass"] or bad:
+                return "paper --all exited %d, claims failed: %r" % (code, bad)
             return None
+        if code != 0:
+            return "exited %d: %s" % (code, stderr[:200])
         prob, argv, extra = op.data
         if op.kind == "classify":
             return self._check_classify(prob, argv, extra, payload)
