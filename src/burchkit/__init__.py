@@ -32,6 +32,7 @@ from .homalg import (
     resolve,
     syzygy,
     tor_dim,
+    tor_dims,
 )
 from .hw import (
     FractionalSemigroupIdeal,
@@ -96,5 +97,6 @@ __all__ = [
     "suite_names",
     "syzygy",
     "tor_dim",
+    "tor_dims",
     "__version__",
 ]

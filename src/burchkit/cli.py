@@ -17,7 +17,7 @@ import sys
 from .classify import classification_report
 from .fixtures import EXAMPLES, run_example
 from .fuzz import FuzzConfig, run_suite
-from .homalg import tor_dim
+from .homalg import tor_dims
 from .hw import fractional_from_ideal, hw_report
 from .problemfile import ProblemFileError, load_problem
 from .rings import SemigroupRing
@@ -93,7 +93,7 @@ def _cmd_tor(args):
         if prob.module_ring[args.module] != prob.ideal_ring[args.ideal]:
             raise ValueError("module and ideal live in different rings")
         t0, t1 = _parse_span(args.range, "range")
-        results = [tor_dim(pres, ideal, t) for t in range(t0, t1 + 1)]
+        results = tor_dims(pres, ideal, t0, t1)
     except (ProblemFileError, ValueError, OSError) as exc:
         return _fail(exc)
     _emit({"module": args.module, "ideal": args.ideal, "tor": results})
@@ -112,7 +112,7 @@ def _cmd_hw(args):
             if other.ring != ideal.ring:
                 raise ValueError("ambient mismatch")
             wrt = fractional_from_ideal(other)
-        report = hw_report(fractional_from_ideal(ideal), wrt)
+        report = hw_report(fractional_from_ideal(ideal), wrt, prob.prime)
     except (ProblemFileError, ValueError, OSError) as exc:
         return _fail(exc)
     payload = _jsonable(report)

@@ -1,7 +1,8 @@
 """Degreewise homological algebra over graded quotient algebras.
 
 Everything is computed one degree at a time with exact GF(p) linear
-algebra: minimal free resolutions, syzygies, Tor dimensions, freeness.
+algebra on sparse rows (`linalg`): minimal free resolutions, syzygies,
+Tor dimensions, freeness.
 The graded pieces come from a basis/multiplication oracle so the same
 machinery runs over monomial quotients (graded by total degree) and
 semigroup rings (graded by valuation).
@@ -32,8 +33,7 @@ class GradedAlgebra:
     __slots__ = ("ring", "p", "_basis")
 
     def __init__(self, ring, p=DEFAULT_PRIME):
-        if p < 2:
-            raise ValueError("coefficient field needs a prime modulus")
+        linalg.check_prime(p)
         self.ring = ring
         self.p = p
         self._basis = {}
@@ -234,16 +234,17 @@ class HomogeneousMap:
         return all(not e for col in self.cols for e in col)
 
     def matrix(self, d, view=None):
-        """Dense GF(p) matrix of the degree-d piece over R or R/I.
+        """Sparse GF(p) matrix of the degree-d piece over R or R/I.
 
-        Rows follow target.basis(view, d), columns source.basis(view, d).
+        Rows follow target.basis(view, d), columns source.basis(view, d);
+        each row is a {column: coeff} dict of its nonzero entries.
         """
         view = view or self.algebra
         p = view.p
         src = self.source.basis(view, d)
         tgt = self.target.basis(view, d)
         index = {key: r for r, key in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in tgt]
+        rows = [{} for _ in tgt]
         for c, (j, b) in enumerate(src):
             col = self.cols[j]
             for i, entry in enumerate(col):
@@ -254,7 +255,12 @@ class HomogeneousMap:
                     r = index.get((i, prod))
                     if r is None:
                         continue
-                    rows[r][c] = (rows[r][c] + coeff) % p
+                    row = rows[r]
+                    x = (row.get(c, 0) + coeff) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
         return rows, src, tgt
 
     def apply_sparse(self, elt):
@@ -283,17 +289,6 @@ def scale_module_elt(view, elt, rlabel):
         key = (j, prod)
         out[key] = (out.get(key, 0) + coeff) % view.p
     return {k: v for k, v in out.items() if v}
-
-
-def _dense(elt, basis_index, size):
-    vec = [0] * size
-    for key, coeff in elt.items():
-        vec[basis_index[key]] = coeff
-    return vec
-
-
-def _sparse(vec, basis_list):
-    return {basis_list[i]: c for i, c in enumerate(vec) if c}
 
 
 @dataclass(frozen=True)
@@ -337,21 +332,22 @@ def kernel_minimal_gens(f, bound=None):
             src = f.source.basis(algebra, d)
             if not src:
                 continue
-            index = {key: i for i, key in enumerate(src)}
             rows, _, _ = f.matrix(d)
-            rows = [r for r in rows if any(r)]
-            null = linalg.nullspace(rows, len(src), algebra.p)
+            null = linalg.nullspace([r for r in rows if r], len(src), algebra.p)
             if not null:
                 continue
-            span = linalg.EchelonSpan(len(src), algebra.p)
+            index = {key: i for i, key in enumerate(src)}
+            span = linalg.EchelonSpan(algebra.p)
             for gd, g in gens:
                 for r in algebra.basis(d - gd):
                     prod = scale_module_elt(algebra, g, r)
-                    span.add(_dense(prod, index, len(src)))
+                    if prod:
+                        span.add({index[key]: x for key, x in prod.items()})
             for vec in null:
                 resid = span.reduce(vec)
                 if resid is not None:
-                    gens.append((d, _sparse(resid, src)))
+                    # entries in basis order, not in the order elimination left
+                    gens.append((d, {src[c]: resid[c] for c in sorted(resid)}))
                     span.add(resid)
     shifts = tuple(d for d, _ in gens)
     cols = []
@@ -507,22 +503,37 @@ class TorResult:
     window: tuple
 
 
-def _rank_of(rows, p):
-    rows = [r for r in rows if any(r)]
+def _rank_of(pmap, d, view):
+    """Rank of the degree-d piece of pmap over view."""
+    rows, src, _ = pmap.matrix(d, view)
+    rows = [r for r in rows if r]
     if not rows:
         return 0
-    reduced, pivots = linalg.rref(rows, len(rows[0]), p)
+    reduced, _ = linalg.rref(rows, len(src), view.p)
     return len(reduced)
 
 
 def tor_dim(presentation, ideal, t, bound=None):
     """dim_k Tor_t(M, R/I) by degree, over a certified window when
     R/I has finite length."""
+    return tor_dims(presentation, ideal, t, t, bound)[0]
+
+
+def tor_dims(presentation, ideal, t0, t1, bound=None):
+    """tor_dim for every t in t0..t1, read off one resolution.
+
+    The resolution to depth t1 + 1 extends the shorter one each tor_dim
+    call would build, so every result is the same.
+    """
     algebra = presentation.algebra
     if ideal.ring != algebra.ring:
         raise ValueError("ambient mismatch")
     view = algebra.modulo(ideal)
-    res = resolve(presentation, t + 1, bound)
+    res = resolve(presentation, t1 + 1, bound)
+    return [_tor_from(res, view, t) for t in range(t0, t1 + 1)]
+
+
+def _tor_from(res, view, t):
     if t > len(res.maps) and res.complete:
         cert = res.certified_through(len(res.maps))
         return TorResult(t, {}, 0, cert, (0, -1))
@@ -550,14 +561,11 @@ def tor_dim(presentation, ideal, t, bound=None):
         nsrc = len(ft.basis(view, d))
         if nsrc == 0:
             continue
+        k = nsrc
         if outgoing is not None:
-            rows, _, _ = outgoing.matrix(d, view)
-            k = nsrc - _rank_of(rows, view.p)
-        else:
-            k = nsrc
+            k -= _rank_of(outgoing, d, view)
         if incoming is not None:
-            rows_in, _, _ = incoming.matrix(d, view)
-            k -= _rank_of(rows_in, view.p)
+            k -= _rank_of(incoming, d, view)
         if k:
             dims[d] = k
             total += k
@@ -580,17 +588,18 @@ def annihilates(ideal, presentation, t, bound=None):
         pmap = presentation.map
         for i, s in enumerate(presentation.generators.shifts):
             for g in jgens:
-                elt = {(i, g): 1}
                 d = s + algebra.deg(g)
-                basis = pmap.target.basis(algebra, d)
-                index = {key: r for r, key in enumerate(basis)}
-                rows, src, _ = pmap.matrix(d)
-                span = linalg.EchelonSpan(len(basis), algebra.p)
-                cols = list(zip(*rows)) if rows else []
+                rows, src, tgt = pmap.matrix(d)
+                index = {key: r for r, key in enumerate(tgt)}
+                # the image in degree d is the row space of the transpose
+                cols = [{} for _ in src]
+                for r, row in enumerate(rows):
+                    for c, x in row.items():
+                        cols[c][r] = x
+                span = linalg.EchelonSpan(algebra.p)
                 for col in cols:
-                    span.add(list(col))
-                vec = _dense(elt, index, len(basis))
-                if span.reduce(vec) is not None:
+                    span.add(col)
+                if span.reduce({index[(i, g)]: 1}) is not None:
                     return False
         return True
     res = resolve(presentation, t, bound)
@@ -642,9 +651,7 @@ def audit_resolution(res, degree_cap=None):
             nsrc = len(outer.source.basis(algebra, d))
             if nsrc == 0:
                 continue
-            rows, _, _ = outer.matrix(d)
-            dim_ker = nsrc - _rank_of(rows, algebra.p)
-            rows_in, _, _ = inner.matrix(d)
-            if dim_ker != _rank_of(rows_in, algebra.p):
+            dim_ker = nsrc - _rank_of(outer, d, algebra)
+            if dim_ker != _rank_of(inner, d, algebra):
                 return False
     return True

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import cor214_classify, is_weakly_mfull_wrt
-from .homalg import GradedAlgebra, module_from_ideal, tor_dim
+from .homalg import DEFAULT_PRIME, GradedAlgebra, module_from_ideal, tor_dim
 from .rings import SemigroupRing, SgIdeal
 from .semigroup import NumericalSemigroup, RelativeIdealSet, relset_colon
 
@@ -99,8 +99,8 @@ def _checked_ambient(i: FractionalSemigroupIdeal) -> NumericalSemigroup:
     return i.ambient
 
 
-def hw_has_torsion(i: FractionalSemigroupIdeal) -> TorsionVerdict:
-    """Decide whether I (x) Hom(I,R) has nonzero torsion.
+def hw_has_torsion(i: FractionalSemigroupIdeal, p: int = DEFAULT_PRIME) -> TorsionVerdict:
+    """Decide whether I (x) Hom(I,R) has nonzero torsion, over GF(p).
 
     Both I and its dual are replaced by integral shifts; shifting twists
     the grading but leaves every Tor dimension unchanged, so the verdict
@@ -114,7 +114,7 @@ def hw_has_torsion(i: FractionalSemigroupIdeal) -> TorsionVerdict:
     ideal_i = SgIdeal(ring, i.shift(i.shift_to_integral).gens)
     dual = dual_ideal(i)
     ideal_j = SgIdeal(ring, dual.shift(dual.shift_to_integral).gens)
-    algebra = GradedAlgebra(ring)
+    algebra = GradedAlgebra(ring, p)
     pres, pres_certified = module_from_ideal(algebra, ideal_j)
     res = tor_dim(pres, ideal_i, 1)
     certified = bool(pres_certified and res.bound_certified)
@@ -133,15 +133,19 @@ class HwReport:
     certified: bool
 
 
-def hw_report(i: FractionalSemigroupIdeal, j: FractionalSemigroupIdeal | None = None) -> HwReport:
-    """Bundle the torsion verdict with the hypotheses that predict it.
+def hw_report(
+    i: FractionalSemigroupIdeal,
+    j: FractionalSemigroupIdeal | None = None,
+    p: int = DEFAULT_PRIME,
+) -> HwReport:
+    """Bundle the torsion verdict over GF(p) with the hypotheses that predict it.
 
     The hypothesis side checks 0 != I, I inside mJ and (I:J) = (mI:mJ)
     at the ring level, so it needs integral inputs; a fractional I or J
     leaves those fields None and the hypotheses not satisfied.
     """
     s = _checked_ambient(i)
-    verdict = hw_has_torsion(i)
+    verdict = hw_has_torsion(i, p)
     ring = SemigroupRing(s.generators)
     ideal_i = SgIdeal(ring, i.shift(i.shift_to_integral).gens)
     classes = cor214_classify(ideal_i)

@@ -29,6 +29,7 @@ from .homalg import (
     HomogeneousMap,
     free_presentation,
 )
+from .linalg import check_prime
 from .rings import QuotientRing, SemigroupRing
 
 
@@ -54,17 +55,6 @@ _MODULE_RE = re.compile(
 )
 _FACTOR_RE = re.compile(r"(%s)(?:\^(\d+))?$" % _NAME)
 _ENTRY_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*([^()]+?)\s*\)$")
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _split_items(text):
@@ -158,8 +148,10 @@ def parse_problem(text):
             if m is None:
                 raise ProblemFileError(lineno, "bad field declaration")
             p = int(m.group(1))
-            if not _is_prime(p):
-                raise ProblemFileError(lineno, "%d is not prime" % p)
+            try:
+                check_prime(p)
+            except ValueError as exc:
+                raise ProblemFileError(lineno, str(exc)) from None
             prob.prime = p
             field_line = lineno
             continue

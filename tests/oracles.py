@@ -123,6 +123,89 @@ def golod_poincare_coefficients(nvars, ambient_betti, depth):
     return tuple(out)
 
 
+def ci_poincare_coefficients(e, c, n):
+    """Betti numbers of k over a complete intersection, through t^n.
+
+    e is the embedding dimension and c the codimension; the Poincare
+    series is (1+t)^e / (1-t^2)^c (Tate 1957), whose t^d coefficient is
+    sum_k C(e, d-2k) C(c+k-1, k).
+    """
+    return tuple(
+        sum(comb(e, d - 2 * k) * comb(c + k - 1, k) for k in range(d // 2 + 1))
+        for d in range(n + 1)
+    )
+
+
+# ------------------------------------------------------ dense GF(p) kernel
+#
+# The dense-list elimination the library used before its kernel went
+# sparse: matrices are lists of equal-length lists of ints in [0, p).
+# tests/test_linalg.py compares the sparse kernel against it.
+
+def dense_rref(rows, ncols, p):
+    """Reduced row echelon form.
+
+    Returns (reduced nonzero rows, pivot column indices).  Pivoting is
+    deterministic: first nonzero entry of the topmost unprocessed row.
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        sel = -1
+        for r in range(rank, len(mat)):
+            if mat[r][col] % p:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        row = mat[rank]
+        inv = pow(row[col] % p, p - 2, p)
+        for c in range(col, ncols):
+            row[c] = row[c] * inv % p
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] % p:
+                f = mat[r][col] % p
+                other = mat[r]
+                for c in range(col, ncols):
+                    other[c] = (other[c] - f * row[c]) % p
+        pivots.append(col)
+        rank += 1
+        if rank == len(mat):
+            break
+    return mat[:rank], pivots
+
+
+def dense_nullspace(rows, ncols, p):
+    """Basis of the right kernel {v : A v = 0}, one vector per free column."""
+    red, pivots = dense_rref(rows, ncols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-red[r][free]) % p
+        basis.append(v)
+    return basis
+
+
+def dense_reduce_row(row, red, pivots, p):
+    """Residual of row after eliminating against RREF rows; None if zero."""
+    out = [x % p for x in row]
+    for r, pc in enumerate(pivots):
+        f = out[pc]
+        if f:
+            rr = red[r]
+            for c in range(pc, len(out)):
+                if rr[c]:
+                    out[c] = (out[c] - f * rr[c]) % p
+    return out if any(out) else None
+
+
 # ------------------------------------------------------ instance generators
 
 def rand_monomial_instance(rng):

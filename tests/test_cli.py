@@ -7,6 +7,8 @@ import pytest
 import burchkit.cli as cli
 from burchkit.cli import build_parser, main
 from burchkit.fuzz import SuiteReport
+from burchkit.homalg import DEFAULT_PRIME, GradedAlgebra, tor_dim
+from burchkit.problemfile import load_problem
 
 E45 = """\
 ring s = semigroup(4, 5, 6)
@@ -178,6 +180,60 @@ def test_hw_with_hypothesis_ideal(files, capsys):
 def test_hw_rejects_monomial_rings(files, capsys):
     rc, _, err = run(capsys, ["hw", files["e41"], "i"])
     assert rc == 2 and "semigroup ring" in err
+
+
+def test_tor_range_matches_separate_tor_dim_calls(tmp_path, capsys):
+    # over k[x,y] the Koszul resolution of R/(x, y) ends at t = 2, inside
+    # the range; every row must equal its own tor_dim call
+    path = tmp_path / "koszul.prob"
+    path.write_text(
+        "ring r = poly(x, y)\n"
+        "ideal m in r = [x, y]\n"
+        "ideal l in r = [x^2, y]\n"
+        "module K in r = coker rows=1 cols=2 entries=[(1, 1, x), (1, 2, y)] shifts=[0]\n",
+        encoding="utf-8",
+    )
+    prob = load_problem(str(path))
+    for ideal, span in (("m", "0..5"), ("l", "2..4")):
+        rc, payload, _ = run(capsys, ["tor", str(path), "K", ideal, "--range", span])
+        assert rc == 0
+        lo, hi = (int(t) for t in span.split(".."))
+        want = [
+            tor_dim(prob.get_module("K"), prob.get_ideal(ideal), t)
+            for t in range(lo, hi + 1)
+        ]
+        assert payload["tor"] == json.loads(json.dumps(cli._jsonable(want)))
+    assert [row["total_dim"] for row in payload["tor"]] == [1, 0, 0]
+
+
+def test_hw_uses_the_field_of_the_problem_file(files, tmp_path, capsys, monkeypatch):
+    rc, at_101, _ = run(capsys, ["hw", files["e45"], "imj", "--wrt", "j45"])
+    assert rc == 0
+    path = tmp_path / "gf103.prob"
+    path.write_text("field GF(103)\n" + E45, encoding="utf-8")
+    primes = []
+    init = GradedAlgebra.__init__
+
+    def record(self, ring, p=DEFAULT_PRIME):
+        primes.append(p)
+        init(self, ring, p)
+
+    monkeypatch.setattr(GradedAlgebra, "__init__", record)
+    rc, at_103, _ = run(capsys, ["hw", str(path), "imj", "--wrt", "j45"])
+    assert rc == 0
+    assert primes and set(primes) == {103}
+    assert at_103 == at_101
+    assert at_103["tor1_dim"] > 0
+
+
+def test_bad_field_modulus_exits_2(tmp_path, capsys):
+    # a composite, and the prime 2^89 - 1 above the Miller-Rabin bound
+    path = tmp_path / "bad_field.prob"
+    for modulus, why in ((4, "not prime"), (2**89 - 1, "too large")):
+        path.write_text("field GF(%d)\n%s" % (modulus, E45), encoding="utf-8")
+        rc, payload, err = run(capsys, ["hw", str(path), "imj"])
+        assert rc == 2 and payload is None
+        assert "line 1" in err and why in err
 
 
 def test_paper_all_examples_pass(capsys):

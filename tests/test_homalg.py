@@ -1,5 +1,6 @@
 """Graded resolutions, Betti numbers, Tor, and the exactness audits."""
 
+import hashlib
 import random
 
 import pytest
@@ -46,6 +47,41 @@ def test_residue_field_betti_numbers_over_cube_ring():
     assert res.betti() == (1, 2, 5, 11, 26)
     assert res.certified_through(4)
     assert audit_resolution(res)
+
+
+def _differentials_digest(res):
+    data = [
+        (m.source.shifts, m.target.shifts, [[sorted(e.items()) for e in col] for col in m.cols])
+        for m in res.maps
+    ]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def test_residue_field_differentials_are_pinned():
+    # the differentials themselves, not only their ranks, stay fixed:
+    # digests of k over k[x,y]/(x,y)^3 and over k[[t^6,t^7,t^9,t^11]]
+    ring = _cube_ring()
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
+    assert res.betti() == (1, 2, 5, 11, 26, 59, 137)
+    assert _differentials_digest(res) == (
+        "64ddcc8dd0395f3c05e0a07eb460a36ca2de2c3ef9e63cb5c9769cec48eda1ae"
+    )
+    ring = SemigroupRing((6, 7, 9, 11))
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 4)
+    assert res.betti() == (1, 4, 12, 36, 108)
+    assert _differentials_digest(res) == (
+        "8774b42bb15569cac070e1ee49db6a503613d640ad57c82bbfbee761e9f9c313"
+    )
+
+
+def test_algebra_rejects_composite_and_oversized_moduli():
+    ring = _cube_ring()
+    for bad in (0, 1, 4, 10, 101 * 103):
+        with pytest.raises(ValueError, match="not prime"):
+            GradedAlgebra(ring, bad)
+    with pytest.raises(ValueError, match="too large"):
+        GradedAlgebra(ring, 2**89 - 1)
+    assert GradedAlgebra(ring, 2**61 - 1).p == 2**61 - 1
 
 
 def test_koszul_resolution_over_polynomial_ring():

@@ -1,38 +1,65 @@
-"""Dense GF(p) kernels: RREF, nullspace, incremental echelon spans."""
+"""Sparse GF(p) kernels: RREF, nullspace, row reduction, echelon spans.
+
+Rows are {column: coeff} dicts of nonzero entries.  Besides the
+structural properties, every kernel is compared with the dense-list
+reference in tests/oracles.py.
+"""
 
 import random
 
 import pytest
 
 from burchkit import linalg
-from burchkit.linalg import EchelonSpan, available_backends, set_backend
+from burchkit.linalg import PRIME_BOUND, EchelonSpan, check_prime
+from oracles import dense_nullspace, dense_reduce_row, dense_rref
 
 PRIMES = (2, 3, 101)
+REFERENCE_PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1)
 
 
-def _rand_matrix(rng, p):
+def _sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _dense(row, ncols):
+    out = [0] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def _rand_row(rng, p, ncols, density):
+    return [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)]
+
+
+def _rand_matrix(rng, p, density=1.0):
+    """A dense matrix, entries nonzero with the given probability."""
     nrows = rng.randint(0, 5)
     ncols = rng.randint(1, 6)
-    return [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols
+    return [_rand_row(rng, p, ncols, density) for _ in range(nrows)], ncols
 
 
 def _matvec(rows, v, p):
-    return [sum(a * b for a, b in zip(r, v)) % p for r in rows]
+    return [sum(x * v.get(c, 0) for c, x in r.items()) % p for r in rows]
 
 
 def test_rref_structure():
     rng = random.Random(31)
     for p in PRIMES:
         for _ in range(40):
-            rows, ncols = _rand_matrix(rng, p)
+            dense, ncols = _rand_matrix(rng, p)
+            rows = [_sparse(r) for r in dense]
             red, pivots = linalg.rref(rows, ncols, p)
             assert len(red) == len(pivots)
-            assert pivots == sorted(pivots)
+            assert list(pivots) == sorted(pivots)
             for r, pc in enumerate(pivots):
+                assert pivots[pc] == r
                 assert red[r][pc] == 1
                 # pivot column is elsewhere zero
-                assert all(red[k][pc] == 0 for k in range(len(red)) if k != r)
-                assert all(red[r][c] == 0 for c in range(pc))
+                assert all(pc not in red[k] for k in range(len(red)) if k != r)
+                # nothing left of the pivot, and only nonzero entries stored
+                assert min(red[r]) == pc
+                assert all(0 < x < p and 0 <= c < ncols for c, x in red[r].items())
             # idempotence
             again, pivots2 = linalg.rref(red, ncols, p)
             assert again == red and pivots2 == pivots
@@ -42,7 +69,8 @@ def test_nullspace_vectors_annihilate():
     rng = random.Random(32)
     for p in PRIMES:
         for _ in range(40):
-            rows, ncols = _rand_matrix(rng, p)
+            dense, ncols = _rand_matrix(rng, p)
+            rows = [_sparse(r) for r in dense]
             basis = linalg.nullspace(rows, ncols, p)
             _, pivots = linalg.rref(rows, ncols, p)
             assert len(basis) == ncols - len(pivots)
@@ -55,13 +83,19 @@ def test_nullspace_vectors_annihilate():
 
 def test_reduce_row_semantics():
     p = 101
-    red, pivots = linalg.rref([[1, 2, 3], [0, 1, 4]], 3, p)
+    red, pivots = linalg.rref([{0: 1, 1: 2, 2: 3}, {1: 1, 2: 4}], 3, p)
     # a row in the span reduces to None
-    combo = [(1 * a + 5 * b) % p for a, b in zip(red[0], red[1])]
+    combo = {c: (1 * red[0].get(c, 0) + 5 * red[1].get(c, 0)) % p for c in range(3)}
     assert linalg.reduce_row(combo, red, pivots, p) is None
     # an independent row leaves a nonzero residual
-    res = linalg.reduce_row([0, 0, 1], red, pivots, p)
-    assert res is not None and any(res)
+    res = linalg.reduce_row({2: 1}, red, pivots, p)
+    assert res
+    # coefficients are taken mod p, zero entries ignored, the input kept
+    row = {0: p + 1, 1: 0, 2: -1}
+    assert linalg.reduce_row(row, [], {}, p) == {0: 1, 2: p - 1}
+    assert row == {0: p + 1, 1: 0, 2: -1}
+    # an entry that vanishes mod p in a pivot column takes no multiple
+    assert linalg.reduce_row({0: p, 1: 2 * p, 2: 5}, red, pivots, p) == {2: 5}
 
 
 def test_echelon_span_incremental():
@@ -69,44 +103,65 @@ def test_echelon_span_incremental():
     p = 101
     for _ in range(30):
         ncols = rng.randint(1, 6)
-        span = EchelonSpan(ncols, p)
+        span = EchelonSpan(p)
         vecs = []
         for _ in range(rng.randint(1, 8)):
-            v = [rng.randrange(p) for _ in range(ncols)]
+            v = _sparse([rng.randrange(p) for _ in range(ncols)])
+            before = span.rank
             grew = span.add(v)
             vecs.append(v)
             red, pivots = linalg.rref(vecs, ncols, p)
             assert span.rank == len(pivots)
-            if grew:
-                # the vector was outside the previous span
-                assert span.rank <= len(vecs)
+            assert grew == (span.rank > before)
         # every added vector now reduces to zero
         for v in vecs:
             assert span.reduce(v) is None
 
 
-def test_backends_agree():
-    rng = random.Random(34)
-    cases = []
-    for _ in range(25):
-        rows, ncols = _rand_matrix(rng, 101)
-        cases.append((rows, ncols))
-    results = {}
-    for name in available_backends():
-        set_backend(name)
-        results[name] = [
-            (linalg.rref(rows, ncols, 101), linalg.nullspace(rows, ncols, 101))
-            for rows, ncols in cases
-        ]
-    set_backend("python")
-    rref_py = results["python"]
-    for name, got in results.items():
-        assert got == rref_py, name
-    # leave whichever backend is preferred active for the rest of the run
-    if "compiled" in available_backends():
-        set_backend("compiled")
+@pytest.mark.parametrize("p", REFERENCE_PRIMES)
+def test_sparse_kernel_matches_dense_reference(p):
+    rng = random.Random(p)
+    for density in (0.15, 0.5, 1.0):
+        for _ in range(30):
+            nrows, ncols = rng.randint(0, 9), rng.randint(1, 12)
+            dense = [_rand_row(rng, p, ncols, density) for _ in range(nrows)]
+            rows = [_sparse(r) for r in dense]
+            red, pivots = linalg.rref(rows, ncols, p)
+            want_red, want_pivots = dense_rref(dense, ncols, p)
+            assert [_dense(r, ncols) for r in red] == want_red
+            assert list(pivots) == want_pivots
+            null = linalg.nullspace(rows, ncols, p)
+            assert [_dense(v, ncols) for v in null] == dense_nullspace(dense, ncols, p)
+            for _ in range(5):
+                probe = _rand_row(rng, p, ncols, density)
+                got = linalg.reduce_row(_sparse(probe), red, pivots, p)
+                want = dense_reduce_row(probe, want_red, want_pivots, p)
+                assert (got and _dense(got, ncols)) == want
+            # the incremental span ends at the same RREF
+            span = EchelonSpan(p)
+            for r in rows:
+                span.add(r)
+            order = sorted(span.pivots)
+            assert [_dense(span.rows[span.pivots[c]], ncols) for c in order] == want_red
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        set_backend("gpu")
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_check_prime():
+    for n in range(3000):
+        if _trial_division(n):
+            check_prime(n)
+        else:
+            with pytest.raises(ValueError, match="not prime"):
+                check_prime(n)
+    for p in (2**31 - 1, 2**61 - 1):
+        check_prime(p)
+    # strong pseudoprimes to every prime base up to 7, up to 23, and up
+    # to 37 (the last one is caught by base 41 alone)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            check_prime(n)
+    with pytest.raises(ValueError, match="too large"):
+        check_prime(PRIME_BOUND)

@@ -1,5 +1,7 @@
 """Problem-file grammar: good paths, rejections, line numbers."""
 
+import time
+
 import pytest
 
 from burchkit.homalg import DEFAULT_PRIME
@@ -87,6 +89,19 @@ def test_field_line_rules():
     e = perr("field GF(5)\nfield GF(7)\nring r = poly(x)\n")
     assert "duplicate field" in e.message
     assert perr("field GF(q)\n").message == "bad field declaration"
+
+
+def test_field_moduli_are_tested_by_miller_rabin():
+    # a 61-bit Mersenne prime: trial division would need ~1.5e9 divisions
+    start = time.perf_counter()
+    prob = parse_problem("field GF(2305843009213693951)\nring s = semigroup(3, 4)\n")
+    assert time.perf_counter() - start < 0.5
+    assert prob.prime == 2**61 - 1
+    assert prob.algebra_for("s").p == 2**61 - 1
+    assert "4 is not prime" in perr("field GF(4)\n").message
+    # 2^89 - 1 is prime but above the bound where the test is exact
+    e = perr("# c\nfield GF(618970019642690137449562111)\n")
+    assert e.line == 2 and "too large" in e.message
 
 
 def test_ring_declaration_rejections():
