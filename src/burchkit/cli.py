@@ -1,8 +1,9 @@
 """Command-line front end: classify, tor, hw, paper, fuzz.
 
 JSON goes to stdout, diagnostics to stderr.  Exit codes: 0 success or
-property pass, 1 property failure (counterexample in the JSON report),
-2 usage, parse, or resolution error.
+property pass, 1 property failure (counterexample in the JSON report;
+for `fuzz` this includes a check that raised), 2 usage, parse, or
+resolution error.
 """
 
 from __future__ import annotations

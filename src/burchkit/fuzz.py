@@ -3,8 +3,10 @@
 Every suite encodes a proved implication as an executable predicate and
 hammers it with generated rings, ideals, and modules.  A failure is an
 engine bug by construction, so the suites double as end-to-end tests of
-the colon/Loewy arithmetic and the resolution kernels.  Instances are
-plain dicts so counterexamples can be shrunk, serialized, and replayed.
+the colon/Loewy arithmetic and the resolution kernels.  A check that
+raises is a failure too; its counterexample carries the exception type
+and message under "error".  Instances are plain dicts so counterexamples
+can be shrunk, serialized, and replayed.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def gen_module(cfg: FuzzConfig, ring, stream: random.Random = None, algebra=None
     ngen = stream.randint(1, 2)
     tshifts = tuple(sorted(stream.randint(0, 2) for _ in range(ngen)))
     jump_pool = [d for d in range(1, 9) if algebra.basis(d)][:3]
-    cols = []
+    elts = []
     sshifts = []
     for _ in range(stream.randint(0, 3)):
         i = stream.randrange(ngen)
@@ -149,29 +151,29 @@ def gen_module(cfg: FuzzConfig, ring, stream: random.Random = None, algebra=None
         basis = algebra.basis(jump)
         if not basis:
             continue
-        col = [{} for _ in range(ngen)]
-        col[i] = {stream.choice(list(basis)): 1}
+        elt = {(i, stream.choice(list(basis))): 1}
         sdeg = tshifts[i] + jump
         if ngen > 1 and stream.random() < 0.4:
             other = 1 - i
             jump2 = sdeg - tshifts[other]
             basis2 = algebra.basis(jump2) if jump2 >= 1 else ()
             if basis2:
-                col[other] = {stream.choice(list(basis2)): stream.randint(1, algebra.p - 1)}
+                label = stream.choice(list(basis2))
+                elt[(other, label)] = stream.randint(1, algebra.p - 1)
         sshifts.append(sdeg)
-        cols.append(col)
+        elts.append(elt)
     # unit-free entries alone do not rule out a redundant relation, and a
     # redundant column would poison every later resolution stage; drop
     # columns until the first syzygy map certifies minimal generation
-    while cols:
+    while elts:
         pmap = HomogeneousMap(
-            algebra, GradedFreeModule(tuple(sshifts)), GradedFreeModule(tshifts), cols
+            algebra, GradedFreeModule(tuple(sshifts)), GradedFreeModule(tshifts), elts
         )
         syz, _ = kernel_minimal_gens(pmap)
         if syz.is_minimal:
             return GradedPresentation(pmap)
         sshifts.pop()
-        cols.pop()
+        elts.pop()
     return free_presentation(algebra, tshifts)
 
 
@@ -250,13 +252,10 @@ def _decode_label(raw):
 
 def _encode_module(pres):
     pmap = pres.map
-    cols = []
-    for col in pmap.cols:
-        entries = []
-        for i, entry in enumerate(col):
-            for label, coeff in sorted(entry.items()):
-                entries.append([i, _encode_label(label), coeff])
-        cols.append(entries)
+    cols = [
+        [[i, _encode_label(label), coeff] for (i, label), coeff in sorted(elt.items())]
+        for elt in pmap.elts
+    ]
     return {
         "tshifts": list(pmap.target.shifts),
         "sshifts": list(pmap.source.shifts),
@@ -267,23 +266,11 @@ def _encode_module(pres):
 def _decode_module(algebra, data):
     target = GradedFreeModule(tuple(data["tshifts"]))
     source = GradedFreeModule(tuple(data["sshifts"]))
-    cols = []
-    for raw in data["cols"]:
-        col = [{} for _ in range(target.rank)]
-        for i, label, coeff in raw:
-            col[i][_decode_label(label)] = coeff
-        cols.append(col)
-    return GradedPresentation(HomogeneousMap(algebra, source, target, cols))
-
-
-def _rank_at(res, t):
-    if t == 0:
-        return res.presentation.generators.rank
-    if t - 1 < len(res.maps):
-        return res.maps[t - 1].source.rank
-    if res.complete:
-        return 0
-    raise ValueError("resolution too shallow for stage %d" % t)
+    elts = [
+        {(i, _decode_label(label)): coeff for i, label, coeff in raw}
+        for raw in data["cols"]
+    ]
+    return GradedPresentation(HomogeneousMap(algebra, source, target, elts))
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +823,7 @@ def _suite_thm25():
         if not annihilates(j, pres, t):
             return False, True
         res = resolve(pres, t)
-        if _rank_at(res, t) == 0:
+        if res.rank(t) == 0:
             # projective dimension below t: contrapositive says nothing
             return False, True
         tor = tor_dim(pres, i, t)
@@ -900,7 +887,7 @@ def _suite_prop26():
         tor1 = tor_dim(pres, i, 1)
         tor2 = tor_dim(pres, i, 2)
         res = resolve(pres, 3)
-        never_free = _rank_at(res, 3) > 0
+        never_free = res.rank(3) > 0
         return True, tor1.total_dim == 0 and tor2.total_dim > 0 and never_free
 
     return gen, chk
@@ -988,7 +975,7 @@ def _suite_cor210():
         tor = tor_dim(pres, i, t)
         res = resolve(pres, t)
         # vanishing at stage t forces the minimal resolution to stop
-        ok = tor.total_dim > 0 or _rank_at(res, t) == 0
+        ok = tor.total_dim > 0 or res.rank(t) == 0
         if inst["mkind"] == "free":
             ok = ok and tor.total_dim == 0
         elif inst["mkind"] == "cyclic":
@@ -1105,24 +1092,36 @@ class SuiteReport:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-def _run_check(suite, inst):
-    out = suite.check(inst)
+def _outcome(check, inst):
+    """(effective, ok, tags, exception) of one check.
+
+    A check that raises convicts the engine on that instance: the trial
+    counts as an effective failure and the exception comes back.
+    """
+    try:
+        out = check(inst)
+    except Exception as exc:
+        return True, False, (), exc
     if len(out) == 2:
         eff, ok = out
-        return eff, ok, ()
-    return out
+        return eff, ok, (), None
+    eff, ok, tags = out
+    return eff, ok, tags, None
 
 
-def shrink_instance(check, inst):
-    """Greedy minimization: drop generators and lower entries, re-test."""
+def shrink_instance(check, inst, error=None):
+    """Greedy minimization: drop generators and lower entries, re-test.
+
+    A candidate is kept only if it fails the same way: with `error`
+    None, an effective trial whose check returns not-ok; otherwise a
+    check that raises an exception of the same type as `error`.
+    """
 
     def still_fails(cand):
-        try:
-            out = check(cand)
-        except (ValueError, KeyError, IndexError, TypeError):
-            return False
-        eff, ok = out[0], out[1]
-        return eff and not ok
+        eff, ok, _, exc = _outcome(check, cand)
+        if error is not None:
+            return type(exc) is type(error)
+        return exc is None and eff and not ok
 
     cur = inst
     for _ in range(200):
@@ -1179,7 +1178,7 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
         inst = suite.generate(cfg, stream)
         if inst is None:
             continue
-        eff, ok, tag_list = _run_check(suite, inst)
+        eff, ok, tag_list, exc = _outcome(suite.check, inst)
         if not eff:
             continue
         effective += 1
@@ -1188,7 +1187,14 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
         if not ok:
             failures += 1
             if counterexample is None:
-                counterexample = shrink_instance(suite.check, inst)
+                counterexample = shrink_instance(suite.check, inst, exc)
+                if exc is not None:
+                    # report the exception the shrunk instance raises
+                    exc = _outcome(suite.check, counterexample)[3] or exc
+                    counterexample = {
+                        **counterexample,
+                        "error": {"type": type(exc).__name__, "message": str(exc)},
+                    }
     return SuiteReport(
         suite=name,
         seed=cfg.seed,
@@ -1203,11 +1209,14 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
 
 
 def replay_instance(name: str, inst: dict):
-    """Re-run one stored instance; returns (effective, ok)."""
+    """Re-run one stored instance; returns (effective, ok).
+
+    A check that raises gives (True, False), as it does in run_suite.
+    """
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError("unknown suite: %s" % name)
-    eff, ok, _ = _run_check(suite, inst)
+    eff, ok, _, _ = _outcome(suite.check, inst)
     return eff, ok
 
 

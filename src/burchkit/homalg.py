@@ -3,6 +3,9 @@
 Everything is computed one degree at a time with exact GF(p) linear
 algebra on sparse rows (`linalg`): minimal free resolutions, syzygies,
 Tor dimensions, freeness.
+A graded map keeps each column as a sparse element {(i, label): coeff}
+of its target, the same form syzygies and module elements take, so
+assembling a degree piece touches only the nonzero entries.
 The graded pieces come from a basis/multiplication oracle so the same
 machinery runs over monomial quotients (graded by total degree) and
 semigroup rings (graded by valuation).
@@ -186,52 +189,65 @@ class GradedFreeModule:
         return out
 
 
-def _entry_degree_ok(view, entry, want):
-    return all(view.deg(label) == want for label in entry)
-
-
 class HomogeneousMap:
     """Graded map between free modules, entries homogeneous in R.
 
-    cols[j][i] is the (i, j) matrix entry as a {label: coeff} dict of
-    degree source.shifts[j] - target.shifts[i]; empty dict means zero.
+    elts[j] is the image of the j-th source basis element, a sparse
+    element {(i, label): coeff} of the target listing its nonzero
+    entries; each label has degree source.shifts[j] - target.shifts[i].
+    `cols` is a dense view built on demand, for inspection only.
     """
 
-    __slots__ = ("algebra", "source", "target", "cols")
+    __slots__ = ("algebra", "source", "target", "elts")
 
-    def __init__(self, algebra, source, target, cols):
+    def __init__(self, algebra, source, target, elts):
         self.algebra = algebra
         self.source = source
         self.target = target
-        self.cols = tuple(
-            tuple(dict(e) for e in col) for col in cols
-        )
-        if len(self.cols) != source.rank:
+        self.elts = tuple(dict(e) for e in elts)
+        if len(self.elts) != source.rank:
             raise ValueError("column count does not match source rank")
-        for j, col in enumerate(self.cols):
-            if len(col) != target.rank:
-                raise ValueError("row count does not match target rank")
-            for i, entry in enumerate(col):
-                want = source.shifts[j] - target.shifts[i]
-                if entry and (
-                    want < 0 or not _entry_degree_ok(algebra, entry, want)
-                ):
+        tshifts = target.shifts
+        rank = target.rank
+        for j, elt in enumerate(self.elts):
+            s = source.shifts[j]
+            for i, label in elt:
+                if not 0 <= i < rank:
+                    raise ValueError(
+                        "entry row %d out of range for target rank %d"
+                        % (i, rank)
+                    )
+                want = s - tshifts[i]
+                if want < 0 or algebra.deg(label) != want:
                     raise ValueError(
                         "entry (%d, %d) is not homogeneous of degree %d"
                         % (i, j, want)
                     )
 
     @property
+    def cols(self):
+        """Dense view: cols[j][i] is the (i, j) entry as a {label: coeff}
+        dict, empty for zero.  Rebuilt on every access."""
+        out = []
+        for elt in self.elts:
+            col = tuple({} for _ in self.target.shifts)
+            for (i, label), coeff in elt.items():
+                col[i][label] = coeff
+            out.append(col)
+        return tuple(out)
+
+    @property
     def is_minimal(self):
         """No unit entries: every nonzero entry has positive degree."""
-        for j, col in enumerate(self.cols):
-            for i, entry in enumerate(col):
-                if entry and self.source.shifts[j] == self.target.shifts[i]:
+        tshifts = self.target.shifts
+        for s, elt in zip(self.source.shifts, self.elts):
+            for i, _ in elt:
+                if tshifts[i] == s:
                     return False
         return True
 
     def is_zero(self):
-        return all(not e for col in self.cols for e in col)
+        return not any(self.elts)
 
     def matrix(self, d, view=None):
         """Sparse GF(p) matrix of the degree-d piece over R or R/I.
@@ -241,26 +257,26 @@ class HomogeneousMap:
         """
         view = view or self.algebra
         p = view.p
+        mult = view.mult
+        elts = self.elts
         src = self.source.basis(view, d)
         tgt = self.target.basis(view, d)
         index = {key: r for r, key in enumerate(tgt)}
         rows = [{} for _ in tgt]
         for c, (j, b) in enumerate(src):
-            col = self.cols[j]
-            for i, entry in enumerate(col):
-                for label, coeff in entry.items():
-                    prod = view.mult(label, b)
-                    if prod is None:
-                        continue
-                    r = index.get((i, prod))
-                    if r is None:
-                        continue
-                    row = rows[r]
-                    x = (row.get(c, 0) + coeff) % p
-                    if x:
-                        row[c] = x
-                    else:
-                        row.pop(c, None)
+            for (i, label), coeff in elts[j].items():
+                prod = mult(label, b)
+                if prod is None:
+                    continue
+                r = index.get((i, prod))
+                if r is None:
+                    continue
+                row = rows[r]
+                x = (row.get(c, 0) + coeff) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
         return rows, src, tgt
 
     def apply_sparse(self, elt):
@@ -269,13 +285,12 @@ class HomogeneousMap:
         p = view.p
         out = {}
         for (j, b), coeff in elt.items():
-            for i, entry in enumerate(self.cols[j]):
-                for label, c in entry.items():
-                    prod = view.mult(label, b)
-                    if prod is None:
-                        continue
-                    key = (i, prod)
-                    out[key] = (out.get(key, 0) + c * coeff) % p
+            for (i, label), c in self.elts[j].items():
+                prod = view.mult(label, b)
+                if prod is None:
+                    continue
+                key = (i, prod)
+                out[key] = (out.get(key, 0) + c * coeff) % p
         return {k: v for k, v in out.items() if v}
 
 
@@ -350,13 +365,9 @@ def kernel_minimal_gens(f, bound=None):
                     gens.append((d, {src[c]: resid[c] for c in sorted(resid)}))
                     span.add(resid)
     shifts = tuple(d for d, _ in gens)
-    cols = []
-    for d, g in gens:
-        col = [dict() for _ in range(f.source.rank)]
-        for (j, label), coeff in g.items():
-            col[j][label] = coeff
-        cols.append(col)
-    out = HomogeneousMap(algebra, GradedFreeModule(shifts), f.source, cols)
+    out = HomogeneousMap(
+        algebra, GradedFreeModule(shifts), f.source, [g for _, g in gens]
+    )
     return out, window.certified
 
 
@@ -390,8 +401,7 @@ def cyclic_presentation(algebra, ideal):
     gens = ideal.min_gens()
     target = GradedFreeModule((0,))
     source = GradedFreeModule(tuple(algebra.deg(g) for g in gens))
-    cols = [[{g: 1}] for g in gens]
-    pmap = HomogeneousMap(algebra, source, target, cols)
+    pmap = HomogeneousMap(algebra, source, target, [{(0, g): 1} for g in gens])
     return GradedPresentation(pmap)
 
 
@@ -434,6 +444,16 @@ class Resolution:
         if t == 0:
             return self.presentation.generators
         return self.maps[t - 1].source
+
+    def rank(self, t):
+        """Rank of F_t; 0 past the end of a complete resolution."""
+        if t == 0:
+            return self.presentation.generators.rank
+        if t - 1 < len(self.maps):
+            return self.maps[t - 1].source.rank
+        if self.complete:
+            return 0
+        raise ValueError("resolution too shallow for stage %d" % t)
 
     def betti(self):
         return tuple(
@@ -607,12 +627,7 @@ def annihilates(ideal, presentation, t, bound=None):
         if res.complete:
             return True  # zero syzygy
         raise ValueError("resolution not computed to depth %d" % t)
-    dt = res.maps[t - 1]
-    for j in range(dt.source.rank):
-        col = {}
-        for i, entry in enumerate(dt.cols[j]):
-            for label, coeff in entry.items():
-                col[(i, label)] = coeff
+    for col in res.maps[t - 1].elts:
         for g in jgens:
             if scale_module_elt(algebra, col, g):
                 return False
@@ -632,11 +647,7 @@ def audit_resolution(res, degree_cap=None):
         if not pmap.is_minimal:
             return False
     for a, b in zip(res.maps, res.maps[1:]):
-        for j in range(b.source.rank):
-            col = {}
-            for i, entry in enumerate(b.cols[j]):
-                for label, coeff in entry.items():
-                    col[(i, label)] = coeff
+        for col in b.elts:
             if a.apply_sparse(col):
                 return False
     for idx in range(len(res.maps) - 1):

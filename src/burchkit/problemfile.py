@@ -300,17 +300,15 @@ def _parse_module(prob, stmt, lineno):
             if len(degs) != 1:
                 raise ProblemFileError(lineno, "column %d is not homogeneous" % j)
             sshifts.append(degs.pop())
-        col_dicts = [
-            [dict() for _ in range(rows)] for _ in range(cols_n)
-        ]
-        for (i, j), lab in entries.items():
-            col_dicts[j - 1][i - 1] = {lab: 1}
+        elts = [{} for _ in range(cols_n)]
+        for (i, j), lab in sorted(entries.items()):
+            elts[j - 1][(i - 1, lab)] = 1
         try:
             pmap = HomogeneousMap(
                 algebra,
                 GradedFreeModule(tuple(sshifts)),
                 GradedFreeModule(tuple(shifts)),
-                col_dicts,
+                elts,
             )
         except ValueError as exc:
             raise ProblemFileError(lineno, str(exc)) from exc

@@ -206,6 +206,42 @@ def dense_reduce_row(row, red, pivots, p):
     return out if any(out) else None
 
 
+# ------------------------------------------------------ dense map assembly
+#
+# Degree-piece assembly as the library did it while a graded map stored
+# every column as a list of target.rank entry dicts, most of them empty.
+# It reads the map through its dense `cols` view and uses the algebra's
+# own basis and multiplication.  tests/test_homalg.py compares
+# HomogeneousMap.matrix against it.
+
+def dense_matrix(pmap, d, view=None):
+    """(rows, src, tgt) of the degree-d piece, walking every entry."""
+    view = view or pmap.algebra
+    p = view.p
+    src = pmap.source.basis(view, d)
+    tgt = pmap.target.basis(view, d)
+    index = {key: r for r, key in enumerate(tgt)}
+    rows = [{} for _ in tgt]
+    cols = pmap.cols
+    for c, (j, b) in enumerate(src):
+        col = cols[j]
+        for i, entry in enumerate(col):
+            for label, coeff in entry.items():
+                prod = view.mult(label, b)
+                if prod is None:
+                    continue
+                r = index.get((i, prod))
+                if r is None:
+                    continue
+                row = rows[r]
+                x = (row.get(c, 0) + coeff) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return rows, src, tgt
+
+
 # ------------------------------------------------------ instance generators
 
 def rand_monomial_instance(rng):

@@ -1,12 +1,15 @@
 """Seeded suites: determinism, shrinking, generator quality bands."""
 
+import hashlib
 import json
 
 import pytest
 
+from burchkit import cli
 from burchkit.fuzz import (
     SUITES,
     FuzzConfig,
+    Suite,
     gen_module,
     gen_mprimary_monomial,
     gen_semigroup_ideal,
@@ -216,3 +219,92 @@ def test_shrinker_keeps_failures_that_cannot_shrink():
     inst = {"gens": [[2, 2]]}
     small = shrink_instance(check, inst)
     assert small == inst
+
+
+# SHA-256 of SuiteReport.to_json() per suite at seed 20240819 with 60
+# trials, taken while graded maps still stored dense columns; any change
+# of representation that moves a report fails here
+_REPORT_DIGESTS = {
+    "btor33": "db41adc07bbe6e2ef4c5d8fb9d0972db5b8d678017d22b4956da527b00cf6c18",
+    "cor210": "07feb489777b01f445045e24770d0ca4c886c9058c3636100dca6300c46038a0",
+    "cor214": "1c0b24544e8772f09f8674d8c34b1c2932e73280a369bf951c2abe03b9ea32ea",
+    "cor215": "9aa26e53e2ece911872c808ac030251adbf9de6fddf87c879298af3bfcd68982",
+    "hw12": "d70a6d683d2707f76cdc57304660cffa66e90d9b1fa856c53df486cf186a68ed",
+    "lemma213": "653cd9e2e94a278c84b5d46b25963f3c6c3569dae8beb446e6fc183825ef0ca5",
+    "lemma310": "5eab39d43bcc7888d28f68d23ee7f0b2f579f111117271b5b52786e1ccf7d64f",
+    "lemma36": "bede0d6d87278b1cd45341a43296749031a418e849c55375d2009e7b05185e24",
+    "prop24": "f73d3dc6f03674ed7e6ef678efb7d617721e063631e8d3f344c613fa97699d27",
+    "prop26": "59121d4483d07cf31b7ab458f83324f91764b7c7e51a4676e70ea0a1d8a244db",
+    "prop38": "c644c4ec23281e6946a6262ca4c5d891fc104797d686701df6bcfc8f50788e95",
+    "prop39": "7435f75403d4e3f15278286a386fa212e9b022470395549844d9509f07542251",
+    "remark22": "fddd241fd5a555a64cfc0c333ce4d5eaa7d368bbf3357e8c3c4feafe611aaa14",
+    "remark23": "3d650e0dac7f218c3ecd3f338e36f1cbe9ae1438eb9a7b9726c6caff9ee4ae88",
+    "remark32": "61fd6ff7efd38adbc23d6661e7c3155df70e0b1ff592ce5b225269ce241ba65e",
+    "remark37": "5add87cf1cd633d34eb65265e95f094d73426a3f387c0c854f758fc0b78003e2",
+    "thm25": "69f0e25ca8374d97b868da3bd5e2c7405281723f2365455afed10ab2d9880f5d",
+    "thm28": "7e7e37c29a9996ac4d1a1594716905d60229097495a1afb1cf3808ae1f596df9",
+}
+
+
+def test_suite_reports_are_pinned():
+    cfg = FuzzConfig(seed=20240819, trials=60)
+    got = {
+        name: hashlib.sha256(run_suite(name, cfg).to_json().encode()).hexdigest()
+        for name in ALL_SUITES
+    }
+    assert got == _REPORT_DIGESTS
+
+
+def _raise_on_two_or_more(monkeypatch):
+    """Make remark23's check raise on ideals with at least two generators."""
+    real = SUITES["remark23"]
+
+    def check(inst):
+        if len(inst["ideal"]) >= 2:
+            raise ZeroDivisionError("%d generators" % len(inst["ideal"]))
+        return real.check(inst)
+
+    monkeypatch.setitem(SUITES, "remark23", Suite("remark23", real.generate, check))
+
+
+def test_raising_check_becomes_a_shrunk_counterexample(monkeypatch):
+    cfg = FuzzConfig(seed=11, trials=40)
+    clean = run_suite("remark23", cfg)
+    _raise_on_two_or_more(monkeypatch)
+    report = run_suite("remark23", cfg)
+    assert not report.passed
+    assert report.failures > 0
+    # raising trials count as effective failures, the others as before
+    assert report.effective == clean.effective
+    cx = report.counterexample
+    assert cx["error"] == {"type": "ZeroDivisionError", "message": "2 generators"}
+    # shrunk down to the smallest instance that still raises
+    assert len(cx["ideal"]) == 2
+    assert replay_instance("remark23", cx) == (True, False)
+    json.loads(report.to_json())
+
+
+def test_fuzz_cli_exits_1_on_a_raising_check(monkeypatch, capsys):
+    _raise_on_two_or_more(monkeypatch)
+    code = cli.main(["fuzz", "--suite", "remark23", "--trials", "40", "--seed", "11"])
+    assert code == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is False
+    assert out["counterexample"]["error"]["type"] == "ZeroDivisionError"
+
+
+def test_shrinker_keeps_only_the_same_failure():
+    def check(inst):
+        n = len(inst["gens"])
+        if n == 1:
+            raise KeyError("one")
+        if n == 2:
+            raise ZeroDivisionError("two")
+        return True, False
+
+    # a raising failure shrinks only through the same exception type
+    small = shrink_instance(check, {"gens": [[1], [1], [1]]}, ZeroDivisionError("two"))
+    assert small == {"gens": [[0], [0]]}
+    # a plain failure never shrinks into a raising candidate
+    small = shrink_instance(check, {"gens": [[1], [1], [1], [1]]})
+    assert len(small["gens"]) == 3

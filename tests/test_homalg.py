@@ -20,7 +20,10 @@ from burchkit.homalg import (
     syzygy,
     tor_dim,
 )
+from burchkit.fuzz import FuzzConfig, gen_module, trial_rng
 from burchkit.rings import QuotientRing, SemigroupRing
+
+from oracles import dense_matrix
 
 
 def _cube_ring():
@@ -115,8 +118,8 @@ def test_duplicate_relation_columns_are_rejected():
     alg = GradedAlgebra(ring)
     source = GradedFreeModule((4, 4))
     target = GradedFreeModule((0,))
-    cols = [[{4: 1}], [{4: 1}]]
-    pres = GradedPresentation(HomogeneousMap(alg, source, target, cols))
+    elts = [{(0, 4): 1}, {(0, 4): 1}]
+    pres = GradedPresentation(HomogeneousMap(alg, source, target, elts))
     with pytest.raises(ValueError, match="not minimal"):
         resolve(pres, 2)
     # tor against any ideal routes through resolve and raises the same way
@@ -129,7 +132,7 @@ def test_unit_entries_are_rejected_immediately():
     alg = GradedAlgebra(ring)
     source = GradedFreeModule((0,))
     target = GradedFreeModule((0,))
-    unit = GradedPresentation(HomogeneousMap(alg, source, target, [[{(0, 0): 1}]]))
+    unit = GradedPresentation(HomogeneousMap(alg, source, target, [{(0, (0, 0)): 1}]))
     with pytest.raises(ValueError, match="not minimal"):
         resolve(unit, 1)
     with pytest.raises(ValueError, match="not minimal"):
@@ -250,3 +253,96 @@ def test_resolution_window_uncertified_over_nonartinian_quotient():
     r = tor_dim(pres, ring.ideal([(1, 0)]), 2)
     assert r.total_dim > 0
     assert not r.bound_certified
+
+
+def _assert_matrices_match_dense(pmap, degrees, view=None):
+    for d in degrees:
+        rows, src, tgt = pmap.matrix(d, view)
+        want_rows, want_src, want_tgt = dense_matrix(pmap, d, view)
+        assert (src, tgt) == (want_src, want_tgt)
+        # same entries in the same insertion order, so elimination sees
+        # identical input
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in want_rows]
+
+
+def test_matrix_matches_dense_assembly_on_residue_field_differentials():
+    ring = _cube_ring()
+    alg = GradedAlgebra(ring)
+    res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 5)
+    quotient = alg.modulo(ring.mpow(2))
+    for m in res.maps:
+        degrees = range(min(m.source.shifts), max(m.source.shifts) + 3)
+        _assert_matrices_match_dense(m, degrees)
+        _assert_matrices_match_dense(m, degrees, quotient)
+    ring = SemigroupRing((6, 7, 9, 11))
+    alg = GradedAlgebra(ring)
+    res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4)
+    quotient = alg.modulo(ring.ideal([12, 13]))
+    for m in res.maps:
+        degrees = range(min(m.source.shifts), max(m.source.shifts) + 14)
+        _assert_matrices_match_dense(m, degrees)
+        _assert_matrices_match_dense(m, degrees, quotient)
+
+
+def test_matrix_matches_dense_assembly_on_random_presentations():
+    cfg = FuzzConfig(seed=13)
+    rings = (
+        (QuotientRing(2, [(3, 0), (1, 2), (0, 3)]), [(2, 0), (0, 2)]),
+        (SemigroupRing((4, 5, 6)), [8, 9]),
+    )
+    checked = 0
+    for ring, jgens in rings:
+        alg = GradedAlgebra(ring)
+        quotient = alg.modulo(ring.ideal(jgens))
+        for k in range(40):
+            pres = gen_module(cfg, ring, trial_rng(cfg, k), algebra=alg)
+            maps = resolve(pres, 2).maps
+            for m in maps:
+                if not m.source.rank:
+                    continue
+                degrees = range(min(m.source.shifts), max(m.source.shifts) + 6)
+                _assert_matrices_match_dense(m, degrees)
+                _assert_matrices_match_dense(m, degrees, quotient)
+                checked += 1
+    assert checked >= 80
+
+
+def test_map_constructor_rejects_malformed_columns():
+    ring = _cube_ring()
+    alg = GradedAlgebra(ring)
+    target = GradedFreeModule((0, 1))
+    source = GradedFreeModule((2,))
+    # x*y sits in degree 2 = 2 - 0, y in degree 1 = 2 - 1
+    ok = HomogeneousMap(alg, source, target, [{(0, (1, 1)): 1, (1, (0, 1)): 3}])
+    assert ok.elts == ({(0, (1, 1)): 1, (1, (0, 1)): 3},)
+    with pytest.raises(ValueError, match="not homogeneous of degree 2"):
+        HomogeneousMap(alg, source, target, [{(0, (1, 0)): 1}])
+    with pytest.raises(ValueError, match="not homogeneous of degree -1"):
+        HomogeneousMap(alg, GradedFreeModule((0,)), target, [{(1, (1, 0)): 1}])
+    for row in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            HomogeneousMap(alg, source, target, [{(row, (1, 0)): 1}])
+    with pytest.raises(ValueError, match="column count"):
+        HomogeneousMap(alg, source, target, [])
+    with pytest.raises(ValueError, match="column count"):
+        HomogeneousMap(alg, source, target, [{}, {}])
+
+
+def test_dense_cols_view_round_trips_to_elts():
+    ring = _cube_ring()
+    alg = GradedAlgebra(ring)
+    for m in resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4).maps:
+        cols = m.cols
+        assert len(cols) == m.source.rank
+        assert all(len(col) == m.target.rank for col in cols)
+        elts = [
+            {(i, label): c for i, entry in enumerate(col) for label, c in entry.items()}
+            for col in cols
+        ]
+        assert tuple(elts) == m.elts
+        again = HomogeneousMap(alg, m.source, m.target, elts)
+        assert again.cols == cols
+        # the view is rebuilt on access: editing it leaves the map alone
+        if cols and cols[0]:
+            cols[0][0][(9, 9)] = 1
+            assert m.cols[0][0] != cols[0][0]
