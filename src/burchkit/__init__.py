@@ -27,7 +27,6 @@ from .homalg import (
     cyclic_presentation,
     free_presentation,
     is_free,
-    minimal_resolution,
     module_from_ideal,
     resolve,
     syzygy,
@@ -86,7 +85,6 @@ __all__ = [
     "l3_equivalence",
     "load_problem",
     "loewy_length",
-    "minimal_resolution",
     "module_from_ideal",
     "mpow_set",
     "parse_problem",

@@ -296,8 +296,10 @@ def _register(name):
     return deco
 
 
-def _pick_family(cfg, stream):
-    return stream.choice([b for b in ("monomial", "semigroup") if b in cfg.backend_mix] or ["monomial"])
+def _base_instance(cfg, stream):
+    """A random ring from one of the families in cfg.backend_mix, as plain data."""
+    fam = stream.choice([b for b in ("monomial", "semigroup") if b in cfg.backend_mix] or ["monomial"])
+    return _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
 
 
 def _monomial_instance(cfg, stream):
@@ -340,8 +342,7 @@ def _mpow_gens(inst, k):
 @_register("remark23")
 def _suite_remark23():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         return inst
 
@@ -358,8 +359,7 @@ def _suite_remark23():
 @_register("remark22")
 def _suite_remark22():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         kind = stream.random()
         if kind < 0.4:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
@@ -400,8 +400,7 @@ def _suite_remark22():
 @_register("remark32")
 def _suite_remark32():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         return inst
 
@@ -419,10 +418,9 @@ def _suite_remark32():
 @_register("remark37")
 def _suite_remark37():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         kind = stream.random()
-        if fam == "monomial":
+        if inst["family"] == "monomial":
             if kind < 0.5:
                 ideal = gen_mprimary_monomial(cfg, stream, nvars=inst["nvars"])
                 inst["ideal"] = [list(g) for g in ideal.gens]
@@ -450,8 +448,7 @@ def _suite_remark37():
 @_register("lemma36")
 def _suite_lemma36():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         return inst
@@ -478,9 +475,8 @@ def _suite_lemma36():
 @_register("lemma310")
 def _suite_lemma310():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
-        if fam == "monomial":
+        inst = _base_instance(cfg, stream)
+        if inst["family"] == "monomial":
             ideal = gen_mprimary_monomial(cfg, stream, nvars=inst["nvars"])
             inst["ideal"] = [list(g) for g in ideal.gens]
         else:
@@ -504,8 +500,7 @@ def _suite_lemma310():
 @_register("lemma213")
 def _suite_lemma213():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         inst["kmode"] = stream.choice(["j", "colon", "mix"])
         return inst
@@ -565,8 +560,7 @@ def _suite_prop24():
 @_register("prop38")
 def _suite_prop38():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         inst["constructed"] = stream.random() < 0.7
         if not inst["constructed"]:
@@ -597,10 +591,9 @@ def _suite_prop38():
 @_register("prop39")
 def _suite_prop39():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         kind = stream.random()
-        if fam == "monomial" and kind < 0.4:
+        if inst["family"] == "monomial" and kind < 0.4:
             ideal = gen_mprimary_monomial(cfg, stream, nvars=inst["nvars"])
             inst["ideal"] = [list(g) for g in ideal.gens]
         elif kind < 0.7:
@@ -679,8 +672,7 @@ def _attach_premise_module(inst, cfg, stream, ring, algebra, i):
 @_register("thm28")
 def _suite_thm28():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         ring = _build_ring(inst)
         j = _build_ideal(ring, inst["j"])
@@ -725,8 +717,7 @@ def _suite_thm28():
 @_register("cor215")
 def _suite_cor215():
     def gen(cfg, stream):
-        fam = _pick_family(cfg, stream)
-        inst = _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+        inst = _base_instance(cfg, stream)
         inst["part"] = stream.choice(["i", "ii"])
         if inst["part"] == "ii":
             inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
@@ -1016,7 +1007,7 @@ def _suite_cor214():
         classes = cor214_classify(i)
         if not classes:
             return False, True
-        frac = FractionalSemigroupIdeal(ring.S, i.relset.gens)
+        frac = FractionalSemigroupIdeal(ring.S, i.relset)
         verdict = hw_has_torsion(frac)
         return True, verdict.has_torsion and verdict.certified
 
@@ -1062,8 +1053,8 @@ def _suite_hw12():
                 return False, True, ()
         if i.is_zero():
             return False, True, ()
-        frac_i = FractionalSemigroupIdeal(s, i.relset.gens)
-        frac_j = FractionalSemigroupIdeal(s, j.relset.gens)
+        frac_i = FractionalSemigroupIdeal(s, i.relset)
+        frac_j = FractionalSemigroupIdeal(s, j.relset)
         rep = hw_report(frac_i, frac_j)
         if not rep.hypotheses_hold:
             return False, True, ()

@@ -91,20 +91,6 @@ class GradedAlgebra:
             raise ValueError("ambient mismatch")
         return QuotientView(self, ideal)
 
-    def spot_check_associativity(self, rng, trials=32):
-        degs = [d for d in range(6) if self.basis(d)]
-        for _ in range(trials):
-            a = rng.choice(self.basis(rng.choice(degs)))
-            b = rng.choice(self.basis(rng.choice(degs)))
-            c = rng.choice(self.basis(rng.choice(degs)))
-            ab = self.mult(a, b)
-            bc = self.mult(b, c)
-            left = self.mult(ab, c) if ab is not None else None
-            right = self.mult(a, bc) if bc is not None else None
-            if left != right:
-                return False
-        return True
-
 
 class QuotientView:
     """R/I through the same basis/mult interface as GradedAlgebra."""
@@ -156,13 +142,7 @@ class QuotientView:
         if isinstance(ring, SemigroupRing):
             if self.ideal.is_zero():
                 return None
-            S = ring.S
-            hi = max(self.ideal.relset.gens) + S.conductor
-            top = -1
-            for v in range(hi + 1):
-                if v in S and not self.ideal.member(v):
-                    top = v
-            return top
+            return self.ideal.relset.top_outside()
         ll = self.ideal.loewy_length()
         if ll == float("inf"):
             return None
@@ -195,6 +175,8 @@ class HomogeneousMap:
     elts[j] is the image of the j-th source basis element, a sparse
     element {(i, label): coeff} of the target listing its nonzero
     entries; each label has degree source.shifts[j] - target.shifts[i].
+    Coefficients are reduced mod p when the map is built, and entries
+    that vanish mod p are dropped.
     `cols` is a dense view built on demand, for inspection only.
     """
 
@@ -204,7 +186,8 @@ class HomogeneousMap:
         self.algebra = algebra
         self.source = source
         self.target = target
-        self.elts = tuple(dict(e) for e in elts)
+        p = algebra.p
+        self.elts = tuple({k: r for k, c in e.items() if (r := c % p)} for e in elts)
         if len(self.elts) != source.rank:
             raise ValueError("column count does not match source rank")
         tshifts = target.shifts
@@ -487,10 +470,6 @@ def resolve(presentation, t_max, bound=None):
     if maps and maps[-1].source.rank == 0:
         complete = True
     return Resolution(presentation, maps, certified, complete)
-
-
-def minimal_resolution(presentation, t_max, bound=None):
-    return resolve(presentation, t_max, bound).maps
 
 
 def syzygy(presentation, t, bound=None):

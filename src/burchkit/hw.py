@@ -15,27 +15,32 @@ from dataclasses import dataclass
 from .classify import cor214_classify, is_weakly_mfull_wrt
 from .homalg import DEFAULT_PRIME, GradedAlgebra, module_from_ideal, tor_dim
 from .rings import SemigroupRing, SgIdeal
-from .semigroup import NumericalSemigroup, RelativeIdealSet, relset_colon
+from .semigroup import NumericalSemigroup, as_relset, mpow_set, relset_colon
 
 
 class FractionalSemigroupIdeal:
     """S-stable set of integer valuations, generators possibly negative.
 
-    Stored by its unique minimal generating set; two instances are equal
-    exactly when they describe the same subset of the integers.
+    Takes generating valuations or a RelativeIdealSet over the same
+    semigroup.  Two instances are equal exactly when they describe the
+    same subset of the integers.
     """
 
-    __slots__ = ("ambient", "relset", "gens")
+    __slots__ = ("ambient", "relset")
 
     def __init__(self, ambient: NumericalSemigroup, gens):
         if not isinstance(ambient, NumericalSemigroup):
             raise TypeError("ambient must be a numerical semigroup")
         self.ambient = ambient
-        self.relset = RelativeIdealSet(ambient, gens)
-        self.gens = self.relset.gens
+        self.relset = as_relset(ambient, gens)
+
+    @property
+    def gens(self):
+        """Unique minimal generating valuations, ascending."""
+        return self.relset.gens
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return self.relset.is_zero()
 
     def is_principal(self) -> bool:
         return len(self.gens) == 1
@@ -49,7 +54,7 @@ class FractionalSemigroupIdeal:
         return self.relset.integral_shift()
 
     def shift(self, c: int) -> "FractionalSemigroupIdeal":
-        return FractionalSemigroupIdeal(self.ambient, tuple(g + c for g in self.gens))
+        return FractionalSemigroupIdeal(self.ambient, self.relset.shift(c))
 
     def subset_of(self, other: "FractionalSemigroupIdeal") -> bool:
         return self.relset.subset_of(other.relset)
@@ -58,14 +63,10 @@ class FractionalSemigroupIdeal:
         return v in self.relset
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FractionalSemigroupIdeal)
-            and self.ambient == other.ambient
-            and self.gens == other.gens
-        )
+        return isinstance(other, FractionalSemigroupIdeal) and self.relset == other.relset
 
     def __hash__(self):
-        return hash((self.ambient, self.gens))
+        return hash(self.relset)
 
     def __repr__(self):
         return "FractionalSemigroupIdeal(%r, %s)" % (self.ambient, list(self.gens))
@@ -73,15 +74,14 @@ class FractionalSemigroupIdeal:
 
 def fractional_from_ideal(ideal: SgIdeal) -> FractionalSemigroupIdeal:
     """View a ring-level semigroup ideal as a fractional one."""
-    return FractionalSemigroupIdeal(ideal.ring.S, ideal.relset.gens)
+    return FractionalSemigroupIdeal(ideal.ring.S, ideal.relset)
 
 
 def dual_ideal(i: FractionalSemigroupIdeal) -> FractionalSemigroupIdeal:
     """Hom(I,R) as the fractional colon {z : z + gens(I) subset of S}."""
     if i.is_zero():
         raise ValueError("dual of the zero ideal")
-    ring_set = RelativeIdealSet(i.ambient, (0,), minimal=True)
-    return FractionalSemigroupIdeal(i.ambient, relset_colon(ring_set, i.relset).gens)
+    return FractionalSemigroupIdeal(i.ambient, relset_colon(mpow_set(i.ambient, 0), i.relset))
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,9 @@ def hw_has_torsion(i: FractionalSemigroupIdeal, p: int = DEFAULT_PRIME) -> Torsi
         # I invertible: I (x) Hom(I,R) is R itself.
         return TorsionVerdict(False, 0, True)
     ring = SemigroupRing(s.generators)
-    ideal_i = SgIdeal(ring, i.shift(i.shift_to_integral).gens)
+    ideal_i = SgIdeal(ring, i.relset.shift(i.shift_to_integral))
     dual = dual_ideal(i)
-    ideal_j = SgIdeal(ring, dual.shift(dual.shift_to_integral).gens)
+    ideal_j = SgIdeal(ring, dual.relset.shift(dual.shift_to_integral))
     algebra = GradedAlgebra(ring, p)
     pres, pres_certified = module_from_ideal(algebra, ideal_j)
     res = tor_dim(pres, ideal_i, 1)
@@ -147,13 +147,13 @@ def hw_report(
     s = _checked_ambient(i)
     verdict = hw_has_torsion(i, p)
     ring = SemigroupRing(s.generators)
-    ideal_i = SgIdeal(ring, i.shift(i.shift_to_integral).gens)
+    ideal_i = SgIdeal(ring, i.relset.shift(i.shift_to_integral))
     classes = cor214_classify(ideal_i)
 
     subset_mj = None
     wmf_wrt_j = None
     if j is not None and not j.is_zero() and i.is_integral() and j.is_integral():
-        ideal_j = SgIdeal(ring, j.gens)
+        ideal_j = SgIdeal(ring, j.relset)
         subset_mj = ideal_i.subset_of(ring.maximal_ideal() * ideal_j)
         wmf_wrt_j = is_weakly_mfull_wrt(ideal_i, ideal_j)
     hypotheses = bool(subset_mj) and bool(wmf_wrt_j)

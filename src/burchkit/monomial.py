@@ -11,22 +11,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, le
 
 
 def divides(u, v) -> bool:
-    return all(a <= b for a, b in zip(u, v))
-
-
-def _lcm(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def _minimalize(gens):
     out = []
     for u in sorted(set(gens), key=lambda t: (sum(t), t)):
-        if not any(divides(w, u) for w in out):
+        if not any(all(map(le, w, u)) for w in out):
             out.append(u)
     return tuple(out)
+
+
+def _ideal(nvars, gens):
+    """MonomialIdeal from valid exponent tuples (results of operations on
+    ideals): no per-entry checks, but still minimalized."""
+    out = MonomialIdeal.__new__(MonomialIdeal)
+    out.nvars = nvars
+    out.gens = _minimalize(gens)
+    return out
 
 
 class MonomialIdeal:
@@ -53,7 +59,7 @@ class MonomialIdeal:
             self.gens = _minimalize(gens)
 
     def member(self, v) -> bool:
-        return any(divides(g, v) for g in self.gens)
+        return any(all(map(le, g, v)) for g in self.gens)
 
     def __contains__(self, v):
         return self.member(v)
@@ -69,17 +75,17 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        return MonomialIdeal(self.nvars, self.gens + other.gens)
+        return _ideal(self.nvars, self.gens + other.gens)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        prods = [tuple(a + b for a, b in zip(f, g)) for f in self.gens for g in other.gens]
-        return MonomialIdeal(self.nvars, prods)
+        prods = [tuple(map(add, f, g)) for f in self.gens for g in other.gens]
+        return _ideal(self.nvars, prods)
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        meets = [_lcm(f, g) for f in self.gens for g in other.gens]
-        return MonomialIdeal(self.nvars, meets)
+        meets = [tuple(map(max, f, g)) for f in self.gens for g in other.gens]
+        return _ideal(self.nvars, meets)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other); other must be nonzero."""
@@ -88,7 +94,7 @@ class MonomialIdeal:
             raise ValueError("colon by the zero ideal")
         out = None
         for g in other.gens:
-            part = MonomialIdeal(
+            part = _ideal(
                 self.nvars,
                 [tuple(max(a - b, 0) for a, b in zip(f, g)) for f in self.gens],
             )
@@ -131,6 +137,11 @@ def mpow(nvars: int, s: int) -> MonomialIdeal:
     """s-th power of the homogeneous maximal ideal (x_1..x_n)."""
     if s < 0:
         raise ValueError("negative power")
+    return _mpow(nvars, s)
+
+
+@lru_cache(maxsize=64)
+def _mpow(nvars, s):
     if s == 0:
         return MonomialIdeal(nvars, [(0,) * nvars], minimal=True)
     # Degree-s monomials are pairwise incomparable, hence already minimal.
@@ -221,16 +232,6 @@ def _box_points(box):
     for head in range(box[0] + 1):
         for tail in _box_points(box[1:]):
             yield (head,) + tail
-
-
-def quotient_colon(ctx: QuotientContext, i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """((i + a) : j) + a in k[x..]/a, as the canonical representative.
-
-    The representative always contains the defining ideal, so equality of
-    quotient ideals is equality of representatives.
-    """
-    rep = (i + ctx.defining).colon(j) + ctx.defining
-    return rep
 
 
 def newton_member(gens, v) -> bool:

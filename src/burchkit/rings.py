@@ -16,13 +16,14 @@ import math
 from .monomial import (
     MonomialIdeal,
     QuotientContext,
+    _ideal,
     integral_closure,
-    maximal_ideal,
     mpow,
 )
 from .semigroup import (
     NumericalSemigroup,
     RelativeIdealSet,
+    as_relset,
     maximal_ideal_set,
     mpow_set,
     relset_colon,
@@ -36,11 +37,12 @@ class QuotientRing:
     """k[x_1..x_n] / A for a proper monomial ideal A (A may be zero)."""
 
     backend = "polynomial-quotient"
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "_powers")
 
     def __init__(self, nvars, defining_gens=()):
         defining = MonomialIdeal(nvars, defining_gens)
         self.ctx = QuotientContext(nvars, defining)
+        self._powers = {}
 
     @property
     def nvars(self):
@@ -60,12 +62,15 @@ class QuotientRing:
         return QIdeal(self, ((0,) * self.nvars,))
 
     def maximal_ideal(self):
-        return QIdeal(self, maximal_ideal(self.nvars).gens)
+        return self.mpow(1)
 
     def mpow(self, s):
-        if s < 0:
-            raise ValueError("negative power")
-        return QIdeal(self, mpow(self.nvars, s).gens)
+        """m^s, kept on the ring once built."""
+        got = self._powers.get(s)
+        if got is None:
+            rep = _ideal(self.nvars, mpow(self.nvars, s).gens + self.defining.gens)
+            got = self._powers[s] = _qideal(self, rep)
+        return got
 
     def depth_positive(self):
         return not self.ctx.depth_zero()
@@ -121,23 +126,27 @@ class QIdeal:
         self._check(other)
         return self.rep.subset_of(other.rep)
 
+    # Sums, intersections and colons of representatives already contain
+    # the defining ideal; only the product needs it added back.
+
     def __add__(self, other):
         self._check(other)
-        return QIdeal(self.ring, self.rep + other.rep)
+        return _qideal(self.ring, self.rep + other.rep)
 
     def __mul__(self, other):
         self._check(other)
-        return QIdeal(self.ring, self.rep * other.rep)
+        prod = self.rep * other.rep
+        return _qideal(self.ring, _ideal(self.ring.nvars, prod.gens + self.ring.defining.gens))
 
     def intersect(self, other):
         self._check(other)
-        return QIdeal(self.ring, self.rep.intersect(other.rep))
+        return _qideal(self.ring, self.rep.intersect(other.rep))
 
     def colon(self, other):
         self._check(other)
         if other.rep.is_zero():
             return self.ring.unit_ideal()
-        return QIdeal(self.ring, self.rep.colon(other.rep))
+        return _qideal(self.ring, self.rep.colon(other.rep))
 
     def min_gens(self):
         """Minimal generators of the ideal inside R.
@@ -196,7 +205,7 @@ class QIdeal:
         return integral_closure(self.rep) == self.rep
 
     def _check(self, other):
-        if not isinstance(other, QIdeal) or other.ring != self.ring:
+        if not isinstance(other, QIdeal) or (other.ring is not self.ring and other.ring != self.ring):
             raise ValueError("ambient mismatch")
 
     def __eq__(self, other):
@@ -209,6 +218,15 @@ class QIdeal:
 
     def __repr__(self):
         return "QIdeal(%r)" % (list(self.min_gens()),)
+
+
+def _qideal(ring, rep):
+    """QIdeal whose representative already contains the defining ideal."""
+    out = QIdeal.__new__(QIdeal)
+    out.ring = ring
+    out.rep = rep
+    out.name = None
+    return out
 
 
 class SemigroupRing:
@@ -230,12 +248,10 @@ class SemigroupRing:
         return SgIdeal(self, (0,))
 
     def maximal_ideal(self):
-        return SgIdeal(self, maximal_ideal_set(self.S).gens)
+        return SgIdeal(self, maximal_ideal_set(self.S))
 
     def mpow(self, s):
-        if s < 0:
-            raise ValueError("negative power")
-        return SgIdeal(self, mpow_set(self.S, s).gens)
+        return SgIdeal(self, mpow_set(self.S, s))
 
     def depth_positive(self):
         # one-dimensional domain, depth 1
@@ -260,18 +276,22 @@ class SemigroupRing:
 
 
 class SgIdeal:
-    """Monomial ideal of a semigroup ring, stored by its value set."""
+    """Monomial ideal of a semigroup ring, stored by its value set.
+
+    Takes valuations or a RelativeIdealSet over the ring's semigroup;
+    either way every value must lie in the semigroup.
+    """
 
     __slots__ = ("ring", "relset", "name")
 
     def __init__(self, ring, vals, name=None):
         self.ring = ring
-        if isinstance(vals, RelativeIdealSet):
-            vals = vals.gens
-        for v in vals:
-            if v not in ring.S:
-                raise ValueError("value %d is not in the semigroup" % v)
-        self.relset = RelativeIdealSet(ring.S, vals)
+        self.relset = as_relset(ring.S, vals)
+        # integral exactly when no threshold lies below S's Apery tuple
+        if not self.relset.is_integral():
+            vals = vals.gens if isinstance(vals, RelativeIdealSet) else vals
+            bad = next(v for v in vals if v not in ring.S)
+            raise ValueError("value %d is not in the semigroup" % bad)
         self.name = name
 
     def member(self, v):
@@ -296,36 +316,16 @@ class SgIdeal:
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self.ring.zero_ideal()
         return SgIdeal(self.ring, self.relset + other.relset)
 
     def intersect(self, other):
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return self.ring.zero_ideal()
-        S = self.ring.S
-        # both value sets contain everything from max(gens) + conductor
-        # on; one extra least-generator stride certifies the window
-        hi = (
-            max(max(self.relset.gens), max(other.relset.gens))
-            + S.conductor
-            + S.generators[0]
-        )
-        vals = [
-            v
-            for v in range(hi + 1)
-            if v in self.relset and v in other.relset
-        ]
-        return SgIdeal(self.ring, vals)
+        return SgIdeal(self.ring, self.relset.intersect(other.relset))
 
     def colon(self, other):
         self._check(other)
         if other.is_zero():
             return self.ring.unit_ideal()
-        if self.is_zero():
-            # annihilator of a nonzero ideal in a domain
-            return self.ring.zero_ideal()
         frac = relset_colon(self.relset, other.relset)
         return SgIdeal(self.ring, restrict_to_semigroup(frac))
 
@@ -340,16 +340,15 @@ class SgIdeal:
         """min s with m^s <= I, or infinity when I is zero.
 
         Every value of m^s is at least s*a for the smallest generator a,
-        and I contains all semigroup values from max(gens) + conductor
-        on, so the scan stops by (max(gens) + conductor) // a + 1.
+        and I contains every integer from its largest threshold on, so
+        the scan stops by max(thresholds) // a + 1.
         """
         if self.is_unit():
             return 0
         if self.is_zero():
             return INFINITY
         S = self.ring.S
-        a = S.generators[0]
-        bound = (max(self.relset.gens) + S.conductor) // a + 1
+        bound = max(self.relset.thresholds) // S.generators[0] + 1
         for s in range(bound + 1):
             if mpow_set(S, s).subset_of(self.relset):
                 return s
@@ -359,7 +358,7 @@ class SgIdeal:
         return None
 
     def _check(self, other):
-        if not isinstance(other, SgIdeal) or other.ring != self.ring:
+        if not isinstance(other, SgIdeal) or (other.ring is not self.ring and other.ring != self.ring):
             raise ValueError("ambient mismatch")
 
     def __eq__(self, other):

@@ -1,10 +1,17 @@
 """Numerical semigroups and their relative (fractional) ideals.
 
-Everything here is exact integer combinatorics.  A semigroup is stored as
-its Apery table modulo the smallest generator, a relative ideal as the
-unique minimal set of generating valuations.  Products of monomial ideals
-of k[[S]] turn into Minkowski sums of these sets, colons into the finite
-scan implemented in :func:`relset_colon`.
+Everything here is exact integer combinatorics.  A semigroup S is stored
+by its Apery tuple modulo its multiplicity m: entry r is the least
+element of S congruent to r.  An S-stable set E of integers is stored
+the same way, by its thresholds t[r], the least element of E congruent
+to r (Apery 1946; Rosales and Garcia-Sanchez, Numerical Semigroups,
+2009, ch. 1), so E holds v exactly when v >= t[v mod m].  Union and
+intersection are elementwise min and max, the Minkowski sum (product of
+ideals) the min of F's thresholds shifted by each threshold of E, the
+colon (E : F) the max of E's shifted back by each threshold of F, and
+E meet S the max with the Apery tuple.  Minimal generators are derived
+on demand: a threshold v is one when no v - a, a a minimal generator of
+S, lies in E.
 """
 
 from __future__ import annotations
@@ -12,12 +19,13 @@ from __future__ import annotations
 import heapq
 from functools import reduce
 from math import gcd
+from operator import ge
 
 
 class NumericalSemigroup:
     """Additive submonoid of the nonnegative integers with finite complement."""
 
-    __slots__ = ("generators", "frobenius", "conductor", "_apery", "_min_gen", "_minimal_gens")
+    __slots__ = ("generators", "frobenius", "conductor", "_apery", "_min_gen", "_minimal_gens", "_powers")
 
     def __init__(self, generators):
         gens = sorted({int(g) for g in generators})
@@ -27,41 +35,11 @@ class NumericalSemigroup:
             raise ValueError("gcd of generators must be 1")
         self.generators = tuple(gens)
         self._min_gen = gens[0]
-        # Dense reachability is fine for small multiplicity; for large
-        # multiplicity the table would be ~min_gen*max_gen entries, so
-        # switch to shortest paths on residues mod the smallest generator.
-        if self._min_gen > 64:
-            self._apery = self._apery_by_shortest_path(gens)
-        else:
-            self._apery = self._apery_by_table(gens)
+        self._apery = self._apery_by_shortest_path(gens)
         self.frobenius = max(self._apery) - self._min_gen
         self.conductor = self.frobenius + 1
         self._minimal_gens = None
-
-    @staticmethod
-    def _apery_by_table(gens):
-        a = gens[0]
-        # Brauer: the largest gap is below a*max(gens), so every residue
-        # class has a member within the table.
-        bound = a * gens[-1] + 1
-        reach = bytearray(bound)
-        reach[0] = 1
-        for v in range(1, bound):
-            for g in gens:
-                if g > v:
-                    break
-                if reach[v - g]:
-                    reach[v] = 1
-                    break
-        apery = [-1] * a
-        found = 0
-        for v in range(bound):
-            if reach[v] and apery[v % a] < 0:
-                apery[v % a] = v
-                found += 1
-                if found == a:
-                    break
-        return tuple(apery)
+        self._powers = None  # value sets of the maximal-ideal powers, by mpow_set
 
     @staticmethod
     def _apery_by_shortest_path(gens):
@@ -112,79 +90,151 @@ class NumericalSemigroup:
 
 
 class RelativeIdealSet:
-    """S-stable set of integers ``{g + s : g in gens, s in S}`` by minimal gens.
+    """S-stable set of integers ``{g + s : g in gens, s in S}``.
 
-    Generators may be negative (fractional sets); the empty set is the
-    zero ideal.  Minimal generators are unique, so equality of sets is
-    equality of the stored tuples.
+    ``thresholds[r]`` is the least element congruent to r modulo the
+    multiplicity; the empty set (the zero ideal) has None.  Generators
+    may be negative (fractional sets); ``gens``, the unique minimal
+    generating set in ascending order, is derived on first use.
     """
 
-    __slots__ = ("ambient", "gens")
+    __slots__ = ("ambient", "thresholds", "_gens")
 
     def __init__(self, ambient: NumericalSemigroup, gens, *, minimal=False):
-        self.ambient = ambient
         vals = sorted({int(v) for v in gens})
-        if not minimal:
-            vals = _minimalize(ambient, vals)
-        self.gens = tuple(vals)
+        self.ambient = ambient
+        self.thresholds = _meet(min, [_shifted(ambient._apery, v) for v in vals]) if vals else None
+        self._gens = tuple(vals) if minimal else None
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            self._gens = _minimal_thresholds(self.ambient, self.thresholds)
+        return self._gens
 
     def contains(self, v) -> bool:
-        return any(v - g in self.ambient for g in self.gens)
+        t = self.thresholds
+        return t is not None and v >= t[v % len(t)]
 
     def __contains__(self, v):
         return self.contains(v)
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return self.thresholds is None
 
     def is_ring(self) -> bool:
-        return self.gens == (0,)
+        return self.thresholds == self.ambient._apery
 
     def is_integral(self) -> bool:
-        return all(g in self.ambient for g in self.gens)
+        t = self.thresholds
+        return t is None or all(map(ge, t, self.ambient._apery))
 
     def subset_of(self, other: "RelativeIdealSet") -> bool:
         _check_ambient(self, other)
-        return all(other.contains(g) for g in self.gens)
+        if self.thresholds is None:
+            return True
+        if other.thresholds is None:
+            return False
+        return all(map(ge, self.thresholds, other.thresholds))
 
     def __add__(self, other: "RelativeIdealSet") -> "RelativeIdealSet":
         """Minkowski sum; this is the product of the corresponding ideals."""
         _check_ambient(self, other)
-        if not self.gens or not other.gens:
-            return RelativeIdealSet(self.ambient, (), minimal=True)
-        sums = {a + b for a in self.gens for b in other.gens}
-        return RelativeIdealSet(self.ambient, sums)
+        if self.thresholds is None or other.thresholds is None:
+            return _relset(self.ambient, None)
+        return _relset(self.ambient, _meet(min, [_shifted(other.thresholds, c) for c in self.thresholds]))
 
     def union(self, other: "RelativeIdealSet") -> "RelativeIdealSet":
         """Set union; this is the sum of the corresponding ideals."""
         _check_ambient(self, other)
-        return RelativeIdealSet(self.ambient, self.gens + other.gens)
+        if self.thresholds is None:
+            return other
+        if other.thresholds is None:
+            return self
+        return _relset(self.ambient, tuple(map(min, self.thresholds, other.thresholds)))
+
+    def intersect(self, other: "RelativeIdealSet") -> "RelativeIdealSet":
+        """Set intersection; this is the intersection of the ideals."""
+        _check_ambient(self, other)
+        if self.thresholds is None or other.thresholds is None:
+            return _relset(self.ambient, None)
+        return _relset(self.ambient, tuple(map(max, self.thresholds, other.thresholds)))
 
     def shift(self, c: int) -> "RelativeIdealSet":
-        # Adding a constant preserves S-incomparability of the generators.
-        return RelativeIdealSet(self.ambient, tuple(g + c for g in self.gens), minimal=True)
+        t = self.thresholds
+        return self if t is None else _relset(self.ambient, _shifted(t, c))
 
     def integral_shift(self) -> int:
-        """Least c >= 0 with all generators + c in the ambient semigroup."""
-        if not self.gens:
+        """Least c >= 0 with all generators + c in the ambient semigroup:
+        the least nonnegative element of the dual (S : E), which in class
+        r is its threshold, or r itself when the threshold is negative."""
+        if self.thresholds is None:
             return 0
-        c = max(0, -min(self.gens))
-        while not all(g + c in self.ambient for g in self.gens):
-            c += 1
-        return c
+        dual = _colon(self.ambient._apery, self.thresholds)
+        return min(max(t, r) for r, t in enumerate(dual))
+
+    def top_outside(self) -> int:
+        """Largest element of S outside the (nonzero) set, or -1: in each
+        class where the threshold exceeds S's, the threshold minus m."""
+        m, ap = self.ambient._min_gen, self.ambient._apery
+        return max((t - m for t, a in zip(self.thresholds, ap) if t > a), default=-1)
 
     def __eq__(self, other):
         return (
             isinstance(other, RelativeIdealSet)
+            and self.thresholds == other.thresholds
             and self.ambient == other.ambient
-            and self.gens == other.gens
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.gens))
+        return hash((self.ambient, self.thresholds))
 
     def __repr__(self):
         return "RelativeIdealSet(%r, %s)" % (self.ambient, list(self.gens))
+
+
+def as_relset(S: NumericalSemigroup, vals) -> RelativeIdealSet:
+    """vals itself if it is a RelativeIdealSet over S, else the set over S
+    generated by its values (or by its generators)."""
+    if isinstance(vals, RelativeIdealSet):
+        if vals.ambient == S:
+            return vals
+        vals = vals.gens
+    return RelativeIdealSet(S, vals)
+
+
+def _relset(ambient, thresholds):
+    """A RelativeIdealSet from thresholds already computed."""
+    out = RelativeIdealSet.__new__(RelativeIdealSet)
+    out.ambient = ambient
+    out.thresholds = thresholds
+    out._gens = None
+    return out
+
+
+def _shifted(t, c):
+    """Thresholds of E + c: entry r is t[(r - c) mod m] + c."""
+    k = c % len(t)
+    return tuple([v + c for v in t[-k:] + t[:-k]])
+
+
+def _meet(pick, tuples):
+    """Elementwise min or max of a nonempty list of threshold tuples."""
+    return tuple(map(pick, *tuples)) if len(tuples) > 1 else tuples[0]
+
+
+def _colon(e, f):
+    """Thresholds of (E : F): z + t_F[s] lies in E for every class s."""
+    return _meet(max, [_shifted(e, -c) for c in f])
+
+
+def _minimal_thresholds(S, t):
+    """Thresholds v of E with v - a outside E for every minimal generator a of S."""
+    if t is None:
+        return ()
+    m = len(t)
+    mins = S.minimal_generators()
+    return tuple(sorted(v for v in t if all(v - a < t[(v - a) % m] for a in mins)))
 
 
 def _check_ambient(e, f):
@@ -192,66 +242,43 @@ def _check_ambient(e, f):
         raise ValueError("operands live over different semigroups")
 
 
-def _minimalize(S, vals):
-    kept = []
-    for v in vals:  # ascending, so covering generators come first
-        if not any(v - g in S for g in kept):
-            kept.append(v)
-    return kept
-
-
 def relset_colon(e: RelativeIdealSet, f: RelativeIdealSet) -> RelativeIdealSet:
     """The set ``{z : z + f in e for all f}``, i.e. the colon (E : F).
 
-    F must be nonzero.  Every z > max(gens E) + frobenius - min(gens F)
-    belongs: z + f - max(gens E) > frobenius lands in S, so z + f sits in
-    max(gens E) + S.  Scanning one conductor past that cutoff is enough to
-    recover all minimal generators, because the element just past the
-    cutoff covers everything at distance >= conductor beyond it.
+    F must be nonzero.  F's class s is t_F[s] + mN and E is stable under
+    adding m, so the colon is the intersection of the sets E - t_F[s].
     """
     _check_ambient(e, f)
     if f.is_zero():
         raise ValueError("colon by the zero set")
     if e.is_zero():
-        return RelativeIdealSet(e.ambient, (), minimal=True)
-    S = e.ambient
-    lo = min(e.gens) - max(f.gens)
-    hi = max(e.gens) + S.frobenius - min(f.gens)
-    members = [z for z in range(lo, hi + 1) if all(e.contains(z + g) for g in f.gens)]
-    members.extend(range(hi + 1, hi + S.conductor + 2))
-    return RelativeIdealSet(S, members)
+        return e
+    return _relset(e.ambient, _colon(e.thresholds, f.thresholds))
 
 
 def restrict_to_semigroup(e: RelativeIdealSet) -> RelativeIdealSet:
     """E intersected with the ambient semigroup.
 
     Turns the fractional colon into the ring-level colon: the valuations
-    of (I :_R J) are exactly {z in S : z + v(J) <= v(I)}.  Everything at
-    or past max(gens E) + conductor lies in both E and S, so a bounded
-    scan finds all minimal generators.
+    of (I :_R J) are exactly {z in S : z + v(J) <= v(I)}.
     """
-    S = e.ambient
     if e.is_zero():
         return e
-    lo = max(0, min(e.gens))
-    hi = max(max(e.gens), 0) + S.conductor
-    members = [z for z in range(lo, hi + 1) if z in S and e.contains(z)]
-    members.extend(range(hi + 1, hi + S.conductor + 2))
-    return RelativeIdealSet(S, members)
+    return _relset(e.ambient, tuple(map(max, e.thresholds, e.ambient._apery)))
 
 
 def maximal_ideal_set(S: NumericalSemigroup) -> RelativeIdealSet:
-    return RelativeIdealSet(S, S.minimal_generators(), minimal=True)
+    return mpow_set(S, 1)
 
 
 def mpow_set(S: NumericalSemigroup, s: int) -> RelativeIdealSet:
-    """The set of valuations of the s-th power of the maximal ideal."""
+    """The set of valuations of m^s, kept on S once built."""
     if s < 0:
         raise ValueError("negative power")
-    if s == 0:
-        return RelativeIdealSet(S, (0,), minimal=True)
-    m = maximal_ideal_set(S)
-    out = m
-    for _ in range(s - 1):
-        out = out + m
-    return out
+    powers = S._powers
+    if powers is None:
+        gens = ((0,), S.minimal_generators())
+        powers = S._powers = [RelativeIdealSet(S, g, minimal=True) for g in gens]
+    while len(powers) <= s:
+        powers.append(powers[-1] + powers[1])
+    return powers[s]

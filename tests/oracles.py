@@ -88,6 +88,67 @@ def brute_colon_values(generators, ivals, jvals, window):
     ]
 
 
+class WindowSets:
+    """S-stable sets of integers, enumerated on the window lo..hi.
+
+    A set is the frozenset of its members in the window.  Sets built
+    from generators (possibly negative) test v - g against a dense
+    semigroup table; nothing here uses Apery thresholds.  The window
+    must hold each compared set's least element and reach past its
+    conductor, so that membership on the window and the minimal
+    generators found in it describe the whole set.
+    """
+
+    def __init__(self, generators, lo, hi):
+        self.generators = tuple(generators)
+        self.lo, self.hi = lo, hi
+        # generous: the Frobenius number is below min(gens) * max(gens)
+        self.top = min(generators) * max(generators) + 2 * (hi - lo)
+        self.table = sg_table(generators, self.top)
+
+    def window(self):
+        return range(self.lo, self.hi + 1)
+
+    def in_s(self, v):
+        return v >= 0 and (v > self.top or self.table[v])
+
+    def in_generated(self, gens, v):
+        return any(self.in_s(v - g) for g in gens)
+
+    def generated(self, gens):
+        return frozenset(v for v in self.window() if self.in_generated(gens, v))
+
+    def semigroup(self):
+        return self.generated((0,))
+
+    def sum(self, egens, fgens):
+        return self.generated([a + b for a in egens for b in fgens])
+
+    def union(self, egens, fgens):
+        return self.generated(list(egens) + list(fgens))
+
+    def colon(self, egens, fgens):
+        """{z : z + F inside E}; E is S-stable, so F's generators suffice."""
+        return frozenset(
+            z for z in self.window() if all(self.in_generated(egens, z + h) for h in fgens)
+        )
+
+    def shift(self, egens, c):
+        return self.generated([g + c for g in egens])
+
+    def integral_shift(self, egens):
+        c = 0
+        while not all(self.in_s(g + c) for g in egens):
+            c += 1
+        return c
+
+    def min_gens(self, members):
+        """Members v with v - a outside the set for every generator a of S."""
+        return tuple(
+            v for v in sorted(members) if not any(v - a in members for a in self.generators)
+        )
+
+
 def brute_loewy_semigroup(generators, ivals, cap):
     """min s with m^s inside I, or None below the cap.
 

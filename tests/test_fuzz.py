@@ -8,6 +8,7 @@ import pytest
 from burchkit import cli
 from burchkit.fuzz import (
     SUITES,
+    _decode_module,
     FuzzConfig,
     Suite,
     gen_module,
@@ -308,3 +309,15 @@ def test_shrinker_keeps_only_the_same_failure():
     # a plain failure never shrinks into a raising candidate
     small = shrink_instance(check, {"gens": [[1], [1], [1], [1]]})
     assert len(small["gens"]) == 3
+
+
+def test_decoded_entries_are_reduced_mod_p():
+    # a hand-edited counterexample can carry coefficients that vanish mod p
+    alg = GradedAlgebra(QuotientRing(2, [(3, 0), (2, 1), (1, 2), (0, 3)]))
+    pres = _decode_module(alg, {"tshifts": [0], "sshifts": [0], "cols": [[[0, [0, 0], 101]]]})
+    assert pres.map.elts == ({},)
+    assert pres.map.is_zero() and pres.map.is_minimal
+    data = {"tshifts": [0, 1], "sshifts": [1], "cols": [[[0, [1, 0], 203], [1, [0, 0], 202]]]}
+    pres = _decode_module(alg, data)
+    assert pres.map.elts == ({(0, (1, 0)): 1},)
+    assert pres.map.is_minimal

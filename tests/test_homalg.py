@@ -127,6 +127,24 @@ def test_duplicate_relation_columns_are_rejected():
         tor_dim(pres, ring.maximal_ideal(), 2)
 
 
+def test_entries_vanishing_mod_p_are_dropped():
+    ring = _cube_ring()
+    alg = GradedAlgebra(ring)  # p = 101
+    one = GradedFreeModule((0,))
+    zero_map = HomogeneousMap(alg, one, one, [{(0, (0, 0)): 101}])
+    assert zero_map.elts == ({},)
+    assert zero_map.is_zero() and zero_map.is_minimal
+    assert zero_map.matrix(0)[0] == [{}]
+    # a degree-0 entry that is 0 mod p is not a unit entry
+    source, target = GradedFreeModule((1,)), GradedFreeModule((0, 1))
+    mixed = HomogeneousMap(alg, source, target, [{(0, (1, 0)): 102, (1, (0, 0)): -101}])
+    plain = HomogeneousMap(alg, source, target, [{(0, (1, 0)): 1}])
+    assert mixed.elts == plain.elts
+    assert mixed.is_minimal and not mixed.is_zero()
+    want = resolve(GradedPresentation(plain), 4).betti()
+    assert resolve(GradedPresentation(mixed), 4).betti() == want
+
+
 def test_unit_entries_are_rejected_immediately():
     ring = _cube_ring()
     alg = GradedAlgebra(ring)

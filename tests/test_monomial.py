@@ -49,6 +49,28 @@ def test_ops_match_enumeration():
             assert quot.member(u) == oracles.brute_colon_member(igens, jgens, u)
 
 
+def test_trusted_results_equal_validated_construction():
+    # +, *, intersect and colon build their results without re-validating
+    # exponents; each must equal the public constructor's result
+    rng = random.Random(8)
+    for _ in range(80):
+        nvars, _, igens, jgens = oracles.rand_monomial_instance(rng)
+        i = MonomialIdeal(nvars, igens)
+        j = MonomialIdeal(nvars, jgens)
+        lcms = [tuple(map(max, f, g)) for f in i.gens for g in j.gens]
+        assert i + j == MonomialIdeal(nvars, i.gens + j.gens)
+        assert i * j == MonomialIdeal(nvars, oracles.brute_product_gens(i.gens, j.gens))
+        assert i.intersect(j) == MonomialIdeal(nvars, lcms)
+        want = MonomialIdeal(nvars, [(0,) * nvars])
+        for g in j.gens:
+            part = MonomialIdeal(nvars, [tuple(max(a - b, 0) for a, b in zip(f, g)) for f in i.gens])
+            want = MonomialIdeal(nvars, [tuple(map(max, u, w)) for u in want.gens for w in part.gens])
+        assert i.colon(j) == want
+    for nvars in (1, 2, 3):
+        for s in range(6):
+            assert mpow(nvars, s) == MonomialIdeal(nvars, oracles.degree_monomials(nvars, s))
+
+
 def test_colon_known_values():
     # (x^2, y^3) : (x) = (x, y^3)
     i = MonomialIdeal(2, [(2, 0), (0, 3)])

@@ -5,7 +5,8 @@ import random
 import pytest
 
 import oracles
-from burchkit.rings import QuotientRing, SemigroupRing
+from burchkit.rings import QIdeal, QuotientRing, SemigroupRing, SgIdeal
+from burchkit.semigroup import RelativeIdealSet
 
 
 def test_monomial_handles_match_enumeration():
@@ -92,3 +93,32 @@ def test_named_ideals_keep_their_name():
     ring = SemigroupRing((4, 5, 6))
     assert ring.ideal([17], name="I").name == "I"
     assert ring.ideal([17]).name is None
+
+
+def test_trusted_results_equal_validated_construction():
+    # results that skip re-adding the defining ideal, or hand a value set
+    # straight to SgIdeal, must equal the validating public constructors
+    rng = random.Random(404)
+    for _ in range(80):
+        nvars, defining, igens, jgens = oracles.rand_monomial_instance(rng)
+        ring = QuotientRing(nvars, defining)
+        i, j = ring.ideal(igens), ring.ideal(jgens)
+        for got in (i + j, i * j, i.intersect(j), i.colon(j), ring.mpow(rng.randint(0, 4))):
+            want = QIdeal(ring, got.rep.gens)
+            assert got == want and got.rep.gens == want.rep.gens
+            assert got.name is None
+        gens, ivals, jvals = oracles.rand_semigroup_instance(rng)
+        ring = SemigroupRing(gens)
+        i, j = ring.ideal(ivals), ring.ideal(jvals)
+        for got in (i + j, i * j, i.intersect(j), i.colon(j), ring.mpow(rng.randint(0, 4))):
+            want = SgIdeal(ring, list(got.min_gens()))
+            assert got == want and got.relset.thresholds == want.relset.thresholds
+            assert got.name is None
+
+
+def test_semigroup_ideal_from_value_set_checks_integrality():
+    ring = SemigroupRing((4, 5, 6))
+    frac = RelativeIdealSet(ring.S, (-2, 1))
+    with pytest.raises(ValueError, match="value -2 is not in the semigroup"):
+        SgIdeal(ring, frac)
+    assert SgIdeal(ring, frac.shift(10)) == ring.ideal([8, 11])

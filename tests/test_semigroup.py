@@ -40,7 +40,7 @@ def test_frobenius_matches_dense_table():
 
 
 def test_large_multiplicity_uses_same_arithmetic():
-    # multiplicity above the dense-table cutoff exercises the path search
+    # multiplicity 101: a wide Apery tuple from the shortest-path search
     s = NumericalSemigroup((101, 103))
     assert s.frobenius == 101 * 103 - 101 - 103
     assert 101 + 103 in s
@@ -154,3 +154,43 @@ def test_zero_relset():
     assert z.is_zero()
     assert 0 not in z
     assert (z + RelativeIdealSet(s, (3,))).is_zero()
+
+
+# (generators, low and high generator values, window, random pairs); the
+# last semigroup has multiplicity 67, so its threshold tuples are wide
+THRESHOLD_CASES = [
+    ((3, 5), (-12, 30), (-80, 200), 60),
+    ((4, 5, 6, 7), (-12, 30), (-80, 200), 60),
+    ((6, 7, 9, 11), (-12, 30), (-80, 200), 60),
+    ((67, 70, 71, 74, 75, 79, 83, 89, 97, 101), (-40, 140), (-320, 1300), 8),
+]
+
+
+@pytest.mark.parametrize("gens, span, window, pairs", THRESHOLD_CASES)
+def test_threshold_operations_match_window_model(gens, span, window, pairs):
+    s = NumericalSemigroup(gens)
+    model = oracles.WindowSets(gens, *window)
+    rng = random.Random(sum(gens))
+
+    def agrees(got, members):
+        return (
+            frozenset(v for v in model.window() if v in got) == members
+            and got.gens == model.min_gens(members)
+        )
+
+    for _ in range(pairs):
+        egens = rng.sample(range(*span), rng.randint(1, 4))
+        fgens = rng.sample(range(*span), rng.randint(1, 4))
+        e, f = RelativeIdealSet(s, egens), RelativeIdealSet(s, fgens)
+        emem, fmem = model.generated(egens), model.generated(fgens)
+        assert agrees(e, emem)
+        assert agrees(e + f, model.sum(egens, fgens))
+        assert agrees(e.union(f), model.union(egens, fgens))
+        assert agrees(e.intersect(f), emem & fmem)
+        assert agrees(relset_colon(e, f), model.colon(egens, fgens))
+        assert agrees(restrict_to_semigroup(e), emem & model.semigroup())
+        c = rng.randint(-20, 20)
+        assert agrees(e.shift(c), model.shift(egens, c))
+        assert e.integral_shift() == model.integral_shift(egens)
+        assert e.subset_of(f) == (emem <= fmem)
+        assert e.is_integral() == (emem <= model.semigroup())
