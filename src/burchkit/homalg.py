@@ -16,7 +16,12 @@ Degree windows are certified per backend:
   * semigroup ring: graded pieces have dimension <= 1, so differentials
     are scalar matrices on active index sets that stabilize past the
     conductor; kernels acquire no new minimal generators past
-    max shift + 2*conductor + 1.
+    max shift + 2*conductor + 1.  The kernel walk itself stops sooner,
+    once every residue class mod the multiplicity m has reached a
+    degree where dim ker_d equals the rank of the kernel: t^m acts
+    injectively, so no later degree holds a generator (`kernel_stop`).
+    The reported window stays the certified bound, and
+    `audit_resolution` still walks all of it.
   * other monomial quotients: a heuristic window (max shift +
     max defining degree + 8) with an explicit certified=False flag.
 """
@@ -33,13 +38,14 @@ HEURISTIC_WINDOW = 8
 class GradedAlgebra:
     """Basis/multiplication oracle for R, k coefficients mod p."""
 
-    __slots__ = ("ring", "p", "_basis")
+    __slots__ = ("ring", "p", "_basis", "_std")
 
     def __init__(self, ring, p=DEFAULT_PRIME):
         linalg.check_prime(p)
         self.ring = ring
         self.p = p
         self._basis = {}
+        self._std = None  # standard monomials of an Artinian quotient, once built
 
     def one(self):
         if isinstance(self.ring, SemigroupRing):
@@ -69,9 +75,20 @@ class GradedAlgebra:
         if isinstance(a, int):
             return a + b
         prod = tuple(x + y for x, y in zip(a, b))
-        if self.ring.defining.member(prod):
-            return None
-        return prod
+        std = self._std
+        if std is None:
+            std = self._std = self._standard_monomials()
+        if std is False:
+            return None if self.ring.defining.member(prod) else prod
+        return prod if prod in std else None
+
+    def _standard_monomials(self):
+        """Every standard monomial of an Artinian quotient as one set, so a
+        product is tested with one lookup; False when R is not Artinian."""
+        top = self.top_degree()
+        if top is None:
+            return False
+        return frozenset(b for d in range(top + 1) for b in self.basis(d))
 
     def dim(self, d):
         return len(self.basis(d))
@@ -311,13 +328,38 @@ def kernel_window(algebra, module):
     return DegreeWindow(hi + maxdeg + HEURISTIC_WINDOW, False)
 
 
+def kernel_stop(f):
+    """(m, rank N) certifying an early end to the walk over N = ker f.
+
+    Over k[S] with multiplicity m, N sits in a free module over a domain,
+    so t^m acts on it injectively: along each residue class mod m,
+    dim N_d is nondecreasing and at most rank N, and a minimal generator
+    needs dim N_d > dim N_{d-m}.  Once every class has met a degree with
+    dim N_d = rank N, no later degree holds a generator.  Homogeneity
+    makes f = diag(t^-t_i) C diag(t^s_j), where C takes each entry c*t^a
+    to c, so rank N = rank F - rank C over the fraction field.
+    None for monomial quotients, where the walk runs the whole window.
+    """
+    ring = f.algebra.ring
+    if not isinstance(ring, SemigroupRing):
+        return None
+    rows = [{} for _ in f.target.shifts]
+    for j, elt in enumerate(f.elts):
+        for (i, _), c in elt.items():
+            rows[i][j] = c  # one label per entry: pieces of k[S] are <= 1-dim
+    red, _ = linalg.rref([r for r in rows if r], f.source.rank, f.algebra.p)
+    return ring.S.generators[0], f.source.rank - len(red)
+
+
 def kernel_minimal_gens(f, bound=None):
     """Minimal homogeneous generators of ker(f) in degrees <= bound.
 
     Walks the degrees upward; in each degree the kernel is a nullspace
     and the decomposable part is spanned by lower generators times
     positive-degree basis elements, so new generators are the
-    echelon-residuals of the nullspace basis.
+    echelon-residuals of the nullspace basis.  Over a semigroup ring
+    the walk ends early once `kernel_stop` certifies that no later
+    degree can hold a generator; the reported window is unchanged.
     """
     algebra = f.algebra
     window = kernel_window(algebra, f.source)
@@ -326,12 +368,21 @@ def kernel_minimal_gens(f, bound=None):
     gens = []
     if f.source.rank:
         lo = min(f.source.shifts)
+        stop = kernel_stop(f)
+        if stop is not None:
+            m, rank = stop
+            # residue classes mod m still below dim N_d = rank N
+            open_classes = set(range(m)) if rank else set()
         for d in range(lo, bound + 1):
+            if stop is not None and not open_classes:
+                break
             src = f.source.basis(algebra, d)
             if not src:
                 continue
             rows, _, _ = f.matrix(d)
             null = linalg.nullspace([r for r in rows if r], len(src), algebra.p)
+            if stop is not None and len(null) == rank:
+                open_classes.discard(d % m)
             if not null:
                 continue
             index = {key: i for i, key in enumerate(src)}
@@ -617,9 +668,10 @@ def audit_resolution(res, degree_cap=None):
     """Degreewise exactness and minimality checks.
 
     Verifies every differential has entries in the maximal ideal, that
-    consecutive maps compose to zero on module generators, and that
+    consecutive maps compose to zero on module generators, that
     dim ker(d_i)_d = dim im(d_{i+1})_d for every degree in the stage
-    windows (homology vanishes strictly between stages).
+    windows (homology vanishes strictly between stages), and the Euler
+    identity of `euler_holds`.
     """
     algebra = res.algebra
     for pmap in res.maps:
@@ -644,4 +696,33 @@ def audit_resolution(res, degree_cap=None):
             dim_ker = nsrc - _rank_of(outer, d, algebra)
             if dim_ker != _rank_of(inner, d, algebra):
                 return False
+    return euler_holds(res, degree_cap)
+
+
+def euler_holds(res, degree_cap=None):
+    """sum_{i=0..n} (-1)^i dim (F_i)_d = dim (F_0)_d - rank (d_1)_d.
+
+    F_n is the last module computed.  The alternating sum differs from
+    dim M_d by (-1)^n dim (ker d_n)_d, and ker d_n is the image of the
+    next minimal differential, zero up to min shift of F_n; so the
+    identity is checked for every degree up to there, or, when F_n = 0
+    and the resolution has ended, up to the last stage's window.
+    """
+    algebra = res.algebra
+    f0 = res.module(0)
+    if not f0.rank:
+        return True
+    n = len(res.maps)
+    last = res.module(n)
+    if last.rank:
+        hi = min(last.shifts)
+    else:
+        hi = kernel_window(algebra, res.module(n - 1)).bound
+    if degree_cap is not None:
+        hi = min(hi, degree_cap)
+    modules = [res.module(i) for i in range(n + 1)]
+    for d in range(min(f0.shifts), hi + 1):
+        alt = sum((-1) ** i * len(f.basis(algebra, d)) for i, f in enumerate(modules))
+        if alt != len(f0.basis(algebra, d)) - _rank_of(res.maps[0], d, algebra):
+            return False
     return True

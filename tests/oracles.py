@@ -303,6 +303,58 @@ def dense_matrix(pmap, d, view=None):
     return rows, src, tgt
 
 
+# ------------------------------------------------------ full-window kernel walk
+#
+# kernel_minimal_gens as it was before the walk over a semigroup ring
+# learned to stop early: every degree of kernel_window is walked.  It
+# uses only public pieces of the library (the map's matrix, nullspace,
+# EchelonSpan), and tests/test_homalg.py compares the engine against it.
+
+def full_window_kernel_gens(f, bound=None):
+    """(map, certified) of the minimal kernel generators, walking every
+    degree up to the window bound."""
+    from burchkit import linalg
+    from burchkit.homalg import (
+        GradedFreeModule,
+        HomogeneousMap,
+        kernel_window,
+        scale_module_elt,
+    )
+
+    algebra = f.algebra
+    window = kernel_window(algebra, f.source)
+    if bound is None:
+        bound = window.bound
+    gens = []
+    if f.source.rank:
+        lo = min(f.source.shifts)
+        for d in range(lo, bound + 1):
+            src = f.source.basis(algebra, d)
+            if not src:
+                continue
+            rows, _, _ = f.matrix(d)
+            null = linalg.nullspace([r for r in rows if r], len(src), algebra.p)
+            if not null:
+                continue
+            index = {key: i for i, key in enumerate(src)}
+            span = linalg.EchelonSpan(algebra.p)
+            for gd, g in gens:
+                for r in algebra.basis(d - gd):
+                    prod = scale_module_elt(algebra, g, r)
+                    if prod:
+                        span.add({index[key]: x for key, x in prod.items()})
+            for vec in null:
+                resid = span.reduce(vec)
+                if resid is not None:
+                    gens.append((d, {src[c]: resid[c] for c in sorted(resid)}))
+                    span.add(resid)
+    shifts = tuple(d for d, _ in gens)
+    out = HomogeneousMap(
+        algebra, GradedFreeModule(shifts), f.source, [g for _, g in gens]
+    )
+    return out, window.certified
+
+
 # ------------------------------------------------------ instance generators
 
 def rand_monomial_instance(rng):

@@ -10,11 +10,16 @@ from burchkit.homalg import (
     GradedFreeModule,
     GradedPresentation,
     HomogeneousMap,
+    Resolution,
     annihilates,
     audit_resolution,
     cyclic_presentation,
+    euler_holds,
     free_presentation,
     is_free,
+    kernel_minimal_gens,
+    kernel_stop,
+    kernel_window,
     module_from_ideal,
     resolve,
     syzygy,
@@ -23,7 +28,7 @@ from burchkit.homalg import (
 from burchkit.fuzz import FuzzConfig, gen_module, trial_rng
 from burchkit.rings import QuotientRing, SemigroupRing
 
-from oracles import dense_matrix
+from oracles import dense_matrix, full_window_kernel_gens
 
 
 def _cube_ring():
@@ -74,6 +79,12 @@ def test_residue_field_differentials_are_pinned():
     assert res.betti() == (1, 4, 12, 36, 108)
     assert _differentials_digest(res) == (
         "8774b42bb15569cac070e1ee49db6a503613d640ad57c82bbfbee761e9f9c313"
+    )
+    ring = SemigroupRing((4, 5, 6, 7))
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
+    assert res.betti() == (1, 4, 12, 36, 108, 324, 972)
+    assert _differentials_digest(res) == (
+        "e5d181096e2c2768275674d8d248c579b09c1f8a784d935dc98a532b4c69147b"
     )
 
 
@@ -364,3 +375,183 @@ def test_dense_cols_view_round_trips_to_elts():
         if cols and cols[0]:
             cols[0][0][(9, 9)] = 1
             assert m.cols[0][0] != cols[0][0]
+
+
+def _assert_same_kernel(f):
+    got, got_cert = kernel_minimal_gens(f)
+    want, want_cert = full_window_kernel_gens(f)
+    assert got.source.shifts == want.source.shifts
+    assert got.elts == want.elts
+    assert got_cert == want_cert
+
+
+@pytest.mark.parametrize(
+    "gens", [(3, 7), (4, 5, 6, 7), (5, 7, 9), (6, 7, 9, 11), (7, 9, 10, 12)]
+)
+def test_early_stop_matches_full_window_walk_on_residue_fields(gens):
+    ring = SemigroupRing(gens)
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 5)
+    for f in res.maps[:-1]:
+        _assert_same_kernel(f)
+
+
+def test_early_stop_matches_full_window_walk_on_random_presentations():
+    cfg = FuzzConfig(seed=29)
+    pool = [(2, 3), (3, 5, 7), (4, 5, 6), (4, 6, 9), (6, 7, 9, 11)]
+    maps = deficient = 0
+    for k in range(60):
+        ring = SemigroupRing(pool[k % len(pool)])
+        pres = gen_module(cfg, ring, trial_rng(cfg, k))
+        for f in resolve(pres, 4).maps:
+            if not f.source.rank:
+                continue
+            _, rank_n = kernel_stop(f)
+            # rank C = rank F - rank N falls short of both dimensions of C
+            if f.source.rank - rank_n < min(f.source.rank, f.target.rank):
+                deficient += 1
+            _assert_same_kernel(f)
+            maps += 1
+    assert maps >= 60 and deficient >= 20
+
+
+def test_early_stop_handles_rank_deficient_and_injective_maps():
+    ring = SemigroupRing((4, 5, 6))
+    alg = GradedAlgebra(ring)
+    two = GradedFreeModule((0, 0))
+    # C = [[1, 1], [1, 1]] has rank 1, so ker f has rank 1
+    f = HomogeneousMap(
+        alg, GradedFreeModule((4, 5)), two, [{(0, 4): 1, (1, 4): 1}, {(0, 5): 1, (1, 5): 1}]
+    )
+    assert kernel_stop(f) == (4, 1)
+    _assert_same_kernel(f)
+    # C = [[1, 0], [0, 1]]: f is injective, and the walk stops before it starts
+    g = HomogeneousMap(alg, GradedFreeModule((4, 5)), two, [{(0, 4): 1}, {(1, 5): 1}])
+    assert kernel_stop(g) == (4, 0)
+    _assert_same_kernel(g)
+    assert kernel_minimal_gens(g)[0].source.rank == 0
+    # monomial quotients walk their whole window
+    cube = _cube_ring()
+    assert kernel_stop(cyclic_presentation(GradedAlgebra(cube), cube.maximal_ideal()).map) is None
+
+
+def _record_matrix_degrees(monkeypatch):
+    """Largest degree each map builds a matrix in, by map identity."""
+    top = {}
+    build = HomogeneousMap.matrix
+
+    def recording(self, d, view=None):
+        top[id(self)] = max(top.get(id(self), d), d)
+        return build(self, d, view)
+
+    monkeypatch.setattr(HomogeneousMap, "matrix", recording)
+    return top
+
+
+def test_early_stop_is_active(monkeypatch):
+    # k over k[[t^6,t^7,t^9,t^11]]: stages 2-6 stop about a conductor
+    # below their windows; windows and certification are unchanged
+    ring = SemigroupRing((6, 7, 9, 11))
+    alg = GradedAlgebra(ring)
+    top = _record_matrix_degrees(monkeypatch)
+    res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 6)
+    walked = res.maps[:-1]
+    assert tuple(top[id(f)] for f in walked) == (27, 39, 50, 62, 73)
+    windows = tuple(kernel_window(alg, f.source) for f in walked)
+    assert tuple(w.bound for w in windows) == (34, 46, 57, 69, 80)
+    assert all(w.certified for w in windows)
+    assert res.certified_through(6)
+
+
+def test_audit_walks_the_full_window(monkeypatch):
+    ring = SemigroupRing((6, 7, 9, 11))
+    alg = GradedAlgebra(ring)
+    res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4)
+    top = _record_matrix_degrees(monkeypatch)
+    assert audit_resolution(res)
+    for f in res.maps[:-1]:
+        assert top[id(f)] == kernel_window(alg, f.source).bound
+
+
+def _with_last_map(res, columns, shifts):
+    last = res.maps[-1]
+    moved = HomogeneousMap(res.algebra, GradedFreeModule(shifts), last.target, columns)
+    return Resolution(res.presentation, res.maps[:-1] + [moved], res.stage_certified, False)
+
+
+def test_audit_rejects_moved_shift_dropped_and_repeated_columns():
+    ring = SemigroupRing((3, 4, 5))
+    alg = GradedAlgebra(ring)
+    res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4)
+    assert audit_resolution(res) and euler_holds(res)
+    last = res.maps[-1]
+    shifts, elts = list(last.source.shifts), list(last.elts)
+    j = shifts.index(min(shifts))
+    # the generator at the least shift moved up by t^3: still a minimal
+    # complex, but F_4 is one dimension short in that degree
+    moved = {(i, label + 3): c for (i, label), c in elts[j].items()}
+    bad = _with_last_map(
+        res, elts[:j] + [moved] + elts[j + 1:], shifts[:j] + [shifts[j] + 3] + shifts[j + 1:]
+    )
+    assert not euler_holds(bad) and not audit_resolution(bad)
+    # a column dropped at the least shift
+    bad = _with_last_map(res, elts[:j] + elts[j + 1:], shifts[:j] + shifts[j + 1:])
+    assert not euler_holds(bad) and not audit_resolution(bad)
+    # a column repeated: the image, and so every exactness check, is
+    # unchanged, and only the Euler identity sees the kernel of d_4
+    bad = _with_last_map(res, elts + [elts[j]], shifts + [shifts[j]])
+    assert not euler_holds(bad) and not audit_resolution(bad)
+
+
+def test_euler_identity_on_complete_and_capped_resolutions():
+    poly = QuotientRing(2)
+    res = resolve(cyclic_presentation(GradedAlgebra(poly), poly.maximal_ideal()), 4)
+    assert res.complete and euler_holds(res)
+    ring = _cube_ring()
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 4)
+    assert euler_holds(res) and euler_holds(res, degree_cap=2)
+
+
+def _counting_member(monkeypatch):
+    from burchkit.monomial import MonomialIdeal
+
+    calls = []
+    member = MonomialIdeal.member
+
+    def counting(self, v):
+        calls.append(v)
+        return member(self, v)
+
+    monkeypatch.setattr(MonomialIdeal, "member", counting)
+    return calls
+
+
+def test_mult_agrees_with_membership_on_artinian_quotients(monkeypatch):
+    rng = random.Random(7)
+    nvars = rng.randint(2, 3)
+    powers = [tuple(rng.randint(2, 4) if k == v else 0 for k in range(nvars)) for v in range(nvars)]
+    mixed = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(2)]
+    rings = (
+        _cube_ring(),
+        QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+        QuotientRing(nvars, powers + [m for m in mixed if any(m)]),
+    )
+    calls = _counting_member(monkeypatch)
+    for ring in rings:
+        alg = GradedAlgebra(ring)
+        std = [b for d in range(alg.top_degree() + 1) for b in alg.basis(d)]
+        alg.mult(std[0], std[0])  # builds the standard-monomial set
+        calls.clear()
+        got = {(a, b): alg.mult(a, b) for a in std for b in std}
+        assert not calls  # one set lookup per product
+        for (a, b), prod in got.items():
+            want = tuple(x + y for x, y in zip(a, b))
+            assert prod == (None if ring.defining.member(want) else want)
+
+
+def test_mult_on_a_non_artinian_quotient_tests_membership(monkeypatch):
+    ring = QuotientRing(2, [(0, 2), (1, 1)])
+    alg = GradedAlgebra(ring)
+    calls = _counting_member(monkeypatch)
+    assert alg.mult((3, 0), (2, 0)) == (5, 0)
+    assert alg.mult((1, 0), (0, 1)) is None
+    assert calls == [(5, 0), (1, 1)]
