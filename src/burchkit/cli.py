@@ -21,7 +21,6 @@ from .fuzz import FuzzConfig, run_suite
 from .homalg import tor_dims
 from .hw import fractional_from_ideal, hw_report
 from .problemfile import ProblemFileError, load_problem
-from .rings import SemigroupRing
 
 _DEFAULT_SEED = FuzzConfig().seed
 _DEFAULT_TRIALS = FuzzConfig().trials
@@ -105,15 +104,14 @@ def _cmd_hw(args):
     try:
         prob = load_problem(args.file)
         ideal = prob.get_ideal(args.ideal)
-        if not isinstance(ideal.ring, SemigroupRing):
-            raise ValueError("hw needs an ideal over a semigroup ring")
+        frac = fractional_from_ideal(ideal)
         wrt = None
         if args.wrt:
             other = prob.get_ideal(args.wrt)
             if other.ring != ideal.ring:
                 raise ValueError("ambient mismatch")
             wrt = fractional_from_ideal(other)
-        report = hw_report(fractional_from_ideal(ideal), wrt, prob.prime)
+        report = hw_report(frac, wrt, prob.prime)
     except (ProblemFileError, ValueError, OSError) as exc:
         return _fail(exc)
     payload = _jsonable(report)

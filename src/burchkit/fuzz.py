@@ -231,15 +231,8 @@ def _rand_sg_vals(stream, s, count, floor=1):
 
 def _build_ring(inst):
     if inst["family"] == "monomial":
-        defining = tuple(tuple(g) for g in inst["defining"])
-        return QuotientRing(inst["nvars"], defining)
+        return QuotientRing(inst["nvars"], inst["defining"])
     return SemigroupRing(tuple(inst["sgens"]))
-
-
-def _build_ideal(ring, gens):
-    if isinstance(ring, QuotientRing):
-        return ring.ideal([tuple(g) for g in gens])
-    return ring.ideal(list(gens))
 
 
 def _encode_label(label):
@@ -333,7 +326,7 @@ def _rand_ideal_gens(inst, stream, count, allow_power=True):
 
 def _mpow_gens(inst, k):
     ring = _build_ring(inst)
-    return [list(g) if isinstance(g, tuple) else g for g in ring.mpow(k).min_gens()]
+    return [_encode_label(g) for g in ring.mpow(k).min_gens()]
 
 
 # --- identity and classification suites ------------------------------------
@@ -348,7 +341,7 @@ def _suite_remark23():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         m = ring.maximal_ideal()
         mi = m * i
         return True, m * mi.colon(m) == mi
@@ -366,15 +359,15 @@ def _suite_remark22():
         elif kind < 0.8:
             j = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
             ring = _build_ring(inst)
-            prod = ring.maximal_ideal() * _build_ideal(ring, j)
-            inst["ideal"] = [list(g) if isinstance(g, tuple) else g for g in prod.min_gens()]
+            prod = ring.maximal_ideal() * ring.ideal(j)
+            inst["ideal"] = [_encode_label(g) for g in prod.min_gens()]
         else:
             inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         return inst
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
             return False, True
         m = ring.maximal_ideal()
@@ -406,7 +399,7 @@ def _suite_remark32():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
             return False, True
         rec = remark32_equivalence(i)
@@ -435,7 +428,7 @@ def _suite_remark37():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
             return False, True
         if burch_via_loewy(i) is not True:
@@ -455,8 +448,8 @@ def _suite_lemma36():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
-        j = _build_ideal(ring, inst["j"])
+        i = ring.ideal(inst["ideal"])
+        j = ring.ideal(inst["j"])
         if j.is_zero() or j.is_unit() or i.is_zero() or i.is_unit():
             return False, True
         rec = l2_identities(i, j)
@@ -485,7 +478,7 @@ def _suite_lemma310():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
             return False, True
         rec = l3_equivalence(i)
@@ -507,7 +500,7 @@ def _suite_lemma213():
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = _build_ideal(ring, inst["j"])
+        j = ring.ideal(inst["j"])
         if j.is_zero() or j.is_unit():
             return False, True
         i = ring.maximal_ideal() * j
@@ -520,7 +513,7 @@ def _suite_lemma213():
         elif mode == "colon":
             k = top
         else:
-            k = j + _build_ideal(ring, [top.min_gens()[0]])
+            k = j + ring.ideal([top.min_gens()[0]])
         rec = lemma213_check(j, k)
         if not rec.applicable:
             return False, True
@@ -544,7 +537,7 @@ def _suite_prop24():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
             return False, True
         if i.is_integrally_closed() is not True:
@@ -569,13 +562,13 @@ def _suite_prop38():
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = _build_ideal(ring, inst["j"])
+        j = ring.ideal(inst["j"])
         if j.is_zero() or j.is_unit():
             return False, True
         if inst["constructed"]:
             i = ring.maximal_ideal() * j
         else:
-            i = _build_ideal(ring, inst["ideal"])
+            i = ring.ideal(inst["ideal"])
         if i.is_zero() or not i.subset_of(ring.maximal_ideal() * j):
             return False, True
         c = i.colon(j)
@@ -599,15 +592,15 @@ def _suite_prop39():
         elif kind < 0.7:
             j = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
             ring = _build_ring(inst)
-            prod = ring.maximal_ideal() * _build_ideal(ring, j)
-            inst["ideal"] = [list(g) if isinstance(g, tuple) else g for g in prod.min_gens()]
+            prod = ring.maximal_ideal() * ring.ideal(j)
+            inst["ideal"] = [_encode_label(g) for g in prod.min_gens()]
         else:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
         return inst
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
             return False, True
         ll = int(i.loewy_length())
@@ -675,7 +668,7 @@ def _suite_thm28():
         inst = _base_instance(cfg, stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         ring = _build_ring(inst)
-        j = _build_ideal(ring, inst["j"])
+        j = ring.ideal(inst["j"])
         if j.is_zero() or j.is_unit():
             return None
         i = ring.maximal_ideal() * j
@@ -687,7 +680,7 @@ def _suite_thm28():
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = _build_ideal(ring, inst["j"])
+        j = ring.ideal(inst["j"])
         if j.is_zero() or j.is_unit():
             return False, True
         i = ring.maximal_ideal() * j
@@ -722,14 +715,14 @@ def _suite_cor215():
         if inst["part"] == "ii":
             inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
             ring = _build_ring(inst)
-            j = _build_ideal(ring, inst["j"])
+            j = ring.ideal(inst["j"])
             if j.is_zero() or j.is_unit():
                 return None
             i = ring.maximal_ideal() * j
         else:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
             ring = _build_ring(inst)
-            i = _build_ideal(ring, inst["ideal"])
+            i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
             return None
         algebra = GradedAlgebra(ring)
@@ -739,13 +732,13 @@ def _suite_cor215():
     def chk(inst):
         ring = _build_ring(inst)
         if inst["part"] == "ii":
-            j = _build_ideal(ring, inst["j"])
+            j = ring.ideal(inst["j"])
             if j.is_zero() or j.is_unit():
                 return False, True
             i = ring.maximal_ideal() * j
             killer = i.colon(ring.maximal_ideal())
         else:
-            i = _build_ideal(ring, inst["ideal"])
+            i = ring.ideal(inst["ideal"])
             if i.is_zero() or i.is_unit() or not i.is_m_primary():
                 return False, True
             witness = None
@@ -802,7 +795,7 @@ def _suite_thm25():
         j = ring.mpow(inst["jpow"])
         if j.is_zero() or j.is_unit():
             return False, True
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         ring_m = ring.maximal_ideal()
         u = ring_m * j.colon(ring_m)
         soc = ring.ideal(list(_socle_gens(ring)))
@@ -866,7 +859,7 @@ def _suite_prop26():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
             return False, True
         options = [y for y in _socle_gens(ring) if not i.member(y)]
@@ -905,12 +898,12 @@ def _suite_btor33():
     def chk(inst):
         ring = _build_ring(inst)
         if "j" in inst:
-            j = _build_ideal(ring, inst["j"])
+            j = ring.ideal(inst["j"])
             if j.is_zero() or j.is_unit():
                 return False, True
             i = ring.maximal_ideal() * j
         else:
-            i = _build_ideal(ring, inst["ideal"])
+            i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not is_burch(i):
             return False, True
         algebra = GradedAlgebra(ring)
@@ -947,7 +940,7 @@ def _suite_cor210():
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = _build_ideal(ring, inst["j"])
+        j = ring.ideal(inst["j"])
         if j.is_zero() or j.is_unit():
             return False, True
         i = ring.maximal_ideal() * j
@@ -993,7 +986,7 @@ def _suite_cor214():
         elif kind < 0.7:
             j = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
             ring = _build_ring(inst)
-            prod = ring.maximal_ideal() * _build_ideal(ring, j)
+            prod = ring.maximal_ideal() * ring.ideal(j)
             inst["ideal"] = sorted(prod.min_gens())
         else:
             inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
@@ -1001,7 +994,7 @@ def _suite_cor214():
 
     def chk(inst):
         ring = _build_ring(inst)
-        i = _build_ideal(ring, inst["ideal"])
+        i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
             return False, True
         classes = cor214_classify(i)
@@ -1042,13 +1035,13 @@ def _suite_hw12():
             ok = not verdict.has_torsion and verdict.tor1_dim == 0 and verdict.certified
             return True, ok, ("control",)
         if inst["kind"] == "constructed":
-            j = _build_ideal(ring, inst["j"])
+            j = ring.ideal(inst["j"])
             if j.is_zero() or j.is_unit():
                 return False, True, ()
             i = ring.maximal_ideal() * j
         else:
-            i = _build_ideal(ring, inst["ideal"])
-            j = _build_ideal(ring, inst["j"])
+            i = ring.ideal(inst["ideal"])
+            j = ring.ideal(inst["j"])
             if j.is_zero() or j.is_unit():
                 return False, True, ()
         if i.is_zero():

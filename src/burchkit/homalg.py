@@ -6,89 +6,38 @@ Tor dimensions, freeness.
 A graded map keeps each column as a sparse element {(i, label): coeff}
 of its target, the same form syzygies and module elements take, so
 assembling a degree piece touches only the nonzero entries.
-The graded pieces come from a basis/multiplication oracle so the same
-machinery runs over monomial quotients (graded by total degree) and
-semigroup rings (graded by valuation).
-
-Degree windows are certified per backend:
-  * Artinian monomial quotient: the whole free module vanishes past
-    max shift + top degree of R, so every window is exact.
-  * semigroup ring: graded pieces have dimension <= 1, so differentials
-    are scalar matrices on active index sets that stabilize past the
-    conductor; kernels acquire no new minimal generators past
-    max shift + 2*conductor + 1.  The kernel walk itself stops sooner,
-    once every residue class mod the multiplicity m has reached a
-    degree where dim ker_d equals the rank of the kernel: t^m acts
-    injectively, so no later degree holds a generator (`kernel_stop`).
-    The reported window stays the certified bound, and
-    `audit_resolution` still walks all of it.
-  * other monomial quotients: a heuristic window (max shift +
-    max defining degree + 8) with an explicit certified=False flag.
+The ring supplies the graded pieces and everything that differs between
+monomial quotients (graded by total degree) and semigroup rings (graded
+by valuation): basis, multiplication, degrees, the top degree, the
+kernel degree window with its certified flag, and the modulus of the
+early kernel stop.  The ring classes in `rings` document how each
+window is certified.
 """
 
 from dataclasses import dataclass
 
 from . import linalg
-from .rings import QIdeal, QuotientRing, SemigroupRing, SgIdeal
 
 DEFAULT_PRIME = 101
 HEURISTIC_WINDOW = 8
 
 
 class GradedAlgebra:
-    """Basis/multiplication oracle for R, k coefficients mod p."""
+    """R with coefficients mod p.
 
-    __slots__ = ("ring", "p", "_basis", "_std")
+    basis(d), mult(a, b) and deg(label) are the ring's own methods,
+    bound here once, so each product or basis lookup is a single call.
+    """
+
+    __slots__ = ("ring", "p", "basis", "mult", "deg")
 
     def __init__(self, ring, p=DEFAULT_PRIME):
         linalg.check_prime(p)
         self.ring = ring
         self.p = p
-        self._basis = {}
-        self._std = None  # standard monomials of an Artinian quotient, once built
-
-    def one(self):
-        if isinstance(self.ring, SemigroupRing):
-            return 0
-        return (0,) * self.ring.nvars
-
-    def deg(self, label):
-        if isinstance(label, int):
-            return label
-        return sum(label)
-
-    def basis(self, d):
-        if d < 0:
-            return ()
-        got = self._basis.get(d)
-        if got is None:
-            got = self._compute_basis(d)
-            self._basis[d] = got
-        return got
-
-    def _compute_basis(self, d):
-        if isinstance(self.ring, SemigroupRing):
-            return (d,) if d in self.ring.S else ()
-        return self.ring.ctx.std_basis(d)
-
-    def mult(self, a, b):
-        if isinstance(a, int):
-            return a + b
-        prod = tuple(x + y for x, y in zip(a, b))
-        std = self._std
-        if std is None:
-            std = self._std = self._standard_monomials()
-        if std is False:
-            return None if self.ring.defining.member(prod) else prod
-        return prod if prod in std else None
-
-    def _standard_monomials(self):
-        """Every standard monomial of an Artinian quotient as one set, so a
-        product is tested with one lookup; False when R is not Artinian."""
-        top = self.top_degree()
-        if top is None:
-            return False
-        return frozenset(b for d in range(top + 1) for b in self.basis(d))
+        self.basis = ring.basis
+        self.mult = ring.mult
+        self.deg = ring.deg
 
     def dim(self, d):
         return len(self.basis(d))
@@ -98,9 +47,7 @@ class GradedAlgebra:
 
     def top_degree(self):
         """Largest degree with a nonzero piece; None when unbounded."""
-        if not self.is_artinian():
-            return None
-        return int(self.ring.zero_ideal().loewy_length()) - 1
+        return self.ring.top_degree()
 
     def modulo(self, ideal):
         """The quotient algebra R/I with the same oracle interface."""
@@ -112,26 +59,15 @@ class GradedAlgebra:
 class QuotientView:
     """R/I through the same basis/mult interface as GradedAlgebra."""
 
-    __slots__ = ("base", "ideal", "_basis")
+    __slots__ = ("base", "ideal", "p", "ring", "deg", "_basis")
 
     def __init__(self, base, ideal):
         self.base = base
         self.ideal = ideal
+        self.p = base.p
+        self.ring = base.ring
+        self.deg = base.deg
         self._basis = {}
-
-    @property
-    def p(self):
-        return self.base.p
-
-    @property
-    def ring(self):
-        return self.base.ring
-
-    def one(self):
-        return self.base.one()
-
-    def deg(self, label):
-        return self.base.deg(label)
 
     def basis(self, d):
         got = self._basis.get(d)
@@ -142,9 +78,6 @@ class QuotientView:
             self._basis[d] = got
         return got
 
-    def dim(self, d):
-        return len(self.basis(d))
-
     def mult(self, a, b):
         prod = self.base.mult(a, b)
         if prod is None or self.ideal.member(prod):
@@ -153,17 +86,7 @@ class QuotientView:
 
     def top_degree(self):
         """Largest degree with (R/I)_d != 0; None when unbounded."""
-        ring = self.ring
-        if self.ideal.is_unit():
-            return -1
-        if isinstance(ring, SemigroupRing):
-            if self.ideal.is_zero():
-                return None
-            return self.ideal.relset.top_outside()
-        ll = self.ideal.loewy_length()
-        if ll == float("inf"):
-            return None
-        return int(ll) - 1
+        return self.ideal.quotient_top_degree()
 
 
 @dataclass(frozen=True)
@@ -313,19 +236,12 @@ class DegreeWindow:
 
 
 def kernel_window(algebra, module):
-    """Certified-or-flagged degree bound for kernel generators."""
-    ring = algebra.ring
+    """Certified-or-flagged degree bound for kernel generators: max shift
+    plus the ring's window, which adds HEURISTIC_WINDOW when uncertified."""
     if not module.shifts:
         return DegreeWindow(-1, True)
-    hi = max(module.shifts)
-    if isinstance(ring, SemigroupRing):
-        return DegreeWindow(hi + 2 * ring.S.conductor + 1, True)
-    top = algebra.top_degree()
-    if top is not None:
-        return DegreeWindow(hi + top, True)
-    defining = ring.defining
-    maxdeg = max((sum(g) for g in defining.gens), default=0)
-    return DegreeWindow(hi + maxdeg + HEURISTIC_WINDOW, False)
+    width, certified = algebra.ring.kernel_window(HEURISTIC_WINDOW)
+    return DegreeWindow(max(module.shifts) + width, certified)
 
 
 def kernel_stop(f):
@@ -338,17 +254,18 @@ def kernel_stop(f):
     dim N_d = rank N, no later degree holds a generator.  Homogeneity
     makes f = diag(t^-t_i) C diag(t^s_j), where C takes each entry c*t^a
     to c, so rank N = rank F - rank C over the fraction field.
-    None for monomial quotients, where the walk runs the whole window.
+    None when the ring has no stop modulus (monomial quotients), and the
+    walk runs the whole window.
     """
-    ring = f.algebra.ring
-    if not isinstance(ring, SemigroupRing):
+    m = f.algebra.ring.stop_modulus()
+    if m is None:
         return None
     rows = [{} for _ in f.target.shifts]
     for j, elt in enumerate(f.elts):
         for (i, _), c in elt.items():
             rows[i][j] = c  # one label per entry: pieces of k[S] are <= 1-dim
     red, _ = linalg.rref([r for r in rows if r], f.source.rank, f.algebra.p)
-    return ring.S.generators[0], f.source.rank - len(red)
+    return m, f.source.rank - len(red)
 
 
 def kernel_minimal_gens(f, bound=None):
@@ -575,10 +492,7 @@ def tor_dims(presentation, ideal, t0, t1, bound=None):
     The resolution to depth t1 + 1 extends the shorter one each tor_dim
     call would build, so every result is the same.
     """
-    algebra = presentation.algebra
-    if ideal.ring != algebra.ring:
-        raise ValueError("ambient mismatch")
-    view = algebra.modulo(ideal)
+    view = presentation.algebra.modulo(ideal)
     res = resolve(presentation, t1 + 1, bound)
     return [_tor_from(res, view, t) for t in range(t0, t1 + 1)]
 

@@ -74,6 +74,8 @@ class FractionalSemigroupIdeal:
 
 def fractional_from_ideal(ideal: SgIdeal) -> FractionalSemigroupIdeal:
     """View a ring-level semigroup ideal as a fractional one."""
+    if not isinstance(ideal, SgIdeal):
+        raise ValueError("hw needs an ideal over a semigroup ring")
     return FractionalSemigroupIdeal(ideal.ring.S, ideal.relset)
 
 

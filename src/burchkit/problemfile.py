@@ -103,6 +103,7 @@ class ParsedProblem:
     prime: int = DEFAULT_PRIME
     rings: dict = field(default_factory=dict)
     ring_vars: dict = field(default_factory=dict)
+    labels: dict = field(default_factory=dict)  # ring name -> label grammar
     ideals: dict = field(default_factory=dict)
     ideal_ring: dict = field(default_factory=dict)
     modules: dict = field(default_factory=dict)
@@ -202,6 +203,7 @@ def _parse_ring(prob, stmt, lineno):
             raise ProblemFileError(lineno, str(exc)) from exc
         prob.rings[name] = ring
         prob.ring_vars[name] = tuple(varnames)
+        prob.labels[name] = _MonomialLabels(ring, varindex)
         return
     m = _RING_SG_RE.match(stmt)
     if m is not None:
@@ -218,6 +220,7 @@ def _parse_ring(prob, stmt, lineno):
         except ValueError as exc:
             raise ProblemFileError(lineno, str(exc)) from exc
         prob.rings[name] = ring
+        prob.labels[name] = _ValuationLabels(ring)
         return
     raise ProblemFileError(lineno, "bad ring declaration")
 
@@ -229,23 +232,10 @@ def _parse_ideal(prob, stmt, lineno):
     name, ring_name, body = m.group(1), m.group(2), m.group(3)
     if name in prob.ideals:
         raise ProblemFileError(lineno, "duplicate ideal name: %s" % name)
-    ring = prob.rings.get(ring_name)
-    if ring is None:
+    labels = prob.labels.get(ring_name)
+    if labels is None:
         raise ProblemFileError(lineno, "unknown ring: %s" % ring_name)
-    items = _split_items(body)
-    if isinstance(ring, SemigroupRing):
-        vals = [_parse_int(s, lineno, "valuation") for s in items]
-        if any(v < 0 for v in vals):
-            raise ProblemFileError(lineno, "valuations must be nonnegative")
-        try:
-            ideal = ring.ideal(vals, name=name)
-        except ValueError as exc:
-            raise ProblemFileError(lineno, str(exc)) from exc
-    else:
-        varindex = {v: k for k, v in enumerate(prob.ring_vars[ring_name])}
-        gens = [_parse_monomial(s, varindex, lineno) for s in items]
-        ideal = ring.ideal(gens, name=name)
-    prob.ideals[name] = ideal
+    prob.ideals[name] = labels.ideal(_split_items(body), name, lineno)
     prob.ideal_ring[name] = ring_name
     return
 
@@ -258,8 +248,8 @@ def _parse_module(prob, stmt, lineno):
     rows, cols_n = int(m.group(3)), int(m.group(4))
     if name in prob.modules:
         raise ProblemFileError(lineno, "duplicate module name: %s" % name)
-    ring = prob.rings.get(ring_name)
-    if ring is None:
+    labels = prob.labels.get(ring_name)
+    if labels is None:
         raise ProblemFileError(lineno, "unknown ring: %s" % ring_name)
     if rows < 1:
         raise ProblemFileError(lineno, "rows must be at least 1")
@@ -282,8 +272,7 @@ def _parse_module(prob, stmt, lineno):
             raise ProblemFileError(lineno, "entry (%d, %d) out of range" % (i, j))
         if (i, j) in entries:
             raise ProblemFileError(lineno, "duplicate entry (%d, %d)" % (i, j))
-        label = _parse_entry_label(prob, ring, ring_name, em.group(3), lineno)
-        entries[(i, j)] = label
+        entries[(i, j)] = labels.entry(em.group(3), lineno)
 
     if cols_n == 0:
         pres = free_presentation(algebra, tuple(shifts))
@@ -318,18 +307,45 @@ def _parse_module(prob, stmt, lineno):
     return
 
 
-def _parse_entry_label(prob, ring, ring_name, text, lineno):
-    if isinstance(ring, SemigroupRing):
+@dataclass
+class _ValuationLabels:
+    """Labels over a semigroup ring: integer valuations."""
+
+    ring: SemigroupRing
+
+    def ideal(self, items, name, lineno):
+        vals = [_parse_int(s, lineno, "valuation") for s in items]
+        if any(v < 0 for v in vals):
+            raise ProblemFileError(lineno, "valuations must be nonnegative")
+        try:
+            return self.ring.ideal(vals, name=name)
+        except ValueError as exc:
+            raise ProblemFileError(lineno, str(exc)) from exc
+
+    def entry(self, text, lineno):
         v = _parse_int(text, lineno, "entry valuation")
         if v <= 0:
             raise ProblemFileError(lineno, "entry must have positive degree")
-        if v not in ring.S:
+        if v not in self.ring.S:
             raise ProblemFileError(lineno, "valuation %d is not in the semigroup" % v)
         return v
-    varindex = {v: k for k, v in enumerate(prob.ring_vars[ring_name])}
-    expo = _parse_monomial(text, varindex, lineno)
-    if not any(expo):
-        raise ProblemFileError(lineno, "entry must have positive degree")
-    if ring.defining.member(expo):
-        raise ProblemFileError(lineno, "entry is zero in the ring")
-    return expo
+
+
+@dataclass
+class _MonomialLabels:
+    """Labels over a monomial quotient: monomials in the declared variables."""
+
+    ring: QuotientRing
+    varindex: dict
+
+    def ideal(self, items, name, lineno):
+        gens = [_parse_monomial(s, self.varindex, lineno) for s in items]
+        return self.ring.ideal(gens, name=name)
+
+    def entry(self, text, lineno):
+        expo = _parse_monomial(text, self.varindex, lineno)
+        if not any(expo):
+            raise ProblemFileError(lineno, "entry must have positive degree")
+        if self.ring.defining.member(expo):
+            raise ProblemFileError(lineno, "entry is zero in the ring")
+        return expo

@@ -1,17 +1,23 @@
-"""Ideal handles over the two ring backends.
+"""The two ring families: the one place that knows how they differ.
 
-The predicate layer needs only a small contract from an ideal: colon,
-product, sum, comparison, subset, m-primariness, and Loewy length, plus
-access to the ambient ring's maximal-ideal powers.  QuotientRing/QIdeal
-implement the contract for monomial quotients of polynomial rings,
-SemigroupRing/SgIdeal for numerical semigroup rings.  Everything is
-immutable and value-compared.
+QuotientRing is k[x_1..x_n]/A, graded by total degree, with exponent
+tuples as labels; SemigroupRing is k[[S]], graded by valuation, with
+integer labels.  Each answers the graded-algebra calls of `homalg`:
+basis(d), mult(a, b) (None when the product is zero), deg(label),
+top_degree() (None when unbounded), kernel_window(slack), the width
+past a free module's highest shift that holds its kernel generators,
+with a certified flag, and stop_modulus(), the m of `homalg.kernel_stop`
+(None when there is none).  Their ideals, QIdeal and SgIdeal, answer
+the predicate layer: colon, product, sum, comparison, subset,
+m-primariness, Loewy length, and quotient_top_degree() of R/I.
+Everything is immutable and value-compared.
 
 Colon here is always the ring-level colon (I : J) = {x in R : xJ <= I}.
 Colon by the zero ideal returns the unit ideal.
 """
 
 import math
+from operator import add
 
 from .monomial import (
     MonomialIdeal,
@@ -34,15 +40,22 @@ INFINITY = math.inf
 
 
 class QuotientRing:
-    """k[x_1..x_n] / A for a proper monomial ideal A (A may be zero)."""
+    """k[x_1..x_n] / A for a proper monomial ideal A (A may be zero).
 
-    backend = "polynomial-quotient"
-    __slots__ = ("ctx", "_powers")
+    Windows: an Artinian R vanishes past its top degree, so every window
+    is exact; otherwise the window is the largest defining degree plus
+    a heuristic slack, flagged certified=False.
+    """
+
+    __slots__ = ("ctx", "basis", "_powers", "_std")
 
     def __init__(self, nvars, defining_gens=()):
         defining = MonomialIdeal(nvars, defining_gens)
         self.ctx = QuotientContext(nvars, defining)
+        # basis(d): the standard monomials of degree d, cached on ctx
+        self.basis = self.ctx.std_basis
         self._powers = {}
+        self._std = None  # standard monomials of an Artinian R; False if not
 
     @property
     def nvars(self):
@@ -80,6 +93,35 @@ class QuotientRing:
 
     def is_artinian(self):
         return self.ctx.is_artinian()
+
+    def deg(self, label):
+        return sum(label)
+
+    def mult(self, a, b):
+        """Product of two standard monomials; None when it lies in A.  Over
+        an Artinian R, one lookup in the set of all standard monomials."""
+        prod = tuple(map(add, a, b))
+        std = self._std
+        if std is None:
+            top = self.top_degree()
+            std = self._std = False if top is None else frozenset(
+                u for d in range(top + 1) for u in self.basis(d)
+            )
+        if std is False:
+            return None if self.ctx.defining.member(prod) else prod
+        return prod if prod in std else None
+
+    def top_degree(self):
+        return self.zero_ideal().quotient_top_degree()
+
+    def kernel_window(self, slack):
+        top = self.top_degree()
+        if top is not None:
+            return top, True
+        return max((sum(g) for g in self.defining.gens), default=0) + slack, False
+
+    def stop_modulus(self):
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, QuotientRing):
@@ -160,15 +202,7 @@ class QIdeal:
     def is_m_primary(self):
         # R/I is Artinian iff the representative traps a pure power of
         # every variable; unit ideals are excluded by convention.
-        if self.is_unit():
-            return False
-        n = self.ring.nvars
-        seen = [False] * n
-        for g in self.rep.gens:
-            support = [i for i in range(n) if g[i] > 0]
-            if len(support) == 1:
-                seen[support[0]] = True
-        return all(seen)
+        return not self.is_unit() and None not in self._pure_power_bound()
 
     def _pure_power_bound(self):
         n = self.ring.nvars
@@ -197,6 +231,12 @@ class QIdeal:
             if mpow(self.ring.nvars, s).subset_of(self.rep):
                 return s
         raise AssertionError("certified Loewy bound failed")
+
+    def quotient_top_degree(self):
+        """Largest d with (R/I)_d != 0, Loewy length - 1; None when R/I
+        is not Artinian."""
+        ll = self.loewy_length()
+        return None if ll == INFINITY else int(ll) - 1
 
     def is_integrally_closed(self):
         """Only meaningful over the polynomial ring itself."""
@@ -230,9 +270,17 @@ def _qideal(ring, rep):
 
 
 class SemigroupRing:
-    """Numerical semigroup ring k[[t^a : a in S]] for S = <generators>."""
+    """Numerical semigroup ring k[[t^a : a in S]] for S = <generators>.
 
-    backend = "semigroup-ring"
+    Windows: pieces have dimension <= 1, so differentials are scalar
+    matrices on index sets that stabilize past the conductor c, and no
+    kernel gains a minimal generator past max shift + 2c + 1: every
+    window is certified.  The kernel walk stops sooner, once every class
+    mod the multiplicity m has met a degree where dim ker_d is the rank
+    of the kernel, since t^m acts injectively (`homalg.kernel_stop`);
+    the reported window and `homalg.audit_resolution` keep the bound.
+    """
+
     __slots__ = ("S",)
 
     def __init__(self, generators):
@@ -262,6 +310,26 @@ class SemigroupRing:
 
     def is_artinian(self):
         return False
+
+    def basis(self, d):
+        # S holds every degree from its conductor on
+        return (d,) if d >= self.S.conductor or d in self.S else ()
+
+    def mult(self, a, b):
+        return a + b
+
+    def deg(self, label):
+        return label
+
+    def top_degree(self):
+        return None
+
+    def kernel_window(self, slack):
+        return 2 * self.S.conductor + 1, True
+
+    def stop_modulus(self):
+        """The multiplicity m: t^m acts injectively on free modules."""
+        return self.S.generators[0]
 
     def __eq__(self, other):
         if not isinstance(other, SemigroupRing):
@@ -353,6 +421,11 @@ class SgIdeal:
             if mpow_set(S, s).subset_of(self.relset):
                 return s
         raise AssertionError("certified Loewy bound failed")
+
+    def quotient_top_degree(self):
+        """Largest d with (R/I)_d != 0, -1 for the unit ideal; None when
+        I is zero."""
+        return None if self.is_zero() else self.relset.top_outside()
 
     def is_integrally_closed(self):
         return None

@@ -555,3 +555,76 @@ def test_mult_on_a_non_artinian_quotient_tests_membership(monkeypatch):
     assert alg.mult((3, 0), (2, 0)) == (5, 0)
     assert alg.mult((1, 0), (0, 1)) is None
     assert calls == [(5, 0), (1, 1)]
+
+
+# Window and top-degree regimes, one ring each: k[S], Artinian quotients,
+# a non-Artinian quotient and the polynomial ring.  Literals were computed
+# before the ring families answered these themselves.
+_SG = SemigroupRing((3, 4, 5))
+_BOX = QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)])
+_LINE = QuotientRing(2, [(0, 2), (1, 1)])  # k[x,y]/(y^2, xy): not Artinian
+_POLY = QuotientRing(2)
+
+
+def test_kernel_window_and_top_degree_per_regime():
+    module = GradedFreeModule((1, 4))
+    cases = (
+        (_SG, (11, True), None),  # 4 + 2*conductor + 1, conductor 3
+        (_cube_ring(), (6, True), 2),  # 4 + top degree
+        (_BOX, (10, True), 6),
+        (_LINE, (14, False), None),  # 4 + max defining degree + 8
+        (_POLY, (12, False), None),
+    )
+    for ring, window, top in cases:
+        alg = GradedAlgebra(ring)
+        got = kernel_window(alg, module)
+        assert (got.bound, got.certified) == window, ring
+        empty = kernel_window(alg, GradedFreeModule(()))
+        assert (empty.bound, empty.certified) == (-1, True)
+        assert alg.top_degree() == top, ring
+
+
+def test_quotient_top_degree_per_regime():
+    cases = (
+        (_SG, (), -1, None),  # unit ideal, zero ideal
+        (_cube_ring(), (), -1, 2),
+        (_LINE, (), -1, None),
+        (_POLY, (), -1, None),
+        (_SG, [4, 5], 6, None),
+        (_SG, [6], 8, None),
+        (_SG, [3], 5, None),
+        (_POLY, [(2, 0), (1, 3), (0, 2)], 2, None),  # m-primary
+        (_POLY, [(2, 0)], None, None),  # not m-primary
+        (_LINE, [(3, 0)], 2, None),
+        (_LINE, [(0, 1)], None, None),
+        (_cube_ring(), [(1, 0)], 2, None),
+    )
+    for ring, gens, top, zero_top in cases:
+        alg = GradedAlgebra(ring)
+        if gens == ():
+            assert alg.modulo(ring.unit_ideal()).top_degree() == top
+            assert alg.modulo(ring.zero_ideal()).top_degree() == zero_top
+        else:
+            assert alg.modulo(ring.ideal(gens)).top_degree() == top, (ring, gens)
+    assert GradedAlgebra(_SG).modulo(_SG.mpow(2)).top_degree() == 5
+    assert GradedAlgebra(_BOX).modulo(_BOX.mpow(2)).top_degree() == 1
+
+
+def test_tor_window_and_certification_per_regime():
+    cases = (
+        (_SG, [4, 5], 1, (3, 11), True, {4: 1, 5: 1}),
+        (_SG, [], 1, (3, 13), False, {}),  # R/0 unbounded: max shift + 8
+        (_cube_ring(), [(1, 0), (0, 2)], 1, (1, 2), True, {1: 1, 2: 1}),
+        (_cube_ring(), [(0, 0)], 1, (1, 0), True, {}),
+        (_LINE, [(3, 0)], 1, (1, 3), False, {3: 1}),
+        (_LINE, [(2, 0)], 1, (1, 2), False, {2: 1}),
+        (_POLY, [(2, 0), (0, 2)], 1, (1, 3), False, {2: 2}),
+        (_POLY, [(2, 0)], 1, (1, 9), False, {2: 1}),
+        (_POLY, [(1, 0), (0, 1)], 3, (0, -1), False, {}),  # past the end
+    )
+    for ring, gens, t, window, certified, dims in cases:
+        alg = GradedAlgebra(ring)
+        got = tor_dim(cyclic_presentation(alg, ring.maximal_ideal()), ring.ideal(gens), t)
+        assert (got.window, got.bound_certified, got.dims_by_degree) == (window, certified, dims), (
+            ring, gens, t,
+        )

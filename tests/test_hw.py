@@ -9,7 +9,7 @@ from burchkit.hw import (
     hw_has_torsion,
     hw_report,
 )
-from burchkit.rings import SemigroupRing
+from burchkit.rings import QuotientRing, SemigroupRing
 from burchkit.semigroup import NumericalSemigroup
 
 
@@ -106,3 +106,9 @@ def test_report_without_wrt_still_decides_torsion():
     assert rep.subset_mj is None
     assert rep.wmf_wrt_j is None
     assert not rep.hypotheses_hold
+
+
+def test_fractional_view_needs_a_semigroup_ideal():
+    ring = QuotientRing(2, [(2, 0), (0, 2)])
+    with pytest.raises(ValueError, match="hw needs an ideal over a semigroup ring"):
+        fractional_from_ideal(ring.maximal_ideal())

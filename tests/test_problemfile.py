@@ -197,3 +197,29 @@ def test_unrecognized_statement():
     e = perr("ring r = poly(x)\nthing foo = 3\n")
     assert e.line == 2
     assert "unrecognized statement" in e.message
+
+
+def test_label_errors_carry_exact_messages_and_lines():
+    # each family's ideal generators and matrix entries; the offending
+    # statement sits on line 4 or 5, after a comment line
+    base = "ring r = poly(x, y) mod [x^2, y^2]\n# gap\nring s = semigroup(3, 5, 7)\n"
+
+    def entry(ring, label):
+        return "module m in %s = coker rows=1 cols=1 entries=[(1, 1, %s)] shifts=[0]\n" % (ring, label)
+
+    cases = (
+        ("ideal i in s = [-3]\n", 4, "valuations must be nonnegative"),
+        ("ideal i in s = [3, 5]\nideal j in s = [5, 4]\n", 5, "value 4 is not in the semigroup"),
+        ("ideal i in s = [3, x]\n", 4, "valuation must be an integer: 'x'"),
+        (entry("s", "0"), 4, "entry must have positive degree"),
+        (entry("s", "-2"), 4, "entry must have positive degree"),
+        (entry("s", "4"), 4, "valuation 4 is not in the semigroup"),
+        (entry("s", "y"), 4, "entry valuation must be an integer: 'y'"),
+        (entry("r", "1"), 4, "entry must have positive degree"),
+        (entry("r", "x*y^2"), 4, "entry is zero in the ring"),
+        (entry("r", "3"), 4, "bad monomial factor: '3'"),
+        ("ideal i in r = [x, 4]\n", 4, "bad monomial factor: '4'"),
+    )
+    for body, line, message in cases:
+        e = perr(base + body)
+        assert (e.line, e.message) == (line, message), body
