@@ -35,6 +35,7 @@ from .homalg import (
     cyclic_presentation,
     free_presentation,
     is_free,
+    kernel_memo,
     kernel_minimal_gens,
     resolve,
     tor_dim,
@@ -1157,28 +1158,30 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
     failures = 0
     counterexample = None
     tags = {}
-    for index in range(cfg.trials):
-        stream = trial_rng(cfg, index)
-        inst = suite.generate(cfg, stream)
-        if inst is None:
-            continue
-        eff, ok, tag_list, exc = _outcome(suite.check, inst)
-        if not eff:
-            continue
-        effective += 1
-        for tag in tag_list:
-            tags[tag] = tags.get(tag, 0) + 1
-        if not ok:
-            failures += 1
-            if counterexample is None:
-                counterexample = shrink_instance(suite.check, inst, exc)
-                if exc is not None:
-                    # report the exception the shrunk instance raises
-                    exc = _outcome(suite.check, counterexample)[3] or exc
-                    counterexample = {
-                        **counterexample,
-                        "error": {"type": type(exc).__name__, "message": str(exc)},
-                    }
+    # trials draw small rings from fixed pools, so syzygies recur
+    with kernel_memo():
+        for index in range(cfg.trials):
+            stream = trial_rng(cfg, index)
+            inst = suite.generate(cfg, stream)
+            if inst is None:
+                continue
+            eff, ok, tag_list, exc = _outcome(suite.check, inst)
+            if not eff:
+                continue
+            effective += 1
+            for tag in tag_list:
+                tags[tag] = tags.get(tag, 0) + 1
+            if not ok:
+                failures += 1
+                if counterexample is None:
+                    counterexample = shrink_instance(suite.check, inst, exc)
+                    if exc is not None:
+                        # report the exception the shrunk instance raises
+                        exc = _outcome(suite.check, counterexample)[3] or exc
+                        counterexample = {
+                            **counterexample,
+                            "error": {"type": type(exc).__name__, "message": str(exc)},
+                        }
     return SuiteReport(
         suite=name,
         seed=cfg.seed,

@@ -14,12 +14,17 @@ early kernel stop.  The ring classes in `rings` document how each
 window is certified.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import linalg
 
 DEFAULT_PRIME = 101
 HEURISTIC_WINDOW = 8
+KERNEL_MEMO_CAP = 4096
+
+# {map value: (kernel map, certified)} while a kernel_memo scope is open
+_kernel_memo = None
 
 
 class GradedAlgebra:
@@ -268,6 +273,27 @@ def kernel_stop(f):
     return m, f.source.rank - len(red)
 
 
+@contextmanager
+def kernel_memo():
+    """Scope in which kernel_minimal_gens reuses its results.
+
+    Inside it, a call on a map equal in value to an earlier one (prime,
+    ring, shifts, entries and bound) returns the stored (map, certified)
+    pair with no elimination.  At most KERNEL_MEMO_CAP results are kept,
+    a call that raises stores nothing, and a nested scope shares the
+    outer memo, which is dropped when the outermost scope exits.
+    """
+    global _kernel_memo
+    if _kernel_memo is not None:
+        yield
+        return
+    _kernel_memo = {}
+    try:
+        yield
+    finally:
+        _kernel_memo = None
+
+
 def kernel_minimal_gens(f, bound=None):
     """Minimal homogeneous generators of ker(f) in degrees <= bound.
 
@@ -277,7 +303,32 @@ def kernel_minimal_gens(f, bound=None):
     echelon-residuals of the nullspace basis.  Over a semigroup ring
     the walk ends early once `kernel_stop` certifies that no later
     degree can hold a generator; the reported window is unchanged.
+    Inside a `kernel_memo` scope a repeated map is answered from the
+    memo: every hit gets the same map object, which callers must not
+    mutate, and which may sit on an equal algebra of an earlier call.
     """
+    memo = _kernel_memo
+    algebra = f.algebra
+    # a QuotientView shares its ring with R, so only maps over R are keyed
+    if memo is None or type(algebra) is not GradedAlgebra:
+        return _kernel_minimal_gens(f, bound)
+    key = (
+        algebra.p,
+        algebra.ring,
+        f.source.shifts,
+        f.target.shifts,
+        tuple(frozenset(e.items()) for e in f.elts),
+        bound,
+    )
+    got = memo.get(key)
+    if got is None:
+        got = _kernel_minimal_gens(f, bound)
+        if len(memo) < KERNEL_MEMO_CAP:
+            memo[key] = got
+    return got
+
+
+def _kernel_minimal_gens(f, bound):
     algebra = f.algebra
     window = kernel_window(algebra, f.source)
     if bound is None:
@@ -362,7 +413,7 @@ def module_from_ideal(algebra, ideal):
         raise ValueError("ambient mismatch")
     if ideal.is_zero():
         zero = GradedFreeModule(())
-        return GradedPresentation(HomogeneousMap(algebra, zero, zero, ()))
+        return GradedPresentation(HomogeneousMap(algebra, zero, zero, ())), True
     pres = cyclic_presentation(algebra, ideal)
     syz, certified = kernel_minimal_gens(pres.map)
     return GradedPresentation(syz), certified

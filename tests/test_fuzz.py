@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from burchkit import cli
+from burchkit import cli, fuzz, homalg, linalg
 from burchkit.fuzz import (
     SUITES,
     _decode_module,
@@ -283,6 +283,72 @@ def test_raising_check_becomes_a_shrunk_counterexample(monkeypatch):
     assert len(cx["ideal"]) == 2
     assert replay_instance("remark23", cx) == (True, False)
     json.loads(report.to_json())
+
+
+def _count_nullspace(monkeypatch):
+    count = {"n": 0}
+    real = linalg.nullspace
+
+    def counting(*args):
+        count["n"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    return count
+
+
+def test_run_suite_drops_its_kernel_memo(monkeypatch):
+    ring = SemigroupRing((4, 5, 6))
+    pres = homalg.cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal())
+    count = _count_nullspace(monkeypatch)
+    run_suite("thm28", FuzzConfig(seed=11, trials=20))
+    assert homalg._kernel_memo is None
+    # a check that raises leaves the scope by the exception path
+    seen = []
+    _raise_on_two_or_more(monkeypatch)
+    real = SUITES["remark23"].check
+
+    def check(inst):
+        seen.append(homalg._kernel_memo is not None)
+        homalg.kernel_minimal_gens(pres.map)
+        return real(inst)
+
+    monkeypatch.setitem(SUITES, "remark23", Suite("remark23", SUITES["remark23"].generate, check))
+    report = run_suite("remark23", FuzzConfig(seed=11, trials=40))
+    assert report.counterexample["error"]["type"] == "ZeroDivisionError"
+    assert seen and all(seen)
+    assert homalg._kernel_memo is None
+    count["n"] = 0
+    homalg.kernel_minimal_gens(pres.map)
+    assert count["n"] > 0
+
+
+def test_suite_run_computes_fewer_kernels_than_asked(monkeypatch):
+    asked = {"n": 0}
+    computed = {"n": 0}
+    public, private = homalg.kernel_minimal_gens, homalg._kernel_minimal_gens
+
+    def asking(*args):
+        asked["n"] += 1
+        return public(*args)
+
+    def computing(*args):
+        computed["n"] += 1
+        return private(*args)
+
+    monkeypatch.setattr(homalg, "kernel_minimal_gens", asking)
+    monkeypatch.setattr(fuzz, "kernel_minimal_gens", asking)
+    monkeypatch.setattr(homalg, "_kernel_minimal_gens", computing)
+    report = run_suite("prop26", FuzzConfig(seed=7, trials=40))
+    assert report.passed
+    assert 0 < computed["n"] < asked["n"]
+    # outside the scope every call computes
+    asked["n"] = computed["n"] = 0
+    ring = SemigroupRing((4, 5, 6))
+    pres = homalg.cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal())
+    homalg.resolve(pres, 3)
+    homalg.resolve(pres, 3)
+    assert computed["n"] == asked["n"] == 4
 
 
 def test_fuzz_cli_exits_1_on_a_raising_check(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from burchkit import homalg, linalg
 from burchkit.homalg import (
     GradedAlgebra,
     GradedFreeModule,
@@ -17,6 +18,7 @@ from burchkit.homalg import (
     euler_holds,
     free_presentation,
     is_free,
+    kernel_memo,
     kernel_minimal_gens,
     kernel_stop,
     kernel_window,
@@ -58,10 +60,16 @@ def test_residue_field_betti_numbers_over_cube_ring():
 
 
 def _differentials_digest(res):
-    data = [
-        (m.source.shifts, m.target.shifts, [[sorted(e.items()) for e in col] for col in m.cols])
-        for m in res.maps
-    ]
+    # per map: every column as its entries grouped by row, each row sorted
+    data = []
+    for m in res.maps:
+        cols = []
+        for elt in m.elts:
+            rows = [[] for _ in m.target.shifts]
+            for (i, label), coeff in elt.items():
+                rows[i].append((label, coeff))
+            cols.append([sorted(r) for r in rows])
+        data.append((m.source.shifts, m.target.shifts, cols))
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
@@ -260,6 +268,13 @@ def test_module_from_ideal():
     # principal ideals present as free rank-1 modules
     prin, cert2 = module_from_ideal(alg, ring.ideal([8]))
     assert cert2 and is_free(prin) and prin.generators.rank == 1
+
+
+def test_module_from_the_zero_ideal_is_a_certified_pair():
+    for ring in (SemigroupRing((4, 5, 6)), _cube_ring()):
+        pres, certified = module_from_ideal(GradedAlgebra(ring), ring.ideal([]))
+        assert certified is True
+        assert pres.generators.rank == 0 and pres.map.is_zero()
 
 
 def test_audits_pass_on_random_cyclic_resolutions():
@@ -628,3 +643,150 @@ def test_tor_window_and_certification_per_regime():
         assert (got.window, got.bound_certified, got.dims_by_degree) == (window, certified, dims), (
             ring, gens, t,
         )
+
+
+def _count_eliminations(monkeypatch):
+    """Count nullspace and rref calls, the elimination a computed kernel does."""
+    count = {"n": 0}
+    for name in ("nullspace", "rref"):
+        real = getattr(linalg, name)
+
+        def counting(*args, _real=real):
+            count["n"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    return count
+
+
+def _same_map(g, w):
+    assert (g.source.shifts, g.target.shifts, g.elts) == (
+        w.source.shifts, w.target.shifts, w.elts
+    )
+
+
+def test_memoized_kernels_equal_fresh_ones():
+    cfg = FuzzConfig(seed=31)
+    rings = [
+        _cube_ring(),
+        QuotientRing(2, [(3, 0), (1, 2), (0, 3)]),
+        QuotientRing(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]),
+        SemigroupRing((4, 5, 6)),
+        SemigroupRing((3, 5, 7)),
+        SemigroupRing((6, 7, 9, 11)),
+    ]
+    maps = []
+    for k in range(66):
+        ring = rings[k % len(rings)]
+        maps.append(gen_module(cfg, ring, trial_rng(cfg, k)).map)
+    for ring in rings:
+        maps.append(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()).map)
+    fresh = [kernel_minimal_gens(f) for f in maps]
+    fresh_stages = [resolve(GradedPresentation(f), 3).maps for f in maps]
+    nonzero = sum(1 for f, _ in fresh if f.source.rank)
+    assert nonzero >= 30
+    with kernel_memo():
+        for f, want, stages in zip(maps, fresh, fresh_stages):
+            first = kernel_minimal_gens(f)
+            _same_map(first[0], want[0])
+            assert first[1] == want[1]
+            # the repeat is the stored pair itself
+            assert kernel_minimal_gens(f) is first
+            got = resolve(GradedPresentation(f), 3).maps
+            assert len(got) == len(stages)
+            for g, w in zip(got, stages):
+                _same_map(g, w)
+    assert homalg._kernel_memo is None
+
+
+def test_memo_hit_on_an_equal_algebra_does_no_elimination(monkeypatch):
+    count = _count_eliminations(monkeypatch)
+    pres = [
+        cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal())
+        for ring in (SemigroupRing((4, 5, 6)), SemigroupRing((4, 5, 6)))
+    ]
+    assert pres[0].algebra is not pres[1].algebra
+    assert pres[0].algebra.ring is not pres[1].algebra.ring
+    with kernel_memo():
+        first = kernel_minimal_gens(pres[0].map)
+        assert count["n"] > 0
+        count["n"] = 0
+        second = kernel_minimal_gens(pres[1].map)
+        assert count["n"] == 0
+        assert second is first
+        # another prime or another bound is another key
+        ring = SemigroupRing((4, 5, 6))
+        other = cyclic_presentation(GradedAlgebra(ring, 103), ring.maximal_ideal())
+        kernel_minimal_gens(other.map)
+        assert count["n"] > 0
+        count["n"] = 0
+        kernel_minimal_gens(pres[1].map, 12)
+        assert count["n"] > 0
+
+
+def test_a_raising_kernel_call_is_not_stored(monkeypatch):
+    ring = _cube_ring()
+    f = cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()).map
+    want = kernel_minimal_gens(f)
+    real = linalg.nullspace
+    calls = {"n": 0, "fail": True}
+
+    def flaky(*args):
+        calls["n"] += 1
+        if calls["fail"]:
+            raise RuntimeError("elimination failed")
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "nullspace", flaky)
+    with kernel_memo():
+        with pytest.raises(RuntimeError, match="elimination failed"):
+            kernel_minimal_gens(f)
+        assert homalg._kernel_memo == {}
+        calls["fail"] = False
+        calls["n"] = 0
+        got = kernel_minimal_gens(f)
+        _same_map(got[0], want[0])
+        assert got[1] == want[1]
+        assert calls["n"] > 0
+
+
+def test_memo_lives_only_inside_its_outermost_scope(monkeypatch):
+    # a deep resolution outside any scope leaves no memo behind
+    ring = SemigroupRing((4, 5, 6, 7))
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 5)
+    assert homalg._kernel_memo is None
+    count = _count_eliminations(monkeypatch)
+    kernel_minimal_gens(res.maps[1])
+    assert count["n"] > 0
+    with kernel_memo():
+        kernel_minimal_gens(res.maps[1])
+        outer = homalg._kernel_memo
+        with kernel_memo():
+            assert homalg._kernel_memo is outer
+            count["n"] = 0
+            kernel_minimal_gens(res.maps[1])
+            assert count["n"] == 0
+        assert homalg._kernel_memo is outer and len(outer) == 1
+    assert homalg._kernel_memo is None
+    with pytest.raises(KeyError):
+        with kernel_memo():
+            kernel_minimal_gens(res.maps[1])
+            raise KeyError("leave the scope")
+    assert homalg._kernel_memo is None
+    count["n"] = 0
+    kernel_minimal_gens(res.maps[1])
+    assert count["n"] > 0
+
+
+def test_memo_stops_storing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(homalg, "KERNEL_MEMO_CAP", 2)
+    ring = _cube_ring()
+    alg = GradedAlgebra(ring)
+    res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4)
+    with kernel_memo():
+        for f in res.maps:
+            kernel_minimal_gens(f)
+        assert len(homalg._kernel_memo) == 2
+        count = _count_eliminations(monkeypatch)
+        kernel_minimal_gens(res.maps[-1])
+        assert count["n"] > 0
