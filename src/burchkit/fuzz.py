@@ -3,16 +3,23 @@
 Every suite encodes a proved implication as an executable predicate and
 hammers it with generated rings, ideals, and modules.  A failure is an
 engine bug by construction, so the suites double as end-to-end tests of
-the colon/Loewy arithmetic and the resolution kernels.  A check that
-raises is a failure too; its counterexample carries the exception type
-and message under "error".  Instances are plain dicts so counterexamples
-can be shrunk, serialized, and replayed.
+the colon/Loewy arithmetic and the resolution kernels.
+
+A suite is a generator and a check.  The generator draws only from its
+trial stream and returns an instance as plain JSON data (a dict), or
+None when the draw yields nothing to test.  The check takes an instance
+and returns None when it misses the statement's premises (a vacuous
+trial), otherwise the verdict: True when the conclusion holds.  A check
+that raises is a failure too; its counterexample carries the exception
+type and message under "error".  Because instances are plain data,
+counterexamples can be shrunk, serialized, and replayed.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .classify import (
@@ -37,6 +44,7 @@ from .homalg import (
     is_free,
     kernel_memo,
     kernel_minimal_gens,
+    module_from_ideal,
     resolve,
     tor_dim,
 )
@@ -47,14 +55,12 @@ from .semigroup import NumericalSemigroup
 
 INFINITY = float("inf")
 
-# hard ceilings; FuzzConfig may only shrink them
+# ceilings on the generated instances
 _NVARS_MAX = 3
 _DEGREE_MAX = 8
-_SG_GENS_MAX = 4
 _SG_VALUE_MAX = 30
-_DEPTH_MAX = 6
 
-# small non-regular semigroups, all within the generator caps
+# small non-regular semigroups
 _SG_POOL = (
     (2, 3),
     (3, 4, 5),
@@ -71,31 +77,12 @@ _SG_POOL = (
 class FuzzConfig:
     seed: int = 2024
     trials: int = 200
-    backend_mix: tuple = ("monomial", "semigroup")
-    nvars_cap: int = _NVARS_MAX
-    degree_cap: int = _DEGREE_MAX
-    sg_gens_cap: int = _SG_GENS_MAX
-    sg_value_cap: int = _SG_VALUE_MAX
-    depth_cap: int = _DEPTH_MAX
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
-        caps = (
-            (self.nvars_cap, _NVARS_MAX),
-            (self.degree_cap, _DEGREE_MAX),
-            (self.sg_gens_cap, _SG_GENS_MAX),
-            (self.sg_value_cap, _SG_VALUE_MAX),
-            (self.depth_cap, _DEPTH_MAX),
-        )
-        for value, ceiling in caps:
-            if not (1 <= value <= ceiling):
-                raise ValueError("cap %d outside supported range 1..%d" % (value, ceiling))
-        for b in self.backend_mix:
-            if b not in ("monomial", "semigroup"):
-                raise ValueError("unknown backend %r" % (b,))
 
 
 def trial_rng(cfg: FuzzConfig, index: int) -> random.Random:
@@ -107,10 +94,10 @@ def trial_rng(cfg: FuzzConfig, index: int) -> random.Random:
 # generators
 
 
-def gen_mprimary_monomial(cfg: FuzzConfig, stream: random.Random, nvars=None) -> MonomialIdeal:
+def gen_mprimary_monomial(stream: random.Random, nvars=None) -> MonomialIdeal:
     """Pure power of every variable plus a few random monomials."""
-    n = nvars if nvars is not None else stream.randint(1, cfg.nvars_cap)
-    cap = max(2, cfg.degree_cap // n)
+    n = nvars if nvars is not None else stream.randint(1, _NVARS_MAX)
+    cap = max(2, _DEGREE_MAX // n)
     gens = []
     for i in range(n):
         e = [0] * n
@@ -123,21 +110,17 @@ def gen_mprimary_monomial(cfg: FuzzConfig, stream: random.Random, nvars=None) ->
     return MonomialIdeal(n, gens)
 
 
-def gen_semigroup_ideal(cfg: FuzzConfig, stream: random.Random, semigroup=None) -> FractionalSemigroupIdeal:
+def gen_semigroup_ideal(stream: random.Random, semigroup=None) -> FractionalSemigroupIdeal:
     """Random integral valuations above a random floor, minimalized."""
     s = semigroup
     if s is None:
-        s = NumericalSemigroup(stream.choice(_semigroup_pool(cfg)))
-    floor = stream.randint(1, max(2, cfg.sg_value_cap // 2))
-    hi = floor + s.conductor + s.generators[0]
-    pool = [v for v in range(floor, hi + 1) if v in s]
-    vals = stream.sample(pool, min(stream.randint(1, 3), len(pool)))
-    return FractionalSemigroupIdeal(s, vals)
+        s = NumericalSemigroup(stream.choice(_SG_POOL))
+    floor = stream.randint(1, _SG_VALUE_MAX // 2)
+    return FractionalSemigroupIdeal(s, _rand_sg_vals(stream, s, stream.randint(1, 3), floor))
 
 
-def gen_module(cfg: FuzzConfig, ring, stream: random.Random = None, algebra=None) -> GradedPresentation:
+def gen_module(ring, stream: random.Random, algebra=None) -> GradedPresentation:
     """Cokernel of a random homogeneous matrix with no unit entries."""
-    stream = stream if stream is not None else random.Random(cfg.seed)
     algebra = algebra if algebra is not None else GradedAlgebra(ring)
     ngen = stream.randint(1, 2)
     tshifts = tuple(sorted(stream.randint(0, 2) for _ in range(ngen)))
@@ -149,9 +132,8 @@ def gen_module(cfg: FuzzConfig, ring, stream: random.Random = None, algebra=None
         if not jump_pool:
             break
         jump = stream.choice(jump_pool)
+        # jump_pool holds only degrees with a nonempty basis
         basis = algebra.basis(jump)
-        if not basis:
-            continue
         elt = {(i, stream.choice(list(basis))): 1}
         sdeg = tshifts[i] + jump
         if ngen > 1 and stream.random() < 0.4:
@@ -178,30 +160,12 @@ def gen_module(cfg: FuzzConfig, ring, stream: random.Random = None, algebra=None
     return free_presentation(algebra, tshifts)
 
 
-def _semigroup_pool(cfg: FuzzConfig):
-    pool = [
-        g
-        for g in _SG_POOL
-        if len(g) <= cfg.sg_gens_cap and max(g) <= cfg.sg_value_cap
-    ]
-    return pool or [(2, 3)]
-
-
-def _draw_artinian_ring(cfg: FuzzConfig, stream: random.Random):
-    """Monomial quotient with a pure power of every variable."""
-    n = stream.randint(1, min(2, cfg.nvars_cap)) if stream.random() < 0.9 else min(3, cfg.nvars_cap)
-    per_var = max(2, min(4, cfg.degree_cap // n))
+def _pure_power_instance(stream, n):
+    """Monomial quotient by a random pure power of each of n variables."""
+    per_var = max(2, min(4, _DEGREE_MAX // n))
     bounds = [stream.randint(2, per_var) for _ in range(n)]
-    defining = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = bounds[i]
-        defining.append(tuple(e))
-    if n > 1 and stream.random() < 0.4:
-        e = tuple(stream.randint(0, b - 1) for b in bounds)
-        if sum(e) >= 2:
-            defining.append(e)
-    return n, defining
+    defining = [[b if k == i else 0 for k in range(n)] for i, b in enumerate(bounds)]
+    return {"family": "monomial", "nvars": n, "defining": defining, "bounds": bounds}
 
 
 def _all_monomials(bounds):
@@ -211,7 +175,7 @@ def _all_monomials(bounds):
     return [e for e in out if any(e)]
 
 
-def _rand_monomials(stream, nvars, bounds, count):
+def _rand_monomials(stream, bounds, count):
     gens = []
     for _ in range(count):
         e = tuple(stream.randint(0, b) for b in bounds)
@@ -276,45 +240,49 @@ class Suite:
     name: str
     generate: object
     check: object
+    # instance -> tag names, counted over the trials whose check returns a verdict
+    tags: object = None
 
 
 SUITES = {}
 
 
-def _register(name):
+def _register(name, tags=None):
     def deco(pair_factory):
         gen, chk = pair_factory()
-        SUITES[name] = Suite(name, gen, chk)
+        SUITES[name] = Suite(name, gen, chk, tags)
         return pair_factory
 
     return deco
 
 
-def _base_instance(cfg, stream):
-    """A random ring from one of the families in cfg.backend_mix, as plain data."""
-    fam = stream.choice([b for b in ("monomial", "semigroup") if b in cfg.backend_mix] or ["monomial"])
-    return _monomial_instance(cfg, stream) if fam == "monomial" else _semigroup_instance(cfg, stream)
+def _base_instance(stream):
+    """A random monomial or semigroup ring, as plain data."""
+    if stream.choice(("monomial", "semigroup")) == "monomial":
+        return _monomial_instance(stream)
+    return _semigroup_instance(stream)
 
 
-def _monomial_instance(cfg, stream):
-    n, defining = _draw_artinian_ring(cfg, stream)
-    return {
-        "family": "monomial",
-        "nvars": n,
-        "defining": [list(g) for g in defining],
-        "bounds": [max(g) for g in defining[:n]],
-    }
+def _monomial_instance(stream):
+    """Artinian monomial quotient: pure powers, sometimes one mixed monomial."""
+    n = stream.randint(1, 2) if stream.random() < 0.9 else _NVARS_MAX
+    inst = _pure_power_instance(stream, n)
+    if n > 1 and stream.random() < 0.4:
+        e = [stream.randint(0, b - 1) for b in inst["bounds"]]
+        if sum(e) >= 2:
+            inst["defining"].append(e)
+    return inst
 
 
-def _semigroup_instance(cfg, stream):
-    return {"family": "semigroup", "sgens": list(stream.choice(_semigroup_pool(cfg)))}
+def _semigroup_instance(stream):
+    return {"family": "semigroup", "sgens": list(stream.choice(_SG_POOL))}
 
 
-def _rand_ideal_gens(inst, stream, count, allow_power=True):
+def _rand_ideal_gens(inst, stream, count):
     """Generator lists for a random nonzero proper ideal as plain data."""
     if inst["family"] == "monomial":
         bounds = inst["bounds"]
-        gens = _rand_monomials(stream, inst["nvars"], bounds, count)
+        gens = _rand_monomials(stream, bounds, count)
         if not gens:
             e = [0] * inst["nvars"]
             e[0] = max(1, bounds[0] - 1)
@@ -330,13 +298,30 @@ def _mpow_gens(inst, k):
     return [_encode_label(g) for g in ring.mpow(k).min_gens()]
 
 
+def _mj_gens(inst, stream):
+    """Minimal generators of m·J for a random J, as plain data."""
+    j = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    ring = _build_ring(inst)
+    return [_encode_label(g) for g in (ring.maximal_ideal() * ring.ideal(j)).min_gens()]
+
+
+def _mj(ring, gens):
+    """(J, m·J) for J on gens, or (None, None) when J is zero or the unit
+    ideal or m·J is zero."""
+    j = ring.ideal(gens)
+    if j.is_zero() or j.is_unit():
+        return None, None
+    i = ring.maximal_ideal() * j
+    return (None, None) if i.is_zero() else (j, i)
+
+
 # --- identity and classification suites ------------------------------------
 
 
 @_register("remark23")
 def _suite_remark23():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         return inst
 
@@ -345,23 +330,20 @@ def _suite_remark23():
         i = ring.ideal(inst["ideal"])
         m = ring.maximal_ideal()
         mi = m * i
-        return True, m * mi.colon(m) == mi
+        return m * mi.colon(m) == mi
 
     return gen, chk
 
 
 @_register("remark22")
 def _suite_remark22():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         kind = stream.random()
         if kind < 0.4:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
         elif kind < 0.8:
-            j = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-            ring = _build_ring(inst)
-            prod = ring.maximal_ideal() * ring.ideal(j)
-            inst["ideal"] = [_encode_label(g) for g in prod.min_gens()]
+            inst["ideal"] = _mj_gens(inst, stream)
         else:
             inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         return inst
@@ -370,7 +352,7 @@ def _suite_remark22():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
-            return False, True
+            return None
         m = ring.maximal_ideal()
         mi = m * i
         ll = i.loewy_length()
@@ -381,20 +363,19 @@ def _suite_remark22():
                 hit = s
                 break
         if hit is None:
-            return False, True
-        ok = all(
+            return None
+        return all(
             i.colon(ring.mpow(u)) == mi.colon(ring.mpow(u + 1))
             for u in range(hit, hit + 4)
         )
-        return True, ok
 
     return gen, chk
 
 
 @_register("remark32")
 def _suite_remark32():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         return inst
 
@@ -402,21 +383,21 @@ def _suite_remark32():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
-            return False, True
+            return None
         rec = remark32_equivalence(i)
-        return True, rec.wmf_wrt_colon == rec.burch_or_posdepth
+        return rec.wmf_wrt_colon == rec.burch_or_posdepth
 
     return gen, chk
 
 
 @_register("remark37")
 def _suite_remark37():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         kind = stream.random()
         if inst["family"] == "monomial":
             if kind < 0.5:
-                ideal = gen_mprimary_monomial(cfg, stream, nvars=inst["nvars"])
+                ideal = gen_mprimary_monomial(stream, nvars=inst["nvars"])
                 inst["ideal"] = [list(g) for g in ideal.gens]
             else:
                 inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
@@ -431,18 +412,18 @@ def _suite_remark37():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
-            return False, True
+            return None
         if burch_via_loewy(i) is not True:
-            return False, True
-        return True, is_burch(i)
+            return None
+        return is_burch(i)
 
     return gen, chk
 
 
 @_register("lemma36")
 def _suite_lemma36():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         return inst
@@ -452,7 +433,7 @@ def _suite_lemma36():
         i = ring.ideal(inst["ideal"])
         j = ring.ideal(inst["j"])
         if j.is_zero() or j.is_unit() or i.is_zero() or i.is_unit():
-            return False, True
+            return None
         rec = l2_identities(i, j)
         ok = rec.all_hold
         # third part: a unit Loewy jump for (mI : J) certifies Burch
@@ -461,17 +442,17 @@ def _suite_lemma36():
             lhs = (ring.maximal_ideal() * i).colon(j).loewy_length()
             if lhs == c.loewy_length() + 1:
                 ok = ok and is_burch(i)
-        return True, ok
+        return ok
 
     return gen, chk
 
 
 @_register("lemma310")
 def _suite_lemma310():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         if inst["family"] == "monomial":
-            ideal = gen_mprimary_monomial(cfg, stream, nvars=inst["nvars"])
+            ideal = gen_mprimary_monomial(stream, nvars=inst["nvars"])
             inst["ideal"] = [list(g) for g in ideal.gens]
         else:
             inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
@@ -481,32 +462,29 @@ def _suite_lemma310():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
-            return False, True
+            return None
         rec = l3_equivalence(i)
         ok = rec.cond_i == rec.cond_ii == rec.cond_iii
         if rec.cond_iii and rec.witness_s is not None:
             ok = ok and 0 <= rec.witness_s < i.loewy_length()
-        return True, ok
+        return ok
 
     return gen, chk
 
 
 @_register("lemma213")
 def _suite_lemma213():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         inst["kmode"] = stream.choice(["j", "colon", "mix"])
         return inst
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = ring.ideal(inst["j"])
-        if j.is_zero() or j.is_unit():
-            return False, True
-        i = ring.maximal_ideal() * j
-        if i.is_zero():
-            return False, True
+        j, i = _mj(ring, inst["j"])
+        if i is None:
+            return None
         top = i.colon(ring.maximal_ideal())
         mode = inst["kmode"]
         if mode == "j":
@@ -517,17 +495,17 @@ def _suite_lemma213():
             k = j + ring.ideal([top.min_gens()[0]])
         rec = lemma213_check(j, k)
         if not rec.applicable:
-            return False, True
-        return True, rec.all_hold
+            return None
+        return rec.all_hold
 
     return gen, chk
 
 
 @_register("prop24")
 def _suite_prop24():
-    def gen(cfg, stream):
-        n = stream.randint(2, min(3, cfg.nvars_cap)) if cfg.nvars_cap >= 2 else 1
-        raw = gen_mprimary_monomial(cfg, stream, nvars=n)
+    def gen(stream):
+        n = stream.randint(2, _NVARS_MAX)
+        raw = gen_mprimary_monomial(stream, nvars=n)
         closed = integral_closure(raw)
         return {
             "family": "monomial",
@@ -540,21 +518,21 @@ def _suite_prop24():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
-            return False, True
+            return None
         if i.is_integrally_closed() is not True:
-            return False, True
+            return None
         ok = is_weakly_mfull(i)
         for s in range(4):
             ok = ok and is_weakly_mfull_wrt(i, ring.mpow(s))
-        return True, ok
+        return ok
 
     return gen, chk
 
 
 @_register("prop38")
 def _suite_prop38():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         inst["constructed"] = stream.random() < 0.7
         if not inst["constructed"]:
@@ -563,38 +541,33 @@ def _suite_prop38():
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = ring.ideal(inst["j"])
-        if j.is_zero() or j.is_unit():
-            return False, True
-        if inst["constructed"]:
-            i = ring.maximal_ideal() * j
-        else:
-            i = ring.ideal(inst["ideal"])
-        if i.is_zero() or not i.subset_of(ring.maximal_ideal() * j):
-            return False, True
+        # with m·J zero only I = 0 would lie in it
+        j, mj = _mj(ring, inst["j"])
+        if mj is None:
+            return None
+        i = mj if inst["constructed"] else ring.ideal(inst["ideal"])
+        if i.is_zero() or not i.subset_of(mj):
+            return None
         c = i.colon(j)
         if not (c.is_proper() and c.is_m_primary()):
-            return False, True
+            return None
         if not is_weakly_mfull_wrt(i, j):
-            return False, True
-        return True, is_burch(i)
+            return None
+        return is_burch(i)
 
     return gen, chk
 
 
 @_register("prop39")
 def _suite_prop39():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         kind = stream.random()
         if inst["family"] == "monomial" and kind < 0.4:
-            ideal = gen_mprimary_monomial(cfg, stream, nvars=inst["nvars"])
+            ideal = gen_mprimary_monomial(stream, nvars=inst["nvars"])
             inst["ideal"] = [list(g) for g in ideal.gens]
         elif kind < 0.7:
-            j = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-            ring = _build_ring(inst)
-            prod = ring.maximal_ideal() * ring.ideal(j)
-            inst["ideal"] = [_encode_label(g) for g in prod.min_gens()]
+            inst["ideal"] = _mj_gens(inst, stream)
         else:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
         return inst
@@ -603,7 +576,7 @@ def _suite_prop39():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
-            return False, True
+            return None
         ll = int(i.loewy_length())
         witness = None
         for s in range(ll):
@@ -611,8 +584,8 @@ def _suite_prop39():
                 witness = s
                 break
         if witness is None:
-            return False, True
-        return True, is_burch(i)
+            return None
+        return is_burch(i)
 
     return gen, chk
 
@@ -620,77 +593,74 @@ def _suite_prop39():
 # --- homological suites -----------------------------------------------------
 
 
-def _socle_gens(ring):
-    return ring.ctx.socle()
-
-
-def _module_kinds(stream):
-    r = stream.random()
-    if r < 0.2:
-        return "free"
-    if r < 0.6:
-        return "socle"
-    return "random"
-
-
-def _decode_premise_module(inst, ring, algebra):
-    """Module described by an instance: free / cyclic R mod yR / random."""
+def _decode_premise_module(inst, ring):
+    """Module an instance names under "mkind": free, R/yR for a socle
+    monomial y, R/fR for a valuation f, an ideal, or a random cokernel."""
+    algebra = GradedAlgebra(ring)
     kind = inst["mkind"]
     if kind == "free":
         return free_presentation(algebra, tuple(inst["mshifts"]))
     if kind == "socle":
         y = tuple(inst["socle_gen"])
         return cyclic_presentation(algebra, ring.ideal([y]))
+    if kind == "cyclic":
+        return cyclic_presentation(algebra, ring.ideal([inst["mval"]]))
+    if kind == "ideal":
+        return module_from_ideal(algebra, ring.ideal(inst["mivals"]))[0]
     return _decode_module(algebra, inst["module"])
 
 
-def _attach_premise_module(inst, cfg, stream, ring, algebra, i):
-    kind = _module_kinds(stream)
-    if kind == "socle" and inst["family"] == "monomial":
-        options = [y for y in _socle_gens(ring) if not i.member(y)]
+def _draw_module(inst, stream, kind, ring=None):
+    """A free ("free") or random ("random") premise module, as plain data."""
+    inst["mkind"] = kind
+    if kind == "free":
+        inst["mshifts"] = sorted(stream.randint(0, 2) for _ in range(stream.randint(1, 2)))
+    else:
+        inst["module"] = _encode_module(gen_module(ring, stream))
+
+
+def _attach_premise_module(inst, stream, ring, i):
+    """Free, R/yR for a socle monomial y outside I, or random; and a stage t."""
+    r = stream.random()
+    if 0.2 <= r < 0.6 and inst["family"] == "monomial":
+        options = [y for y in ring.ctx.socle() if not i.member(y)]
         if options:
             inst["mkind"] = "socle"
             inst["socle_gen"] = list(stream.choice(options))
             inst["t"] = 1
             return
-    if kind == "free":
-        inst["mkind"] = "free"
-        inst["mshifts"] = sorted(stream.randint(0, 2) for _ in range(stream.randint(1, 2)))
-        inst["t"] = stream.randint(1, 2)
-        return
-    inst["mkind"] = "random"
-    inst["module"] = _encode_module(gen_module(cfg, ring, stream, algebra))
+    _draw_module(inst, stream, "free" if r < 0.2 else "random", ring)
     inst["t"] = stream.randint(1, 2)
+
+
+def _tor_killed_verdict(inst, ring, i, killer, hyp=True):
+    """hyp, Tor_t(M, R/I) = 0 and killer annihilating the t-th syzygy of M;
+    None when a random M has Tor_t(M, R/I) != 0 (the premise fails)."""
+    pres = _decode_premise_module(inst, ring)
+    t = inst["t"]
+    vanishes = tor_dim(pres, i, t).total_dim == 0
+    if inst["mkind"] == "random" and not vanishes:
+        return None
+    return hyp and vanishes and annihilates(killer, pres, t)
 
 
 @_register("thm28")
 def _suite_thm28():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         ring = _build_ring(inst)
-        j = ring.ideal(inst["j"])
-        if j.is_zero() or j.is_unit():
+        _, i = _mj(ring, inst["j"])
+        if i is None:
             return None
-        i = ring.maximal_ideal() * j
-        if i.is_zero():
-            return None
-        algebra = GradedAlgebra(ring)
-        _attach_premise_module(inst, cfg, stream, ring, algebra, i)
+        _attach_premise_module(inst, stream, ring, i)
         return inst
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = ring.ideal(inst["j"])
-        if j.is_zero() or j.is_unit():
-            return False, True
-        i = ring.maximal_ideal() * j
-        if i.is_zero():
-            return False, True
-        algebra = GradedAlgebra(ring)
-        pres = _decode_premise_module(inst, ring, algebra)
-        t = inst["t"]
-        tor = tor_dim(pres, i, t)
+        j, i = _mj(ring, inst["j"])
+        if i is None:
+            return None
         # hypotheses are guaranteed by the I = mJ construction, but the
         # engine must agree with the arithmetic facts behind them
         hyp = (
@@ -698,77 +668,57 @@ def _suite_thm28():
             and i.colon(j).is_m_primary()
             and is_weakly_mfull_wrt(i, j)
         )
-        if inst["mkind"] == "random":
-            if tor.total_dim:
-                return False, True
-            return True, hyp and annihilates(j, pres, t)
-        ok = hyp and tor.total_dim == 0 and annihilates(j, pres, t)
-        return True, ok
+        return _tor_killed_verdict(inst, ring, i, j, hyp)
 
     return gen, chk
 
 
 @_register("cor215")
 def _suite_cor215():
-    def gen(cfg, stream):
-        inst = _base_instance(cfg, stream)
+    def gen(stream):
+        inst = _base_instance(stream)
         inst["part"] = stream.choice(["i", "ii"])
         if inst["part"] == "ii":
             inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
             ring = _build_ring(inst)
-            j = ring.ideal(inst["j"])
-            if j.is_zero() or j.is_unit():
-                return None
-            i = ring.maximal_ideal() * j
+            _, i = _mj(ring, inst["j"])
         else:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
             ring = _build_ring(inst)
             i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit():
+        if i is None or i.is_zero() or i.is_unit():
             return None
-        algebra = GradedAlgebra(ring)
-        _attach_premise_module(inst, cfg, stream, ring, algebra, i)
+        _attach_premise_module(inst, stream, ring, i)
         return inst
 
     def chk(inst):
         ring = _build_ring(inst)
         if inst["part"] == "ii":
-            j = ring.ideal(inst["j"])
-            if j.is_zero() or j.is_unit():
-                return False, True
-            i = ring.maximal_ideal() * j
+            _, i = _mj(ring, inst["j"])
+            if i is None:
+                return None
             killer = i.colon(ring.maximal_ideal())
         else:
             i = ring.ideal(inst["ideal"])
             if i.is_zero() or i.is_unit() or not i.is_m_primary():
-                return False, True
+                return None
             witness = None
             for s in range(int(i.loewy_length())):
                 if i.subset_of(ring.mpow(s + 1)) and is_weakly_mfull_wrt(i, ring.mpow(s)):
                     witness = s
                     break
             if witness is None:
-                return False, True
+                return None
             killer = ring.mpow(witness)
-        if i.is_zero():
-            return False, True
-        algebra = GradedAlgebra(ring)
-        pres = _decode_premise_module(inst, ring, algebra)
-        t = inst["t"]
-        tor = tor_dim(pres, i, t)
-        if inst["mkind"] == "random":
-            if tor.total_dim:
-                return False, True
-            return True, annihilates(killer, pres, t)
-        return True, tor.total_dim == 0 and annihilates(killer, pres, t)
+        return _tor_killed_verdict(inst, ring, i, killer)
 
     return gen, chk
 
 
 @_register("thm25")
 def _suite_thm25():
-    def gen(cfg, stream):
-        inst = _monomial_instance(cfg, stream)
+    def gen(stream):
+        inst = _monomial_instance(stream)
         ring = _build_ring(inst)
         ll = int(ring.zero_ideal().loewy_length())
         if ll < 2:
@@ -776,18 +726,12 @@ def _suite_thm25():
         inst["jpow"] = stream.randint(max(1, ll - 2), ll - 1)
         ring_m = ring.maximal_ideal()
         u = ring_m * ring.mpow(inst["jpow"]).colon(ring_m)
-        soc = ring.ideal(list(_socle_gens(ring)))
+        soc = ring.ideal(list(ring.ctx.socle()))
         if soc.is_zero() or not soc.subset_of(u):
             return None
         extras = [g for g in u.min_gens() if stream.random() < 0.5]
         inst["ideal"] = [list(g) for g in soc.min_gens() + tuple(extras)]
-        algebra = GradedAlgebra(ring)
-        if stream.random() < 0.75:
-            inst["mkind"] = "random"
-            inst["module"] = _encode_module(gen_module(cfg, ring, stream, algebra))
-        else:
-            inst["mkind"] = "free"
-            inst["mshifts"] = sorted(stream.randint(0, 2) for _ in range(stream.randint(1, 2)))
+        _draw_module(inst, stream, "random" if stream.random() < 0.75 else "free", ring)
         inst["t"] = stream.randint(1, 2)
         return inst
 
@@ -795,58 +739,44 @@ def _suite_thm25():
         ring = _build_ring(inst)
         j = ring.mpow(inst["jpow"])
         if j.is_zero() or j.is_unit():
-            return False, True
+            return None
         i = ring.ideal(inst["ideal"])
         ring_m = ring.maximal_ideal()
         u = ring_m * j.colon(ring_m)
-        soc = ring.ideal(list(_socle_gens(ring)))
+        soc = ring.ideal(list(ring.ctx.socle()))
         if not (soc.subset_of(i) and i.subset_of(u)) or i.is_unit():
-            return False, True
-        algebra = GradedAlgebra(ring)
-        pres = _decode_premise_module(inst, ring, algebra)
+            return None
+        pres = _decode_premise_module(inst, ring)
         t = inst["t"]
         if not annihilates(j, pres, t):
-            return False, True
+            return None
         res = resolve(pres, t)
         if res.rank(t) == 0:
             # projective dimension below t: contrapositive says nothing
-            return False, True
+            return None
         tor = tor_dim(pres, i, t)
-        return True, tor.total_dim > 0
+        return tor.total_dim > 0
 
     return gen, chk
 
 
 @_register("prop26")
 def _suite_prop26():
-    def gen(cfg, stream):
-        if cfg.nvars_cap < 2:
-            return None
-        n = 3 if (cfg.nvars_cap >= 3 and stream.random() < 0.2) else 2
-        per = max(2, min(4, cfg.degree_cap // n))
-        bounds = [stream.randint(2, per) for _ in range(n)]
-        defining = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = bounds[i]
-            defining.append(tuple(e))
+    def gen(stream):
+        n = 3 if stream.random() < 0.2 else 2
+        inst = _pure_power_instance(stream, n)
+        bounds = inst["bounds"]
         # cut a staircase corner so the socle needs two generators
         cut = [0] * n
         cut[0] = stream.randint(1, bounds[0] - 1)
         cut[1] = stream.randint(1, bounds[1] - 1)
-        defining.append(tuple(cut))
-        inst = {
-            "family": "monomial",
-            "nvars": n,
-            "defining": [list(g) for g in defining],
-            "bounds": bounds,
-        }
+        inst["defining"].append(cut)
         ring = _build_ring(inst)
-        soc = sorted(_socle_gens(ring))
+        soc = sorted(ring.ctx.socle())
         if len(soc) < 2:
             return None
         y = stream.choice(soc)
-        amb = MonomialIdeal(n, [tuple(g) for g in defining])
+        amb = MonomialIdeal(n, [tuple(g) for g in inst["defining"]])
         pool = []
         for g in _all_monomials(bounds):
             if amb.member(g) or all(g[i] <= y[i] for i in range(n)):
@@ -862,10 +792,10 @@ def _suite_prop26():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
-            return False, True
-        options = [y for y in _socle_gens(ring) if not i.member(y)]
+            return None
+        options = [y for y in ring.ctx.socle() if not i.member(y)]
         if not options:
-            return False, True
+            return None
         y = options[0]
         algebra = GradedAlgebra(ring)
         pres = cyclic_presentation(algebra, ring.ideal([y]))
@@ -873,63 +803,51 @@ def _suite_prop26():
         tor2 = tor_dim(pres, i, 2)
         res = resolve(pres, 3)
         never_free = res.rank(3) > 0
-        return True, tor1.total_dim == 0 and tor2.total_dim > 0 and never_free
+        return tor1.total_dim == 0 and tor2.total_dim > 0 and never_free
 
     return gen, chk
 
 
 @_register("btor33")
 def _suite_btor33():
-    def gen(cfg, stream):
-        inst = _monomial_instance(cfg, stream)
+    def gen(stream):
+        inst = _monomial_instance(stream)
         if stream.random() < 0.7:
             inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         else:
             inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        ring = _build_ring(inst)
-        algebra = GradedAlgebra(ring)
-        if stream.random() < 0.25:
-            inst["mkind"] = "free"
-            inst["mshifts"] = sorted(stream.randint(0, 2) for _ in range(stream.randint(1, 2)))
-        else:
-            inst["mkind"] = "random"
-            inst["module"] = _encode_module(gen_module(cfg, ring, stream, algebra))
+        _draw_module(inst, stream, "free" if stream.random() < 0.25 else "random", _build_ring(inst))
         return inst
 
     def chk(inst):
         ring = _build_ring(inst)
         if "j" in inst:
-            j = ring.ideal(inst["j"])
-            if j.is_zero() or j.is_unit():
-                return False, True
-            i = ring.maximal_ideal() * j
+            _, i = _mj(ring, inst["j"])
         else:
             i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit() or not is_burch(i):
-            return False, True
-        algebra = GradedAlgebra(ring)
-        pres = _decode_premise_module(inst, ring, algebra)
+        if i is None or i.is_zero() or i.is_unit() or not is_burch(i):
+            return None
+        pres = _decode_premise_module(inst, ring)
         tor1 = tor_dim(pres, i, 1).total_dim
         tor2 = tor_dim(pres, i, 2).total_dim
         if inst["mkind"] == "free" or is_free(pres):
-            return True, tor1 == 0 and tor2 == 0
+            return tor1 == 0 and tor2 == 0
         # non-free over an Artinian ring: infinite projective dimension,
         # so consecutive vanishing would contradict the bound pd <= t
-        return True, not (tor1 == 0 and tor2 == 0)
+        return not (tor1 == 0 and tor2 == 0)
 
     return gen, chk
 
 
 @_register("cor210")
 def _suite_cor210():
-    def gen(cfg, stream):
-        inst = _semigroup_instance(cfg, stream)
+    def gen(stream):
+        inst = _semigroup_instance(stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         s = NumericalSemigroup(inst["sgens"])
         kind = stream.random()
         if kind < 0.25:
-            inst["mkind"] = "free"
-            inst["mshifts"] = sorted(stream.randint(0, 2) for _ in range(stream.randint(1, 2)))
+            _draw_module(inst, stream, "free")
         elif kind < 0.6:
             inst["mkind"] = "cyclic"
             inst["mval"] = _rand_sg_vals(stream, s, 1)[0]
@@ -941,21 +859,10 @@ def _suite_cor210():
 
     def chk(inst):
         ring = _build_ring(inst)
-        j = ring.ideal(inst["j"])
-        if j.is_zero() or j.is_unit():
-            return False, True
-        i = ring.maximal_ideal() * j
-        if i.is_zero() or not is_weakly_mfull_wrt(i, j):
-            return False, True
-        algebra = GradedAlgebra(ring)
-        if inst["mkind"] == "free":
-            pres = free_presentation(algebra, tuple(inst["mshifts"]))
-        elif inst["mkind"] == "cyclic":
-            pres = cyclic_presentation(algebra, ring.ideal([inst["mval"]]))
-        else:
-            from .homalg import module_from_ideal
-
-            pres, _ = module_from_ideal(algebra, ring.ideal(inst["mivals"]))
+        j, i = _mj(ring, inst["j"])
+        if i is None or not is_weakly_mfull_wrt(i, j):
+            return None
+        pres = _decode_premise_module(inst, ring)
         t = inst["t"]
         tor = tor_dim(pres, i, t)
         res = resolve(pres, t)
@@ -972,23 +879,20 @@ def _suite_cor210():
             # non-principal ideal module: infinite projective dimension,
             # so the rigidity above forces nonzero Tor at every stage
             ok = ok and tor.total_dim > 0
-        return True, ok
+        return ok
 
     return gen, chk
 
 
 @_register("cor214")
 def _suite_cor214():
-    def gen(cfg, stream):
-        inst = _semigroup_instance(cfg, stream)
+    def gen(stream):
+        inst = _semigroup_instance(stream)
         kind = stream.random()
         if kind < 0.4:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 4))
         elif kind < 0.7:
-            j = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-            ring = _build_ring(inst)
-            prod = ring.maximal_ideal() * ring.ideal(j)
-            inst["ideal"] = sorted(prod.min_gens())
+            inst["ideal"] = _mj_gens(inst, stream)
         else:
             inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
         return inst
@@ -997,21 +901,27 @@ def _suite_cor214():
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
-            return False, True
+            return None
         classes = cor214_classify(i)
         if not classes:
-            return False, True
+            return None
         frac = FractionalSemigroupIdeal(ring.S, i.relset)
         verdict = hw_has_torsion(frac)
-        return True, verdict.has_torsion and verdict.certified
+        return verdict.has_torsion and verdict.certified
 
     return gen, chk
 
 
-@_register("hw12")
+def _hw12_tags(inst):
+    if inst["kind"] == "control":
+        return ("control",)
+    return ("hypothesis", "hypring:%s" % ",".join(str(g) for g in inst["sgens"]))
+
+
+@_register("hw12", tags=_hw12_tags)
 def _suite_hw12():
-    def gen(cfg, stream):
-        inst = _semigroup_instance(cfg, stream)
+    def gen(stream):
+        inst = _semigroup_instance(stream)
         r = stream.random()
         if r < 0.25:
             inst["kind"] = "control"
@@ -1029,30 +939,23 @@ def _suite_hw12():
     def chk(inst):
         ring = _build_ring(inst)
         s = ring.S
-        tag = "hypring:%s" % ",".join(str(g) for g in inst["sgens"])
         if inst["kind"] == "control":
             frac = FractionalSemigroupIdeal(s, inst["ideal"])
             verdict = hw_has_torsion(frac)
-            ok = not verdict.has_torsion and verdict.tor1_dim == 0 and verdict.certified
-            return True, ok, ("control",)
-        if inst["kind"] == "constructed":
-            j = ring.ideal(inst["j"])
-            if j.is_zero() or j.is_unit():
-                return False, True, ()
-            i = ring.maximal_ideal() * j
-        else:
-            i = ring.ideal(inst["ideal"])
-            j = ring.ideal(inst["j"])
-            if j.is_zero() or j.is_unit():
-                return False, True, ()
+            return not verdict.has_torsion and verdict.tor1_dim == 0 and verdict.certified
+        # k[S] is a domain: m·J is zero only when J is
+        j, mj = _mj(ring, inst["j"])
+        if mj is None:
+            return None
+        i = mj if inst["kind"] == "constructed" else ring.ideal(inst["ideal"])
         if i.is_zero():
-            return False, True, ()
+            return None
         frac_i = FractionalSemigroupIdeal(s, i.relset)
         frac_j = FractionalSemigroupIdeal(s, j.relset)
         rep = hw_report(frac_i, frac_j)
         if not rep.hypotheses_hold:
-            return False, True, ()
-        return True, rep.has_torsion and rep.certified, ("hypothesis", tag)
+            return None
+        return rep.has_torsion and rep.certified
 
     return gen, chk
 
@@ -1078,35 +981,30 @@ class SuiteReport:
 
 
 def _outcome(check, inst):
-    """(effective, ok, tags, exception) of one check.
+    """(verdict, exception) of one check; a None verdict is a vacuous trial.
 
     A check that raises convicts the engine on that instance: the trial
     counts as an effective failure and the exception comes back.
     """
     try:
-        out = check(inst)
+        return check(inst), None
     except Exception as exc:
-        return True, False, (), exc
-    if len(out) == 2:
-        eff, ok = out
-        return eff, ok, (), None
-    eff, ok, tags = out
-    return eff, ok, tags, None
+        return False, exc
 
 
 def shrink_instance(check, inst, error=None):
     """Greedy minimization: drop generators and lower entries, re-test.
 
     A candidate is kept only if it fails the same way: with `error`
-    None, an effective trial whose check returns not-ok; otherwise a
-    check that raises an exception of the same type as `error`.
+    None, a check that returns a false verdict; otherwise a check that
+    raises an exception of the same type as `error`.
     """
 
     def still_fails(cand):
-        eff, ok, _, exc = _outcome(check, cand)
+        verdict, exc = _outcome(check, cand)
         if error is not None:
             return type(exc) is type(error)
-        return exc is None and eff and not ok
+        return exc is None and verdict is not None and not verdict
 
     cur = inst
     for _ in range(200):
@@ -1123,8 +1021,6 @@ def _shrink_candidates(inst):
     for key in sorted(inst):
         value = inst[key]
         if key in ("defining", "sgens", "bounds") or not isinstance(value, list):
-            continue
-        if key == "module":
             continue
         if len(value) > 1:
             for cut in range(len(value)):
@@ -1157,27 +1053,26 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
     effective = 0
     failures = 0
     counterexample = None
-    tags = {}
+    tags = Counter()
     # trials draw small rings from fixed pools, so syzygies recur
     with kernel_memo():
         for index in range(cfg.trials):
-            stream = trial_rng(cfg, index)
-            inst = suite.generate(cfg, stream)
+            inst = suite.generate(trial_rng(cfg, index))
             if inst is None:
                 continue
-            eff, ok, tag_list, exc = _outcome(suite.check, inst)
-            if not eff:
+            verdict, exc = _outcome(suite.check, inst)
+            if verdict is None:
                 continue
             effective += 1
-            for tag in tag_list:
-                tags[tag] = tags.get(tag, 0) + 1
-            if not ok:
+            if exc is None and suite.tags is not None:
+                tags.update(suite.tags(inst))
+            if not verdict:
                 failures += 1
                 if counterexample is None:
                     counterexample = shrink_instance(suite.check, inst, exc)
                     if exc is not None:
                         # report the exception the shrunk instance raises
-                        exc = _outcome(suite.check, counterexample)[3] or exc
+                        exc = _outcome(suite.check, counterexample)[1] or exc
                         counterexample = {
                             **counterexample,
                             "error": {"type": type(exc).__name__, "message": str(exc)},
@@ -1198,13 +1093,14 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
 def replay_instance(name: str, inst: dict):
     """Re-run one stored instance; returns (effective, ok).
 
-    A check that raises gives (True, False), as it does in run_suite.
+    A vacuous instance gives (False, True); a check that raises gives
+    (True, False), as it does in run_suite.
     """
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError("unknown suite: %s" % name)
-    eff, ok, _, _ = _outcome(suite.check, inst)
-    return eff, ok
+    verdict, _ = _outcome(suite.check, inst)
+    return (False, True) if verdict is None else (True, verdict)
 
 
 def suite_names():

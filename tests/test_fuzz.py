@@ -99,7 +99,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FuzzConfig(seed=-1)
     with pytest.raises(ValueError):
-        FuzzConfig(backend_mix=("sheaf",))
+        FuzzConfig(seed=2**64)
 
 
 def test_trial_rng_streams_are_independent():
@@ -114,7 +114,7 @@ def test_monomial_generator_hits_integrally_closed_ideals():
     cfg = FuzzConfig(seed=11)
     closed = 0
     for k in range(500):
-        i = gen_mprimary_monomial(cfg, trial_rng(cfg, k), nvars=2)
+        i = gen_mprimary_monomial(trial_rng(cfg, k), nvars=2)
         assert i.is_zero() is False and i.is_unit() is False
         if is_integrally_closed(i):
             closed += 1
@@ -126,14 +126,13 @@ def test_semigroup_generator_emits_nonzero_integral_ideals():
     cfg = FuzzConfig(seed=11)
     s = NumericalSemigroup((4, 5, 6))
     for k in range(200):
-        i = gen_semigroup_ideal(cfg, trial_rng(cfg, k), semigroup=s)
+        i = gen_semigroup_ideal(trial_rng(cfg, k), semigroup=s)
         assert not i.is_zero()
         assert i.is_integral()
         assert all(v in s for v in i.gens)
 
 
 def test_semigroup_generator_can_reach_the_17_19_20_ideal():
-    cfg = FuzzConfig(seed=11)
     s = NumericalSemigroup((4, 5, 6))
 
     class Script:
@@ -153,7 +152,7 @@ def test_semigroup_generator_can_reach_the_17_19_20_ideal():
             assert count == len(self.picks)
             return list(self.picks)
 
-    i = gen_semigroup_ideal(cfg, Script(12, (17, 19, 20)), semigroup=s)
+    i = gen_semigroup_ideal(Script(12, (17, 19, 20)), semigroup=s)
     assert set(i.gens) == {17, 19, 20}
 
 
@@ -163,7 +162,7 @@ def test_module_generator_band_over_monomial_ring():
     algebra = GradedAlgebra(ring)
     nonfree = 0
     for k in range(300):
-        pres = gen_module(cfg, ring, trial_rng(cfg, k), algebra=algebra)
+        pres = gen_module(ring, trial_rng(cfg, k), algebra=algebra)
         assert pres.map.is_minimal
         if not is_free(pres):
             nonfree += 1
@@ -176,7 +175,7 @@ def test_module_generator_band_over_semigroup_ring():
     algebra = GradedAlgebra(ring)
     nonfree = 0
     for k in range(300):
-        pres = gen_module(cfg, ring, trial_rng(cfg, k), algebra=algebra)
+        pres = gen_module(ring, trial_rng(cfg, k), algebra=algebra)
         assert pres.map.is_minimal
         if not is_free(pres):
             nonfree += 1
@@ -188,7 +187,7 @@ def test_replay_agrees_with_generation():
     suite = SUITES["remark23"]
     replayed = 0
     for k in range(30):
-        inst = suite.generate(cfg, trial_rng(cfg, k))
+        inst = suite.generate(trial_rng(cfg, k))
         if inst is None:
             continue
         eff, ok = replay_instance("remark23", inst)
@@ -201,12 +200,11 @@ def test_replay_agrees_with_generation():
 def test_shrinker_minimizes_a_synthetic_failure():
     # fails whenever the first generator list is nonempty
     def check(inst):
-        return True, not inst["gens"]
+        return not inst["gens"]
 
     inst = {"gens": [[2, 1], [1, 2], [1, 1]], "bounds": [3, 3]}
     small = shrink_instance(check, inst)
-    eff, ok = check(small)
-    assert eff and not ok
+    assert check(small) is False
     assert len(small["gens"]) == 1
     total = sum(sum(g) for g in small["gens"])
     assert total <= 2
@@ -215,7 +213,7 @@ def test_shrinker_minimizes_a_synthetic_failure():
 def test_shrinker_keeps_failures_that_cannot_shrink():
     def check(inst):
         # only the exact original fails
-        return True, inst["gens"] != [[2, 2]]
+        return inst["gens"] != [[2, 2]]
 
     inst = {"gens": [[2, 2]]}
     small = shrink_instance(check, inst)
@@ -254,6 +252,31 @@ def test_suite_reports_are_pinned():
         for name in ALL_SUITES
     }
     assert got == _REPORT_DIGESTS
+
+
+# SHA-256 over the suites in name order and trials 0..59 at seed
+# 20240819 of json.dumps([instance, replay verdict], sort_keys=True) plus
+# a newline per trial, both null when the generator returns None. While
+# every suite passes the reports hold no instance, so this pin is what
+# catches a generator that draws or builds differently
+_INSTANCE_DIGEST = "5a06af5096808c08d4d39140c89a72a7bdd5a739d19ed2dd07afe8236184900f"
+
+
+def test_generated_instances_are_pinned():
+    cfg = FuzzConfig(seed=20240819, trials=60)
+    h = hashlib.sha256()
+    with homalg.kernel_memo():
+        for name in ALL_SUITES:
+            for k in range(cfg.trials):
+                inst = SUITES[name].generate(trial_rng(cfg, k))
+                verdict = None
+                if inst is not None:
+                    verdict = list(replay_instance(name, inst))
+                    # a stored instance replays like the generated one
+                    stored = json.loads(json.dumps(inst))
+                    assert list(replay_instance(name, stored)) == verdict, (name, k)
+                h.update((json.dumps([inst, verdict], sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == _INSTANCE_DIGEST
 
 
 def _raise_on_two_or_more(monkeypatch):
@@ -367,7 +390,7 @@ def test_shrinker_keeps_only_the_same_failure():
             raise KeyError("one")
         if n == 2:
             raise ZeroDivisionError("two")
-        return True, False
+        return False
 
     # a raising failure shrinks only through the same exception type
     small = shrink_instance(check, {"gens": [[1], [1], [1]]}, ZeroDivisionError("two"))

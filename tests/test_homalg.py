@@ -264,7 +264,6 @@ def test_module_from_ideal():
     assert not is_free(pres)
     res = resolve(pres, 3)
     assert audit_resolution(res)
-    zero, _ = module_from_ideal(alg, ring.zero_ideal()), True
     # principal ideals present as free rank-1 modules
     prin, cert2 = module_from_ideal(alg, ring.ideal([8]))
     assert cert2 and is_free(prin) and prin.generators.rank == 1
@@ -272,9 +271,10 @@ def test_module_from_ideal():
 
 def test_module_from_the_zero_ideal_is_a_certified_pair():
     for ring in (SemigroupRing((4, 5, 6)), _cube_ring()):
-        pres, certified = module_from_ideal(GradedAlgebra(ring), ring.ideal([]))
-        assert certified is True
-        assert pres.generators.rank == 0 and pres.map.is_zero()
+        for zero in (ring.ideal([]), ring.zero_ideal()):
+            pres, certified = module_from_ideal(GradedAlgebra(ring), zero)
+            assert certified is True
+            assert pres.generators.rank == 0 and pres.map.is_zero()
 
 
 def test_audits_pass_on_random_cyclic_resolutions():
@@ -339,7 +339,7 @@ def test_matrix_matches_dense_assembly_on_random_presentations():
         alg = GradedAlgebra(ring)
         quotient = alg.modulo(ring.ideal(jgens))
         for k in range(40):
-            pres = gen_module(cfg, ring, trial_rng(cfg, k), algebra=alg)
+            pres = gen_module(ring, trial_rng(cfg, k), algebra=alg)
             maps = resolve(pres, 2).maps
             for m in maps:
                 if not m.source.rank:
@@ -416,7 +416,7 @@ def test_early_stop_matches_full_window_walk_on_random_presentations():
     maps = deficient = 0
     for k in range(60):
         ring = SemigroupRing(pool[k % len(pool)])
-        pres = gen_module(cfg, ring, trial_rng(cfg, k))
+        pres = gen_module(ring, trial_rng(cfg, k))
         for f in resolve(pres, 4).maps:
             if not f.source.rank:
                 continue
@@ -678,7 +678,7 @@ def test_memoized_kernels_equal_fresh_ones():
     maps = []
     for k in range(66):
         ring = rings[k % len(rings)]
-        maps.append(gen_module(cfg, ring, trial_rng(cfg, k)).map)
+        maps.append(gen_module(ring, trial_rng(cfg, k)).map)
     for ring in rings:
         maps.append(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()).map)
     fresh = [kernel_minimal_gens(f) for f in maps]
