@@ -34,11 +34,9 @@ from .homalg import (
     tor_dims,
 )
 from .hw import (
-    FractionalSemigroupIdeal,
     HwReport,
     TorsionVerdict,
     dual_ideal,
-    fractional_from_ideal,
     hw_has_torsion,
     hw_report,
 )
@@ -50,7 +48,6 @@ from .semigroup import NumericalSemigroup, RelativeIdealSet, mpow_set, relset_co
 __version__ = "0.1.0"
 
 __all__ = [
-    "FractionalSemigroupIdeal",
     "FuzzConfig",
     "GradedAlgebra",
     "GradedPresentation",
@@ -73,7 +70,6 @@ __all__ = [
     "cyclic_presentation",
     "dual_ideal",
     "free_presentation",
-    "fractional_from_ideal",
     "hw_has_torsion",
     "hw_report",
     "integral_closure",

@@ -19,7 +19,7 @@ from .classify import classification_report
 from .fixtures import EXAMPLES, run_example
 from .fuzz import FuzzConfig, run_suite
 from .homalg import tor_dims
-from .hw import fractional_from_ideal, hw_report
+from .hw import hw_report
 from .problemfile import ProblemFileError, load_problem
 
 _DEFAULT_SEED = FuzzConfig().seed
@@ -104,14 +104,12 @@ def _cmd_hw(args):
     try:
         prob = load_problem(args.file)
         ideal = prob.get_ideal(args.ideal)
-        frac = fractional_from_ideal(ideal)
         wrt = None
         if args.wrt:
-            other = prob.get_ideal(args.wrt)
-            if other.ring != ideal.ring:
+            wrt = prob.get_ideal(args.wrt)
+            if wrt.ring != ideal.ring:
                 raise ValueError("ambient mismatch")
-            wrt = fractional_from_ideal(other)
-        report = hw_report(frac, wrt, prob.prime)
+        report = hw_report(ideal, wrt)
     except (ProblemFileError, ValueError, OSError) as exc:
         return _fail(exc)
     payload = _jsonable(report)

@@ -48,10 +48,10 @@ from .homalg import (
     resolve,
     tor_dim,
 )
-from .hw import FractionalSemigroupIdeal, hw_has_torsion, hw_report
+from .hw import hw_has_torsion, hw_report
 from .monomial import MonomialIdeal, integral_closure
 from .rings import QuotientRing, SemigroupRing
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, RelativeIdealSet
 
 INFINITY = float("inf")
 
@@ -110,13 +110,13 @@ def gen_mprimary_monomial(stream: random.Random, nvars=None) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def gen_semigroup_ideal(stream: random.Random, semigroup=None) -> FractionalSemigroupIdeal:
+def gen_semigroup_ideal(stream: random.Random, semigroup=None) -> RelativeIdealSet:
     """Random integral valuations above a random floor, minimalized."""
     s = semigroup
     if s is None:
         s = NumericalSemigroup(stream.choice(_SG_POOL))
     floor = stream.randint(1, _SG_VALUE_MAX // 2)
-    return FractionalSemigroupIdeal(s, _rand_sg_vals(stream, s, stream.randint(1, 3), floor))
+    return RelativeIdealSet(s, _rand_sg_vals(stream, s, stream.randint(1, 3), floor))
 
 
 def gen_module(ring, stream: random.Random, algebra=None) -> GradedPresentation:
@@ -905,8 +905,7 @@ def _suite_cor214():
         classes = cor214_classify(i)
         if not classes:
             return None
-        frac = FractionalSemigroupIdeal(ring.S, i.relset)
-        verdict = hw_has_torsion(frac)
+        verdict = hw_has_torsion(i)
         return verdict.has_torsion and verdict.certified
 
     return gen, chk
@@ -938,10 +937,8 @@ def _suite_hw12():
 
     def chk(inst):
         ring = _build_ring(inst)
-        s = ring.S
         if inst["kind"] == "control":
-            frac = FractionalSemigroupIdeal(s, inst["ideal"])
-            verdict = hw_has_torsion(frac)
+            verdict = hw_has_torsion(ring.ideal(inst["ideal"]))
             return not verdict.has_torsion and verdict.tor1_dim == 0 and verdict.certified
         # k[S] is a domain: m·J is zero only when J is
         j, mj = _mj(ring, inst["j"])
@@ -950,9 +947,7 @@ def _suite_hw12():
         i = mj if inst["kind"] == "constructed" else ring.ideal(inst["ideal"])
         if i.is_zero():
             return None
-        frac_i = FractionalSemigroupIdeal(s, i.relset)
-        frac_j = FractionalSemigroupIdeal(s, j.relset)
-        rep = hw_report(frac_i, frac_j)
+        rep = hw_report(i, j)
         if not rep.hypotheses_hold:
             return None
         return rep.has_torsion and rep.certified

@@ -44,16 +44,6 @@ class GradedAlgebra:
         self.mult = ring.mult
         self.deg = ring.deg
 
-    def dim(self, d):
-        return len(self.basis(d))
-
-    def is_artinian(self):
-        return self.ring.is_artinian()
-
-    def top_degree(self):
-        """Largest degree with a nonzero piece; None when unbounded."""
-        return self.ring.top_degree()
-
     def modulo(self, ideal):
         """The quotient algebra R/I with the same oracle interface."""
         if ideal.ring != self.ring:

@@ -1,11 +1,28 @@
 """Torsion in I (x) Hom(I,R) over numerical semigroup rings.
 
-For a nonzero fractional ideal I of a one-dimensional semigroup ring the
-dual Hom(I,R) is again a fractional ideal, computable as the valuation
-set {z : z + v in S for every generator valuation v of I}.  Tensoring
-0 -> I -> R -> R/I -> 0 with the dual identifies the torsion submodule
-of I (x) Hom(I,R) with Tor_1(R/I, Hom(I,R)), so the torsion question
-reduces to one exact, certified Tor computation.
+For a nonzero monomial ideal I of a one-dimensional semigroup ring R the
+dual I* = Hom(I,R) is a fractional ideal with value set (S : v(I)) =
+{z : z + v(I) inside S}.  Tensoring 0 -> I -> R -> R/I -> 0 with I*
+identifies the torsion submodule of I (x) I* with Tor_1(R/I, I*), the
+kernel of the multiplication I (x) I* -> I I*.
+
+That kernel is a count, the one Garcia-Sanchez and Leamer use for
+I (x) I^-1 (J. Algebra 2013).  Let a_i generate v(I) and b_j generate
+v(I*).  In degree d, I (x) I* is spanned by the symbols
+t^(d - a_i - b_j) e_i (x) f_j with d - a_i - b_j in S.  The relations
+of I and of I* are binomials with coefficients +-1, and any two symbols
+in the same row i, or in the same column j, are identified: take
+c = d - b_j (or d - a_i) as their common multiple.  So
+dim (I (x) I*)_d is the number of connected components of the bipartite
+graph on the a_i and b_j with an edge when d - a_i - b_j lies in S,
+while (I I*)_d has dimension one whenever that graph has an edge, and
+
+    dim Tor_1(R/I, I*) = sum over d of (components_d - 1).
+
+The count needs no field, so the verdict is the same over every field.
+Past max a + max b + conductor every edge is present and the graph is
+connected, so the sum stops there.  A shift of I or I* only moves the
+degrees, so no shift is needed.
 """
 
 from __future__ import annotations
@@ -13,77 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import cor214_classify, is_weakly_mfull_wrt
-from .homalg import DEFAULT_PRIME, GradedAlgebra, module_from_ideal, tor_dim
-from .rings import SemigroupRing, SgIdeal
-from .semigroup import NumericalSemigroup, as_relset, mpow_set, relset_colon
+from .rings import SgIdeal
+from .semigroup import RelativeIdealSet, mpow_set, relset_colon
 
 
-class FractionalSemigroupIdeal:
-    """S-stable set of integer valuations, generators possibly negative.
-
-    Takes generating valuations or a RelativeIdealSet over the same
-    semigroup.  Two instances are equal exactly when they describe the
-    same subset of the integers.
-    """
-
-    __slots__ = ("ambient", "relset")
-
-    def __init__(self, ambient: NumericalSemigroup, gens):
-        if not isinstance(ambient, NumericalSemigroup):
-            raise TypeError("ambient must be a numerical semigroup")
-        self.ambient = ambient
-        self.relset = as_relset(ambient, gens)
-
-    @property
-    def gens(self):
-        """Unique minimal generating valuations, ascending."""
-        return self.relset.gens
-
-    def is_zero(self) -> bool:
-        return self.relset.is_zero()
-
-    def is_principal(self) -> bool:
-        return len(self.gens) == 1
-
-    def is_integral(self) -> bool:
-        return self.relset.is_integral()
-
-    @property
-    def shift_to_integral(self) -> int:
-        """Least c >= 0 such that every generator plus c lands in S."""
-        return self.relset.integral_shift()
-
-    def shift(self, c: int) -> "FractionalSemigroupIdeal":
-        return FractionalSemigroupIdeal(self.ambient, self.relset.shift(c))
-
-    def subset_of(self, other: "FractionalSemigroupIdeal") -> bool:
-        return self.relset.subset_of(other.relset)
-
-    def __contains__(self, v) -> bool:
-        return v in self.relset
-
-    def __eq__(self, other):
-        return isinstance(other, FractionalSemigroupIdeal) and self.relset == other.relset
-
-    def __hash__(self):
-        return hash(self.relset)
-
-    def __repr__(self):
-        return "FractionalSemigroupIdeal(%r, %s)" % (self.ambient, list(self.gens))
-
-
-def fractional_from_ideal(ideal: SgIdeal) -> FractionalSemigroupIdeal:
-    """View a ring-level semigroup ideal as a fractional one."""
-    if not isinstance(ideal, SgIdeal):
-        raise ValueError("hw needs an ideal over a semigroup ring")
-    return FractionalSemigroupIdeal(ideal.ring.S, ideal.relset)
-
-
-def dual_ideal(i: FractionalSemigroupIdeal) -> FractionalSemigroupIdeal:
-    """Hom(I,R) as the fractional colon {z : z + gens(I) subset of S}."""
-    if i.is_zero():
+def dual_ideal(e: RelativeIdealSet) -> RelativeIdealSet:
+    """Value set of Hom(I,R), the fractional colon (S : E)."""
+    if e.is_zero():
         raise ValueError("dual of the zero ideal")
-    return FractionalSemigroupIdeal(i.ambient, relset_colon(mpow_set(i.ambient, 0), i.relset))
+    return relset_colon(mpow_set(e.ambient, 0), e)
 
 
 @dataclass(frozen=True)
@@ -93,34 +48,42 @@ class TorsionVerdict:
     certified: bool
 
 
-def _checked_ambient(i: FractionalSemigroupIdeal) -> NumericalSemigroup:
+def _tor1_dim(s, a, b) -> int:
+    """Sum over d of the components of the bipartite graph, less one."""
+    total = 0
+    for d in range(a[0] + b[0], a[-1] + b[-1] + s.conductor):
+        # each row's set of columns; rows that share a column merge
+        groups = []
+        for x in a:
+            merged = frozenset(j for j, y in enumerate(b) if d - x - y in s)
+            if not merged:
+                continue
+            apart = []
+            for g in groups:
+                if g & merged:
+                    merged |= g
+                else:
+                    apart.append(g)
+            groups = apart + [merged]
+        total += max(len(groups) - 1, 0)
+    return total
+
+
+def hw_has_torsion(i: SgIdeal) -> TorsionVerdict:
+    """Decide whether I (x) Hom(I,R) has nonzero torsion.
+
+    The count is exact, so the verdict is always certified; a principal
+    I gives a single row, one component in every degree, and no torsion.
+    """
+    if not isinstance(i, SgIdeal):
+        raise ValueError("hw needs an ideal over a semigroup ring")
     if i.is_zero():
         raise ValueError("zero ideal")
-    if 1 in i.ambient:
+    s = i.ring.S
+    if 1 in s:
         raise ValueError("ambient semigroup ring is regular")
-    return i.ambient
-
-
-def hw_has_torsion(i: FractionalSemigroupIdeal, p: int = DEFAULT_PRIME) -> TorsionVerdict:
-    """Decide whether I (x) Hom(I,R) has nonzero torsion, over GF(p).
-
-    Both I and its dual are replaced by integral shifts; shifting twists
-    the grading but leaves every Tor dimension unchanged, so the verdict
-    is shift-invariant.
-    """
-    s = _checked_ambient(i)
-    if i.is_principal():
-        # I invertible: I (x) Hom(I,R) is R itself.
-        return TorsionVerdict(False, 0, True)
-    ring = SemigroupRing(s.generators)
-    ideal_i = SgIdeal(ring, i.relset.shift(i.shift_to_integral))
-    dual = dual_ideal(i)
-    ideal_j = SgIdeal(ring, dual.relset.shift(dual.shift_to_integral))
-    algebra = GradedAlgebra(ring, p)
-    pres, pres_certified = module_from_ideal(algebra, ideal_j)
-    res = tor_dim(pres, ideal_i, 1)
-    certified = bool(pres_certified and res.bound_certified)
-    return TorsionVerdict(res.total_dim > 0, res.total_dim, certified)
+    dim = _tor1_dim(s, i.relset.gens, dual_ideal(i.relset).gens)
+    return TorsionVerdict(dim > 0, dim, True)
 
 
 @dataclass(frozen=True)
@@ -135,32 +98,24 @@ class HwReport:
     certified: bool
 
 
-def hw_report(
-    i: FractionalSemigroupIdeal,
-    j: FractionalSemigroupIdeal | None = None,
-    p: int = DEFAULT_PRIME,
-) -> HwReport:
-    """Bundle the torsion verdict over GF(p) with the hypotheses that predict it.
+def hw_report(i: SgIdeal, j: SgIdeal | None = None) -> HwReport:
+    """Bundle the torsion verdict with the hypotheses that predict it.
 
-    The hypothesis side checks 0 != I, I inside mJ and (I:J) = (mI:mJ)
-    at the ring level, so it needs integral inputs; a fractional I or J
-    leaves those fields None and the hypotheses not satisfied.
+    The hypothesis side checks 0 != I, I inside mJ and (I:J) = (mI:mJ);
+    without a nonzero J those fields are None and the hypotheses are
+    not satisfied.
     """
-    s = _checked_ambient(i)
-    verdict = hw_has_torsion(i, p)
-    ring = SemigroupRing(s.generators)
-    ideal_i = SgIdeal(ring, i.relset.shift(i.shift_to_integral))
-    classes = cor214_classify(ideal_i)
+    verdict = hw_has_torsion(i)
+    classes = cor214_classify(i)
 
     subset_mj = None
     wmf_wrt_j = None
-    if j is not None and not j.is_zero() and i.is_integral() and j.is_integral():
-        ideal_j = SgIdeal(ring, j.relset)
-        subset_mj = ideal_i.subset_of(ring.maximal_ideal() * ideal_j)
-        wmf_wrt_j = is_weakly_mfull_wrt(ideal_i, ideal_j)
+    if j is not None and not j.is_zero():
+        subset_mj = i.subset_of(i.ring.maximal_ideal() * j)
+        wmf_wrt_j = is_weakly_mfull_wrt(i, j)
     hypotheses = bool(subset_mj) and bool(wmf_wrt_j)
     return HwReport(
-        is_principal=i.is_principal(),
+        is_principal=len(i.min_gens()) == 1,
         subset_mj=subset_mj,
         wmf_wrt_j=wmf_wrt_j,
         cor214_class=classes,

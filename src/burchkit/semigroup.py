@@ -63,9 +63,6 @@ class NumericalSemigroup:
     def __contains__(self, v) -> bool:
         return v >= 0 and self._apery[v % self._min_gen] <= v
 
-    def contains(self, v) -> bool:
-        return v in self
-
     def gaps(self):
         return tuple(v for v in range(self.conductor) if v not in self)
 
@@ -112,12 +109,9 @@ class RelativeIdealSet:
             self._gens = _minimal_thresholds(self.ambient, self.thresholds)
         return self._gens
 
-    def contains(self, v) -> bool:
+    def __contains__(self, v) -> bool:
         t = self.thresholds
         return t is not None and v >= t[v % len(t)]
-
-    def __contains__(self, v):
-        return self.contains(v)
 
     def is_zero(self) -> bool:
         return self.thresholds is None
@@ -163,15 +157,6 @@ class RelativeIdealSet:
     def shift(self, c: int) -> "RelativeIdealSet":
         t = self.thresholds
         return self if t is None else _relset(self.ambient, _shifted(t, c))
-
-    def integral_shift(self) -> int:
-        """Least c >= 0 with all generators + c in the ambient semigroup:
-        the least nonnegative element of the dual (S : E), which in class
-        r is its threshold, or r itself when the threshold is negative."""
-        if self.thresholds is None:
-            return 0
-        dual = _colon(self.ambient._apery, self.thresholds)
-        return min(max(t, r) for r, t in enumerate(dual))
 
     def top_outside(self) -> int:
         """Largest element of S outside the (nonzero) set, or -1: in each

@@ -136,12 +136,6 @@ class WindowSets:
     def shift(self, egens, c):
         return self.generated([g + c for g in egens])
 
-    def integral_shift(self, egens):
-        c = 0
-        while not all(self.in_s(g + c) for g in egens):
-            c += 1
-        return c
-
     def min_gens(self, members):
         """Members v with v - a outside the set for every generator a of S."""
         return tuple(

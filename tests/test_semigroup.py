@@ -122,15 +122,12 @@ def test_restrict_to_semigroup_drops_outside_values():
         assert (v in r) == (v in s and v in e)
 
 
-def test_shift_and_integral_shift():
+def test_shift_into_the_semigroup():
     s = NumericalSemigroup((3, 4, 5))
     e = RelativeIdealSet(s, (-5, -1))
-    c = e.integral_shift()
-    shifted = e.shift(c)
-    assert all(g in s for g in shifted.gens)
-    # least such shift: one step back breaks containment
-    if c > 0:
-        assert not all(g + c - 1 in s for g in e.gens)
+    assert all(g in s for g in e.shift(5).gens)
+    # one step less leaves a value outside S
+    assert not e.shift(4).is_integral()
 
 
 def test_mpow_set_matches_generator_sums():
@@ -191,6 +188,5 @@ def test_threshold_operations_match_window_model(gens, span, window, pairs):
         assert agrees(restrict_to_semigroup(e), emem & model.semigroup())
         c = rng.randint(-20, 20)
         assert agrees(e.shift(c), model.shift(egens, c))
-        assert e.integral_shift() == model.integral_shift(egens)
         assert e.subset_of(f) == (emem <= fmem)
         assert e.is_integral() == (emem <= model.semigroup())
