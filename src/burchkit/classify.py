@@ -22,30 +22,104 @@ def _require_proper(i):
         raise ValueError("unit ideal")
 
 
+class ColonTable:
+    """m*I, (I : m^s) and (mI : m^s) for one ideal I, each formed once.
+
+    The predicates below read their products and colons from a table,
+    so callers that ask several of them about one ideal make one table
+    and drop it with their result; nothing is kept on the ring or the
+    ideal.  Each predicate raises what its public function raises.
+    """
+
+    def __init__(self, i):
+        self.i = i
+        self.ring = i.ring
+        self.m = self.ring.maximal_ideal()
+        self._mi = None
+        self._colons = {}
+        self._mi_colons = {}
+
+    @property
+    def mi(self):
+        if self._mi is None:
+            self._mi = self.m * self.i
+        return self._mi
+
+    def colon(self, s):
+        """(I : m^s)."""
+        got = self._colons.get(s)
+        if got is None:
+            got = self._colons[s] = self.i.colon(self.ring.mpow(s))
+        return got
+
+    def mi_colon(self, s):
+        """(mI : m^s)."""
+        got = self._mi_colons.get(s)
+        if got is None:
+            got = self._mi_colons[s] = self.mi.colon(self.ring.mpow(s))
+        return got
+
+    def wmf_mpow(self, s):
+        """(I : m^s) = (mI : m^{s+1}), weak m-fullness w.r.t. m^s."""
+        return self.colon(s) == self.mi_colon(s + 1)
+
+    def wmf_wrt(self, j):
+        _same_ring(self.i, j)
+        if j.is_zero():
+            raise ValueError("colon by the zero ideal")
+        return self.i.colon(j) == self.mi.colon(self.m * j)
+
+    def weakly_mfull(self):
+        _require_proper(self.i)
+        return self.i == self.mi_colon(1)
+
+    def burch(self):
+        _require_proper(self.i)
+        return self.colon(1) != self.mi_colon(1)
+
+    def depth_positive(self):
+        _require_proper(self.i)
+        return self.colon(1) == self.i
+
+    def cor214(self):
+        i, ring = self.i, self.ring
+        if not i.is_m_primary():
+            raise ValueError("requires an m-primary ideal")
+        ll = i.loewy_length()
+        classes = set()
+
+        for s in range(ll):
+            if not i.subset_of(ring.mpow(s + 1)):
+                break
+            if self.wmf_mpow(s):
+                classes.add("i")
+                break
+        if self.weakly_mfull():
+            classes.add("ii")
+        k = self.colon(1)
+        if not k.is_unit() and i == self.m * k:
+            classes.add("iii")
+        if i == ring.mpow(ll):
+            classes.add("iv")
+        return frozenset(classes)
+
+
 def is_weakly_mfull_wrt(i, j):
     """(I : J) = (mI : mJ)?
 
     J must be nonzero; a unit J reproduces the plain weakly-m-full test.
     """
-    _same_ring(i, j)
-    if j.is_zero():
-        raise ValueError("colon by the zero ideal")
-    m = i.ring.maximal_ideal()
-    return i.colon(j) == (m * i).colon(m * j)
+    return ColonTable(i).wmf_wrt(j)
 
 
 def is_weakly_mfull(i):
     """I = (mI : m)?"""
-    _require_proper(i)
-    m = i.ring.maximal_ideal()
-    return i == (m * i).colon(m)
+    return ColonTable(i).weakly_mfull()
 
 
 def is_burch(i):
     """(I : m) != (mI : m)?"""
-    _require_proper(i)
-    m = i.ring.maximal_ideal()
-    return i.colon(m) != (m * i).colon(m)
+    return ColonTable(i).burch()
 
 
 def loewy_length(i):
@@ -55,9 +129,7 @@ def loewy_length(i):
 
 def depth_quotient_positive(i):
     """depth(R/I) > 0, decided by (I : m) = I."""
-    _require_proper(i)
-    m = i.ring.maximal_ideal()
-    return i.colon(m) == i
+    return ColonTable(i).depth_positive()
 
 
 def _inf_mpow_multiplier(i, j, cap):
@@ -142,20 +214,11 @@ class LoewyStepRecord:
 def l3_equivalence(i):
     if not i.is_m_primary():
         raise ValueError("requires an m-primary ideal")
-    ring = i.ring
-    m = ring.maximal_ideal()
+    t = ColonTable(i)
     ll = i.loewy_length()
-    cond_i = (m * i).loewy_length() == ll + 1
-
-    def step_eq(s):
-        return i.colon(ring.mpow(s)) == (m * i).colon(ring.mpow(s + 1))
-
-    cond_ii = step_eq(ll - 1)
-    witness = None
-    for s in range(ll):
-        if step_eq(s):
-            witness = s
-            break
+    cond_i = t.mi.loewy_length() == ll + 1
+    cond_ii = t.wmf_mpow(ll - 1)
+    witness = next((s for s in range(ll) if t.wmf_mpow(s)), None)
     return LoewyStepRecord(cond_i, cond_ii, witness is not None, witness)
 
 
@@ -169,12 +232,11 @@ class SocleColonRecord:
 
 def remark32_equivalence(i):
     _require_proper(i)
-    m = i.ring.maximal_ideal()
-    k = i.colon(m)
+    t = ColonTable(i)
+    k = t.colon(1)
     # the backend colon convention (I : 0) = R makes a zero k harmless
-    wmf_colon = i.colon(k) == (m * i).colon(m * k)
-    other = is_burch(i) or depth_quotient_positive(i)
-    return SocleColonRecord(wmf_colon, other)
+    wmf_colon = i.colon(k) == t.mi.colon(t.m * k)
+    return SocleColonRecord(wmf_colon, t.burch() or t.depth_positive())
 
 
 @dataclass(frozen=True)
@@ -214,27 +276,7 @@ def cor214_classify(i):
          be m-primary by being the unit ideal, and m = mJ forces m = 0)
     iv:  I = m^s
     """
-    if not i.is_m_primary():
-        raise ValueError("requires an m-primary ideal")
-    ring = i.ring
-    m = ring.maximal_ideal()
-    ll = i.loewy_length()
-    classes = set()
-
-    for s in range(ll):
-        if not i.subset_of(ring.mpow(s + 1)):
-            break
-        if i.colon(ring.mpow(s)) == (m * i).colon(ring.mpow(s + 1)):
-            classes.add("i")
-            break
-    if is_weakly_mfull(i):
-        classes.add("ii")
-    k = i.colon(m)
-    if not k.is_unit() and i == m * k:
-        classes.add("iii")
-    if i == ring.mpow(ll):
-        classes.add("iv")
-    return frozenset(classes)
+    return ColonTable(i).cor214()
 
 
 @dataclass(frozen=True)
@@ -251,6 +293,14 @@ class ClassificationReport:
     cor214_class: frozenset
     open_pd_question: bool
 
+    # the ColonTable the report was read from; not a field, so it stays
+    # out of equality, repr and the JSON output
+    _colons = None
+
+    def wmf_wrt_mpow_range(self, lo, hi):
+        """wmf w.r.t. m^s for lo <= s <= hi, from the report's colons."""
+        return {s: self._colons.wmf_mpow(s) for s in range(lo, hi + 1)}
+
 
 def classification_report(i, named=()):
     """Aggregate every predicate for one ideal.
@@ -263,25 +313,23 @@ def classification_report(i, named=()):
     not decided either way by the results encoded here.
     """
     _require_proper(i)
+    t = ColonTable(i)
     ring = i.ring
-    m = ring.maximal_ideal()
     primary = i.is_m_primary()
     ll = i.loewy_length()
-    ll_mi = (m * i).loewy_length()
-    burch = is_burch(i)
-    wmf = is_weakly_mfull(i)
+    ll_mi = t.mi.loewy_length()
+    burch = t.burch()
+    wmf = t.weakly_mfull()
 
     s_top = ll if ll != INFINITY else 8
-    wmf_pows = {}
-    for s in range(int(s_top) + 1):
-        wmf_pows[s] = i.colon(ring.mpow(s)) == (m * i).colon(ring.mpow(s + 1))
+    wmf_pows = {s: t.wmf_mpow(s) for s in range(int(s_top) + 1)}
 
     wmf_named = {}
     for idx, j in enumerate(named):
         label = j.name if j.name is not None else "J%d" % idx
-        wmf_named[label] = is_weakly_mfull_wrt(i, j)
+        wmf_named[label] = t.wmf_wrt(j)
 
-    return ClassificationReport(
+    report = ClassificationReport(
         is_m_primary=primary,
         loewy_R_mod_I=ll,
         loewy_R_mod_mI=ll_mi,
@@ -290,9 +338,11 @@ def classification_report(i, named=()):
         wmf_wrt_mpow=wmf_pows,
         wmf_wrt_named=wmf_named,
         is_integrally_closed=i.is_integrally_closed(),
-        depth_R_mod_I_positive=depth_quotient_positive(i),
-        cor214_class=cor214_classify(i) if primary else frozenset(),
+        depth_R_mod_I_positive=t.depth_positive(),
+        cor214_class=t.cor214() if primary else frozenset(),
         open_pd_question=bool(
             ring.depth_positive() and primary and burch and not wmf
         ),
     )
+    object.__setattr__(report, "_colons", t)
+    return report

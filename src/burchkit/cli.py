@@ -18,12 +18,15 @@ import sys
 from .classify import classification_report
 from .fixtures import EXAMPLES, run_example
 from .fuzz import FuzzConfig, run_suite
-from .homalg import tor_dims
+from .homalg import kernel_memo, tor_dims
 from .hw import hw_report
 from .problemfile import ProblemFileError, load_problem
 
 _DEFAULT_SEED = FuzzConfig().seed
 _DEFAULT_TRIALS = FuzzConfig().trials
+
+# built by the first main() call and reused by every later one
+_parser = None
 
 
 def _jsonable(obj):
@@ -72,12 +75,7 @@ def _cmd_classify(args):
         payload = _jsonable(report)
         if args.wrt_mpow_range:
             lo, hi = _parse_span(args.wrt_mpow_range, "power range")
-            ring = ideal.ring
-            m = ring.maximal_ideal()
-            payload["wmf_wrt_mpow"] = {
-                str(s): ideal.colon(ring.mpow(s)) == (m * ideal).colon(ring.mpow(s + 1))
-                for s in range(lo, hi + 1)
-            }
+            payload["wmf_wrt_mpow"] = _jsonable(report.wmf_wrt_mpow_range(lo, hi))
     except (ProblemFileError, ValueError, OSError) as exc:
         return _fail(exc)
     payload["ideal"] = args.ideal
@@ -194,8 +192,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    """Run one command; may be called repeatedly in one process.
+
+    The parser is built once and holds no state between calls, and
+    each command runs in its own kernel_memo scope.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    with kernel_memo():
+        return args.fn(args)
 
 
 if __name__ == "__main__":

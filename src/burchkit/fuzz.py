@@ -23,10 +23,10 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .classify import (
+    ColonTable,
     burch_via_loewy,
     cor214_classify,
     is_burch,
-    is_weakly_mfull,
     is_weakly_mfull_wrt,
     l2_identities,
     l3_equivalence,
@@ -521,10 +521,8 @@ def _suite_prop24():
             return None
         if i.is_integrally_closed() is not True:
             return None
-        ok = is_weakly_mfull(i)
-        for s in range(4):
-            ok = ok and is_weakly_mfull_wrt(i, ring.mpow(s))
-        return ok
+        colons = ColonTable(i)
+        return colons.weakly_mfull() and all(colons.wmf_mpow(s) for s in range(4))
 
     return gen, chk
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import cor214_classify, is_weakly_mfull_wrt
+from .classify import ColonTable
 from .rings import SgIdeal
 from .semigroup import RelativeIdealSet, mpow_set, relset_colon
 
@@ -106,13 +106,14 @@ def hw_report(i: SgIdeal, j: SgIdeal | None = None) -> HwReport:
     not satisfied.
     """
     verdict = hw_has_torsion(i)
-    classes = cor214_classify(i)
+    colons = ColonTable(i)
+    classes = colons.cor214()
 
     subset_mj = None
     wmf_wrt_j = None
     if j is not None and not j.is_zero():
-        subset_mj = i.subset_of(i.ring.maximal_ideal() * j)
-        wmf_wrt_j = is_weakly_mfull_wrt(i, j)
+        subset_mj = i.subset_of(colons.m * j)
+        wmf_wrt_j = colons.wmf_wrt(j)
     hypotheses = bool(subset_mj) and bool(wmf_wrt_j)
     return HwReport(
         is_principal=len(i.min_gens()) == 1,

@@ -1,10 +1,13 @@
 """Burch / weakly m-full predicates and the colon-Loewy identities."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from burchkit import rings
 from burchkit.classify import (
+    ClassificationReport,
     burch_via_loewy,
     classification_report,
     cor214_classify,
@@ -18,6 +21,7 @@ from burchkit.classify import (
     loewy_length,
     remark32_equivalence,
 )
+from burchkit.fuzz import _SG_POOL
 from burchkit.rings import QuotientRing, SemigroupRing
 
 INFINITY = float("inf")
@@ -210,3 +214,102 @@ def test_classification_report_shape():
     rep2 = classification_report(poly.ideal([(2, 0)]))
     assert rep2.loewy_R_mod_I == INFINITY
     assert not rep2.is_m_primary
+
+
+def _seeded_ideals(seed):
+    """Nonzero proper ideals, each with a named J of the same ring."""
+    rng = random.Random(seed)
+
+    def monomials(n, count, top):
+        out = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(count)]
+        return [g for g in out if any(g)] or [(1,) + (0,) * (n - 1)]
+
+    rings_ = [SemigroupRing(gens) for gens in _SG_POOL]
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        rings_.append(QuotientRing(n, monomials(n, rng.randint(n, n + 2), 4)))
+    rings_.append(QuotientRing(2))
+    for ring in rings_:
+        for _ in range(10):
+            if isinstance(ring, SemigroupRing):
+                pool = [v for v in range(1, ring.S.conductor + 12) if v in ring.S]
+                i = ring.ideal(rng.sample(pool, rng.randint(1, 3)))
+                j = ring.ideal(rng.sample(pool, rng.randint(1, 2)), name="J")
+            else:
+                i = ring.ideal(monomials(ring.nvars, rng.randint(1, 3), 4))
+                j = ring.ideal(monomials(ring.nvars, rng.randint(1, 2), 3), name="J")
+            if not (i.is_zero() or i.is_unit() or j.is_zero()):
+                yield i, j
+
+
+def _report_from_predicates(i, named):
+    ring = i.ring
+    primary = i.is_m_primary()
+    ll = loewy_length(i)
+    burch = is_burch(i)
+    wmf = is_weakly_mfull(i)
+    top = ll if ll != INFINITY else 8
+    # (I : 0) = R on both sides, so a zero power of m gives True
+    pows = {
+        s: ring.mpow(s).is_zero() or is_weakly_mfull_wrt(i, ring.mpow(s))
+        for s in range(int(top) + 1)
+    }
+    return ClassificationReport(
+        is_m_primary=primary,
+        loewy_R_mod_I=ll,
+        loewy_R_mod_mI=loewy_length(ring.maximal_ideal() * i),
+        is_burch=burch,
+        is_weakly_mfull=wmf,
+        wmf_wrt_mpow=pows,
+        wmf_wrt_named={j.name: is_weakly_mfull_wrt(i, j) for j in named},
+        is_integrally_closed=i.is_integrally_closed(),
+        depth_R_mod_I_positive=depth_quotient_positive(i),
+        cor214_class=cor214_classify(i) if primary else frozenset(),
+        open_pd_question=ring.depth_positive() and primary and burch and not wmf,
+    )
+
+
+def test_report_equals_the_public_predicates():
+    seen = Counter()
+    for i, j in _seeded_ideals(31):
+        assert classification_report(i, named=(j,)) == _report_from_predicates(i, (j,)), i
+        seen[type(i.ring).__name__, i.is_m_primary()] += 1
+    assert set(seen) == {
+        ("SemigroupRing", True), ("QuotientRing", True), ("QuotientRing", False)
+    }, seen
+
+
+@pytest.fixture
+def ideal_ops(monkeypatch):
+    """Counter of (operation, left, right) over both ideal types."""
+    ops = Counter()
+    for cls in (rings.QIdeal, rings.SgIdeal):
+        for name in ("__mul__", "colon"):
+            def counted(self, other, _orig=getattr(cls, name), _name=name):
+                ops[_name, self, other] += 1
+                return _orig(self, other)
+
+            monkeypatch.setattr(cls, name, counted)
+    return ops
+
+
+def test_report_forms_each_product_and_colon_once(ideal_ops):
+    # rings and ideals in which the powers of m a report reads, and
+    # their products with I, are nonzero and distinct; J is no power
+    # of m, nor is mJ
+    art = QuotientRing(2, [(6, 0), (0, 6)])
+    sg = SemigroupRing((4, 5, 6))
+    for i, j in (
+        (sg.ideal([17, 19, 20]), sg.ideal([5], name="J")),
+        (art.ideal([(2, 1), (0, 3)]), art.ideal([(1, 0)], name="J")),
+        (QuotientRing(2).ideal([(2, 0), (1, 2)]), QuotientRing(2).ideal([(0, 1)], name="J")),
+    ):
+        ideal_ops.clear()
+        report = classification_report(i, named=(j,))
+        ops = Counter(ideal_ops)
+        assert max(ops.values()) == 1, ops.most_common(3)
+        m = i.ring.maximal_ideal()
+        assert ops["__mul__", m, i] == 1
+        for s in range(max(report.wmf_wrt_mpow) + 1):
+            assert ops["colon", i, i.ring.mpow(s)] == 1, s
+            assert ops["colon", m * i, i.ring.mpow(s + 1)] == 1, s

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, JSON payload shapes."""
 
+import hashlib
 import json
 
 import pytest
@@ -312,3 +313,94 @@ def test_output_is_stable_strict_json(files, capsys):
     assert "NaN" not in first and "Infinity" not in first
     # round-trip: dumping the decoded object reproduces the text
     assert json.dumps(decoded, sort_keys=True, indent=2) + "\n" == first
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Calls to build_parser, starting from no cached parser."""
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return builds
+
+
+def test_main_builds_its_parser_once(files, capsys, parser_builds):
+    for argv in (
+        ["classify", files["e45"], "i"],
+        ["tor", files["e41"], "RmodI", "l"],
+        ["hw", files["hw"], "m"],
+        ["paper", "--example", "e4.2"],
+        ["classify", files["e45"], "ghost"],
+    ):
+        main(argv)
+    capsys.readouterr()
+    assert len(parser_builds) == 1
+
+
+def test_repeated_main_calls_are_stateless(files, capsys, parser_builds):
+    argv = ["classify", files["e45"], "i", "--wrt-mpow-range", "0..5"]
+    first = (main(argv), capsys.readouterr().out)
+    with pytest.raises(SystemExit) as usage:
+        main(["classify", files["e45"]])
+    assert usage.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    rc, _, err = run(capsys, ["classify", files["e45"], "ghost"])
+    assert rc == 2 and "unknown ideal" in err
+    assert (main(argv), capsys.readouterr().out) == first
+    assert first[0] == 0 and len(parser_builds) == 1
+
+
+DEMO = """\
+ring s = semigroup(4, 5, 6)
+ideal i in s = [17, 19, 20]
+ideal m4 in s = [16, 17, 18, 19]
+
+ring r = poly(x, y) mod [x^3, x^2*y, x*y^2, y^3]
+ideal l in r = [x^2]
+module M in r = coker rows=1 cols=1 entries=[(1, 1, x*y)] shifts=[0]
+"""
+
+GF107 = """\
+field GF(107)
+ring s = semigroup(6, 7, 9, 11)
+ideal i in s = [13, 14, 15, 16, 18]
+ideal j in s = [7, 9, 12, 17]
+
+ring r = poly(x, y, z) mod [x^3, y^3, z^2, x*y*z]
+ideal l in r = [x^2*y, x*y^2, x*z]
+module M in r = coker rows=1 cols=2 entries=[(1, 1, x*y), (1, 2, z)] shifts=[0]
+"""
+
+# the stdout and exit code of these commands, hashed in order, were
+# recorded before the CLI parser and the colon table were shared
+PINNED_CLI_SHA256 = "57efe02c74bef0cc2527350dd5f06bafd01864d44719f24decfc76a9f41c075c"
+
+
+def _pinned_commands(files):
+    for path, wrt in files:
+        for ideal in ("i", "l"):
+            yield ["classify", path, ideal]
+            yield ["classify", path, ideal, "--wrt-mpow-range", "0..5"]
+        yield ["classify", path, "i", "--wrt", wrt]
+        yield ["tor", path, "M", "l", "--range", "1..3"]
+        yield ["hw", path, "i"]
+        yield ["hw", path, "i", "--wrt", wrt]
+    yield ["paper", "--all"]
+
+
+def test_cli_reports_are_pinned(tmp_path, capsys):
+    files = []
+    for stem, text, wrt in (("demo", DEMO, "m4"), ("gf107", GF107, "j")):
+        path = tmp_path / (stem + ".prob")
+        path.write_text(text, encoding="utf-8")
+        files.append((str(path), wrt))
+    h = hashlib.sha256()
+    for argv in _pinned_commands(files):
+        rc = main(argv)
+        h.update(("%d\n%s" % (rc, capsys.readouterr().out)).encode())
+    assert h.hexdigest() == PINNED_CLI_SHA256
