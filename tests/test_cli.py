@@ -376,8 +376,8 @@ ideal l in r = [x^2*y, x*y^2, x*z]
 module M in r = coker rows=1 cols=2 entries=[(1, 1, x*y), (1, 2, z)] shifts=[0]
 """
 
-# the stdout and exit code of these commands, hashed in order, were
-# recorded before the CLI parser and the colon table were shared
+# exit code and stdout of each command, hashed in order; recorded
+# before main() kept its parser and reports shared their colons
 PINNED_CLI_SHA256 = "57efe02c74bef0cc2527350dd5f06bafd01864d44719f24decfc76a9f41c075c"
 
 
