@@ -1,26 +1,30 @@
 """Monomial ideals as finite sets of exponent vectors.
 
-Operations are pure integer/rational combinatorics: membership is
-componentwise divisibility, products are pairwise sums, intersections
-pairwise maxima, colons the usual ``lcm(f, g) - g`` recipe.  Integral
-closure decides Newton-polyhedron membership by exact rational
-Fourier-Motzkin elimination, never by floating point.
+Operations are pure integer combinatorics: membership is componentwise
+divisibility, products are pairwise sums, intersections pairwise maxima.
+Whether v lies in I depends only on min(v, L), where L is the
+componentwise maximum of I's minimal generators, so I is also a bit set
+over its staircase box prod [0, L_i]: a colon is an AND of ORs of
+up-set masks there, read back to minimal generators.  Integral closure
+tests the box points against the half-spaces of the Newton polyhedron,
+found once per ideal by integer Fourier-Motzkin elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from operator import add, le
+from itertools import product
+from math import gcd
+from operator import add, le, mul
 
 
-def divides(u, v) -> bool:
-    return all(map(le, u, v))
+def _deglex(t):
+    return sum(t), t
 
 
 def _minimalize(gens):
     out = []
-    for u in sorted(set(gens), key=lambda t: (sum(t), t)):
+    for u in sorted(set(gens), key=_deglex):
         if not any(all(map(le, w, u)) for w in out):
             out.append(u)
     return tuple(out)
@@ -54,7 +58,7 @@ class MonomialIdeal:
             if any(e < 0 for e in g):
                 raise ValueError("negative exponent in %r" % (g,))
         if minimal:
-            self.gens = tuple(sorted(gens, key=lambda t: (sum(t), t)))
+            self.gens = tuple(sorted(gens, key=_deglex))
         else:
             self.gens = _minimalize(gens)
 
@@ -88,18 +92,21 @@ class MonomialIdeal:
         return _ideal(self.nvars, meets)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(self : other); other must be nonzero."""
+        """(self : other); other must be nonzero.
+
+        (I : u) is generated by the (g - u)^+, which lie in I's box, so
+        it is the OR of their up-set masks; (I : J) ANDs those over u.
+        """
         self._check(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
-        out = None
-        for g in other.gens:
-            part = _ideal(
-                self.nvars,
-                [tuple(max(a - b, 0) for a, b in zip(f, g)) for f in self.gens],
-            )
-            out = part if out is None else out.intersect(part)
-        return out
+        if self.is_zero():
+            return self
+        box = _staircase(tuple(map(max, zip(*self.gens))))
+        out = box[2]
+        for u in other.gens:
+            out &= _upset(box, self.gens, u)
+        return _from_mask(self.nvars, out, box)
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -191,20 +198,8 @@ class QuotientContext:
         finite even when the quotient is not Artinian.
         """
         if self._socle is None:
-            box = [max((g[i] for g in self.defining.gens), default=0) for i in range(self.nvars)]
-            if any(b == 0 for b in box):
-                self._socle = ()
-            else:
-                found = []
-                for u in _box_points([b - 1 for b in box]):
-                    if self.defining.member(u):
-                        continue
-                    if all(
-                        self.defining.member(u[:i] + (u[i] + 1,) + u[i + 1 :])
-                        for i in range(self.nvars)
-                    ):
-                        found.append(u)
-                self._socle = tuple(sorted(found, key=lambda t: (sum(t), t)))
+            gens = self.defining.gens
+            self._socle = tuple(sorted(_corners(gens), key=_deglex)) if gens else ()
         return self._socle
 
     def depth_zero(self) -> bool:
@@ -224,83 +219,114 @@ class QuotientContext:
         return "QuotientContext(%d, %r)" % (self.nvars, self.defining)
 
 
-def _box_points(box):
-    """All integer vectors v with 0 <= v_i <= box_i, lexicographically."""
-    if not box:
-        yield ()
-        return
-    for head in range(box[0] + 1):
-        for tail in _box_points(box[1:]):
-            yield (head,) + tail
+@lru_cache(maxsize=128)
+def _staircase(top):
+    """(strides, ge, full) for the box prod [0, top_i], cell v at bit
+    sum(v_i * strides_i) (lexicographic order); ge[i][k] has the cells
+    with v_i >= k, full every cell."""
+    strides, size = [], 1
+    for t in reversed(top):
+        strides.append(size)
+        size *= t + 1
+    strides.reverse()
+    ge = []
+    for t, s in zip(top, strides):
+        block = (1 << (t + 1) * s) - 1
+        blocks = ((1 << size) - 1) // block  # one bit per block of the axis
+        ge.append([(block ^ ((1 << k * s) - 1)) * blocks for k in range(t + 1)])
+    return strides, ge, (1 << size) - 1
 
 
-def newton_member(gens, v) -> bool:
-    """Whether v lies in conv(gens) + R^n_{>=0}, decided exactly.
+def _upset(box, gens, u):
+    """Mask of the cells v with v + u in the ideal generated by gens, that
+    is at or above some (g - u)^+."""
+    ge, full = box[1], box[2]
+    out = 0
+    for g in gens:
+        cell = full
+        for axis, a, b in zip(ge, g, u):
+            if a > b:
+                cell &= axis[a - b]
+        out |= cell
+    return out
 
-    Feasibility of ``sum(c_i g_i) <= v, c_i >= 0, sum(c_i) = 1`` over the
-    rationals via Fourier-Motzkin elimination.
+
+def _cells(mask, strides):
+    """The exponent vectors of the set bits of mask, low bits first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        idx = low.bit_length() - 1
+        v = []
+        for s in strides:
+            q, idx = divmod(idx, s)
+            v.append(q)
+        yield tuple(v)
+
+
+def _from_mask(nvars, mask, box):
+    """MonomialIdeal of an up-set mask over a box: the cells with no
+    predecessor c - e_i in the mask are its minimal generators."""
+    strides, ge = box[0], box[1]
+    below = 0
+    for s, axis in zip(strides, ge):
+        below |= (mask & ~axis[-1]) << s
+    out = MonomialIdeal.__new__(MonomialIdeal)
+    out.nvars = nvars
+    out.gens = tuple(sorted(_cells(mask & ~below, strides), key=_deglex))
+    return out
+
+
+def _corners(gens):
+    """The monomials c outside the ideal generated by gens with every
+    c + e_i inside it, in the box order.  Each has c_i < L_i, since
+    min(c + e_i, L) = c otherwise."""
+    strides, ge, full = box = _staircase(tuple(map(max, zip(*gens))))
+    mask = _upset(box, gens, (0,) * len(strides))
+    corners = full & ~mask
+    for s, axis in zip(strides, ge):
+        corners &= (mask >> s) & ~axis[-1]
+    return _cells(corners, strides)
+
+
+def _newton_halfspaces(gens):
+    """Rows (a, b) with conv(gens) + R^n_{>=0} = {v : a.v + b >= 0 for all}.
+
+    Fourier-Motzkin elimination of the weights c from sum(c_j g_j) <= v,
+    c >= 0, sum(c) = 1, with c_m = 1 - c_1 - ... - c_{m-1} substituted
+    and v kept symbolic.  A row is (v coefficients, c coefficients,
+    constant) over the integers, divided by the gcd of its entries, and
+    keys the set of input rows it combines: after t eliminations a row
+    combining more than t + 1 of them is redundant (Chernikov's rule).
+    Rows that hold for every v >= 0 are dropped at the end.
     """
-    if not gens:
-        return False
-    n = len(v)
-    m = len(gens)
-    if sum(v) < min(sum(g) for g in gens):
-        # The all-ones weight already separates v from the polyhedron.
-        return False
-    if m == 1:
-        return divides(gens[0], v)
-    # Substitute c_m = 1 - c_1 - ... - c_{m-1}; variables are c_1..c_{m-1}.
+    n, k = len(gens[0]), len(gens) - 1
     last = gens[-1]
-    rows = []
-    for i in range(m - 1):
-        coeffs = [Fraction(0)] * (m - 1)
-        coeffs[i] = Fraction(-1)
-        rows.append((coeffs, Fraction(0)))  # c_i >= 0
-    rows.append(([Fraction(1)] * (m - 1), Fraction(1)))  # c_m >= 0
-    for c in range(n):
-        coeffs = [Fraction(gens[i][c] - last[c]) for i in range(m - 1)]
-        rows.append((coeffs, Fraction(v[c] - last[c])))
-    return _fm_feasible(rows, m - 1)
-
-
-def _fm_feasible(rows, nvars) -> bool:
-    for k in range(nvars):
-        pos, neg, rest = [], [], []
-        for coeffs, rhs in rows:
-            a = coeffs[k]
-            if a > 0:
-                pos.append((coeffs, rhs))
-            elif a < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        new_rows = {}
-        for coeffs, rhs in rest:
-            key = _canon(coeffs, rhs, k + 1)
-            new_rows.setdefault(key, (coeffs, rhs))
-        for pc, pr in pos:
-            for nc, nr in neg:
-                # Scale so variable k cancels: pc/a_p + nc/(-a_n).
-                ap, an = pc[k], -nc[k]
-                coeffs = [x * an + y * ap for x, y in zip(pc, nc)]
-                rhs = pr * an + nr * ap
-                key = _canon(coeffs, rhs, k + 1)
-                new_rows.setdefault(key, (coeffs, rhs))
-        rows = list(new_rows.values())
-    return all(rhs >= 0 for _, rhs in rows)
-
-
-def _canon(coeffs, rhs, start):
-    vals = list(coeffs[start:]) + [rhs]
-    nz = [abs(x) for x in vals if x != 0]
-    if not nz:
-        return ("z", rhs >= 0)
-    scale = min(nz)
-    return tuple(x / scale for x in vals)
+    unit = [tuple(int(j == i) for j in range(n + k)) for i in range(n + k)]
+    start = [unit[n + i] + (0,) for i in range(k)]
+    start.append((0,) * n + (-1,) * k + (1,))
+    for i in range(n):
+        start.append(unit[i][:n] + tuple(last[i] - g[i] for g in gens[:-1]) + (-last[i],))
+    rows = {r: 1 << i for i, r in enumerate(start)}
+    for t, col in enumerate(range(n, n + k), 2):
+        pos = [(r, h) for r, h in rows.items() if r[col] > 0]
+        neg = [(r, h) for r, h in rows.items() if r[col] < 0]
+        rows = {r: h for r, h in rows.items() if not r[col]}
+        for p, hp in pos:
+            for q, hq in neg:
+                h = hp | hq
+                if h.bit_count() > t:
+                    continue
+                a, b = p[col], -q[col]
+                row = tuple(x * b + y * a for x, y in zip(p, q))
+                d = gcd(*row) or 1
+                rows.setdefault(tuple(x // d for x in row), h)
+    return [(r[:n], r[-1]) for r in rows if min(r) < 0]
 
 
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Integral closure of a monomial ideal in the polynomial ring.
+    """Integral closure of a monomial ideal in the polynomial ring: the
+    monomials in its Newton polyhedron.
 
     Every minimal generator of the closure is componentwise bounded by
     the generator maxima: past the bound in coordinate c the convex
@@ -308,15 +334,13 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """
     if ideal.is_zero() or ideal.is_unit():
         return ideal
-    n = ideal.nvars
-    box = [max(g[i] for g in ideal.gens) for i in range(n)]
-    kept = []
-    for v in sorted(_box_points(box), key=lambda t: (sum(t), t)):
-        if any(divides(w, v) for w in kept):
-            continue
-        if ideal.member(v) or newton_member(ideal.gens, v):
-            kept.append(v)
-    return MonomialIdeal(n, kept, minimal=True)
+    top = tuple(map(max, zip(*ideal.gens)))
+    rows = _newton_halfspaces(ideal.gens)
+    mask = 0
+    for idx, v in enumerate(product(*[range(t + 1) for t in top])):
+        if all(sum(map(mul, a, v)) + b >= 0 for a, b in rows):
+            mask |= 1 << idx
+    return _from_mask(ideal.nvars, mask, _staircase(top))
 
 
 def is_integrally_closed(ideal: MonomialIdeal) -> bool:

@@ -22,6 +22,7 @@ from operator import add
 from .monomial import (
     MonomialIdeal,
     QuotientContext,
+    _corners,
     _ideal,
     integral_closure,
     mpow,
@@ -216,21 +217,14 @@ class QIdeal:
         return best
 
     def loewy_length(self):
-        """min s with m^s <= I, or infinity when I is not m-primary.
-
-        For m-primary I with x_i^{b_i} in the representative, any
-        monomial of total degree sum(b_i - 1) + 1 has some exponent at
-        least b_i, so the scan below is certified to stop.
-        """
+        """min s with m^s <= I, or infinity when I is not m-primary: one
+        more than the largest degree of a standard monomial, which some
+        corner of the staircase reaches."""
         if self.is_unit():
             return 0
         if not self.is_m_primary():
             return INFINITY
-        bound = sum(b - 1 for b in self._pure_power_bound()) + 1
-        for s in range(bound + 1):
-            if mpow(self.ring.nvars, s).subset_of(self.rep):
-                return s
-        raise AssertionError("certified Loewy bound failed")
+        return max(map(sum, _corners(self.rep.gens))) + 1
 
     def quotient_top_degree(self):
         """Largest d with (R/I)_d != 0, Loewy length - 1; None when R/I

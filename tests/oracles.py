@@ -6,6 +6,7 @@ library's own ideal arithmetic.
 """
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 
@@ -53,6 +54,114 @@ def brute_loewy_monomial(igens, nvars, cap):
         if all(brute_member(igens, u) for u in degree_monomials(nvars, s)):
             return s
     return None
+
+
+def _minimal(gens):
+    out = []
+    for u in sorted(set(gens), key=lambda t: (sum(t), t)):
+        if not any(divides(w, u) for w in out):
+            out.append(u)
+    return tuple(out)
+
+
+def reference_colon(igens, jgens):
+    """Minimal generators of (I : J) for nonzero J: the intersection over
+    g in J of the ideals generated by the (f - g)^+, f in I, with pairwise
+    maxima as intersection."""
+    out = None
+    for g in jgens:
+        part = _minimal([tuple(max(a - b, 0) for a, b in zip(f, g)) for f in igens])
+        out = part if out is None else _minimal(
+            [tuple(map(max, u, w)) for u in out for w in part]
+        )
+    return out
+
+
+def fm_newton_member(gens, v):
+    """Whether v lies in conv(gens) + R^n_{>=0}, decided exactly.
+
+    Feasibility of ``sum(c_i g_i) <= v, c_i >= 0, sum(c_i) = 1`` over the
+    rationals via Fourier-Motzkin elimination, one elimination per point.
+    """
+    if not gens:
+        return False
+    n = len(v)
+    m = len(gens)
+    if sum(v) < min(sum(g) for g in gens):
+        # The all-ones weight already separates v from the polyhedron.
+        return False
+    if m == 1:
+        return divides(gens[0], v)
+    # Substitute c_m = 1 - c_1 - ... - c_{m-1}; variables are c_1..c_{m-1}.
+    last = gens[-1]
+    rows = []
+    for i in range(m - 1):
+        coeffs = [Fraction(0)] * (m - 1)
+        coeffs[i] = Fraction(-1)
+        rows.append((coeffs, Fraction(0)))  # c_i >= 0
+    rows.append(([Fraction(1)] * (m - 1), Fraction(1)))  # c_m >= 0
+    for c in range(n):
+        coeffs = [Fraction(gens[i][c] - last[c]) for i in range(m - 1)]
+        rows.append((coeffs, Fraction(v[c] - last[c])))
+    for k in range(m - 1):
+        pos, neg, rest = [], [], []
+        for coeffs, rhs in rows:
+            a = coeffs[k]
+            if a > 0:
+                pos.append((coeffs, rhs))
+            elif a < 0:
+                neg.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        new_rows = {}
+        for coeffs, rhs in rest:
+            new_rows.setdefault(_fm_canon(coeffs, rhs, k + 1), (coeffs, rhs))
+        for pc, pr in pos:
+            for nc, nr in neg:
+                # Scale so variable k cancels: pc/a_p + nc/(-a_n).
+                ap, an = pc[k], -nc[k]
+                coeffs = [x * an + y * ap for x, y in zip(pc, nc)]
+                rhs = pr * an + nr * ap
+                new_rows.setdefault(_fm_canon(coeffs, rhs, k + 1), (coeffs, rhs))
+        rows = list(new_rows.values())
+    return all(rhs >= 0 for _, rhs in rows)
+
+
+def _fm_canon(coeffs, rhs, start):
+    vals = list(coeffs[start:]) + [rhs]
+    nz = [abs(x) for x in vals if x != 0]
+    if not nz:
+        return ("z", rhs >= 0)
+    scale = min(nz)
+    return tuple(x / scale for x in vals)
+
+
+def reference_closure(gens, nvars):
+    """Minimal generators of the integral closure: the box points below
+    the generator maxima in deg-lex order, each tested by
+    `fm_newton_member` unless a kept point divides it."""
+    if not gens:
+        return ()
+    gens = list(gens)
+    top = [max(g[i] for g in gens) for i in range(nvars)]
+    kept = []
+    for v in sorted(box_monomials(top), key=lambda t: (sum(t), t)):
+        if not any(divides(w, v) for w in kept) and (
+            brute_member(gens, v) or fm_newton_member(gens, v)
+        ):
+            kept.append(v)
+    return tuple(kept)
+
+
+def brute_socle(defining, nvars, bound):
+    """Monomials in the box [0, bound]^n outside the defining ideal with
+    every variable multiple inside it."""
+    out = []
+    for u in box_monomials((bound,) * nvars):
+        ups = [tuple(e + (k == i) for k, e in enumerate(u)) for i in range(nvars)]
+        if not brute_member(defining, u) and all(brute_member(defining, w) for w in ups):
+            out.append(u)
+    return sorted(out, key=lambda t: (sum(t), t))
 
 
 # --------------------------------------------------------------- semigroup

@@ -31,3 +31,21 @@ def test_examples_are_fast():
     start = time.time()
     run_all()
     assert time.time() - start < 10.0
+
+
+def test_paper_forms_each_product_and_colon_once(monkeypatch, capsys):
+    # one ColonTable per example ideal; asking each claim of a public
+    # predicate on its own formed 21 products on 11 distinct operand
+    # pairs and 32 colons on 18
+    from burchkit import cli
+    from burchkit.rings import QIdeal, SgIdeal
+
+    products, colons = [], []
+    for cls in (QIdeal, SgIdeal):
+        mul, colon = cls.__mul__, cls.colon
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, f=mul: products.append((a, b)) or f(a, b))
+        monkeypatch.setattr(cls, "colon", lambda a, b, f=colon: colons.append((a, b)) or f(a, b))
+    assert cli.main(["paper", "--all"]) == 0
+    capsys.readouterr()
+    assert (len(products), len(set(products))) == (7, 7)
+    assert (len(colons), len(set(colons))) == (18, 18)

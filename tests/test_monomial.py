@@ -137,3 +137,66 @@ def test_min_term_degree_check():
     assert min_term_degree_check([(4, 4), (17, 16)], 4)
     assert not min_term_degree_check([(4, 3)], 4)
     assert min_term_degree_check([], 10)
+
+
+def _rand_gens(rng, nvars, count, hi):
+    return [tuple(rng.randint(0, hi) for _ in range(nvars)) for _ in range(count)]
+
+
+def test_colon_matches_reference_colon():
+    # 3600 seeded pairs in 1-3 variables: arbitrary (mostly not m-primary)
+    # ideals, m-primary ones, the zero dividend, colon by the unit ideal,
+    # J inside I (the unit ideal comes out) and I inside J
+    rng = random.Random(1301)
+    unit_results = 0
+    for k in range(3600):
+        nvars = 1 + k % 3
+        igens = _rand_gens(rng, nvars, rng.randint(0, 5), 6)
+        if k % 4 == 1:
+            igens += [tuple(rng.randint(1, 6) * (a == b) for a in range(nvars)) for b in range(nvars)]
+        jgens = _rand_gens(rng, nvars, rng.randint(1, 4), 6)
+        kind = k % 10
+        if kind == 7:
+            jgens = [(0,) * nvars]
+        elif kind == 8 and igens:
+            # multiples of generators of I
+            jgens = [tuple(a + rng.randint(0, 2) for a in rng.choice(igens)) for _ in range(3)]
+        elif kind == 9:
+            # generators of J dividing generators of I
+            igens = [tuple(a + rng.randint(0, 2) for a in rng.choice(jgens)) for _ in range(3)]
+        i = MonomialIdeal(nvars, igens)
+        j = MonomialIdeal(nvars, jgens)
+        got = i.colon(j)
+        assert got.gens == oracles.reference_colon(i.gens, j.gens), (i, j)
+        assert got.is_unit() == (not i.is_zero() and j.subset_of(i))
+        unit_results += got.is_unit()
+    assert unit_results > 300
+
+
+def test_integral_closure_matches_reference():
+    # 150 m-primary fuzz draws and 150 arbitrary ideals in 1-3 variables
+    from burchkit.fuzz import gen_mprimary_monomial
+
+    rng = random.Random(1302)
+    ideals = [gen_mprimary_monomial(rng) for _ in range(150)]
+    for k in range(150):
+        nvars = 1 + k % 3
+        ideals.append(MonomialIdeal(nvars, _rand_gens(rng, nvars, rng.randint(1, 5), 5)))
+    closed = 0
+    for i in ideals:
+        want = oracles.reference_closure(i.gens, i.nvars)
+        assert integral_closure(i).gens == want, i
+        assert is_integrally_closed(i) == (want == i.gens)
+        closed += want == i.gens
+    assert 30 < closed < 270
+
+
+def test_socle_matches_enumeration():
+    rng = random.Random(1303)
+    for k in range(300):
+        nvars = 1 + k % 3
+        defining = MonomialIdeal(nvars, _rand_gens(rng, nvars, rng.randint(1, 5), 4))
+        if defining.is_unit():
+            continue
+        ctx = QuotientContext(nvars, defining)
+        assert list(ctx.socle()) == oracles.brute_socle(defining.gens, nvars, 5), defining

@@ -21,6 +21,32 @@ def test_semigroup_handles_match_enumeration():
         assert oracles.check_semigroup_instance(rng) == []
 
 
+def test_loewy_length_matches_enumeration():
+    # m-primary fuzz draws over k[x_1..x_n], ideals of seeded Artinian and
+    # non-Artinian quotients, and unit ideals
+    from burchkit.fuzz import gen_mprimary_monomial
+
+    rng = random.Random(1304)
+    seen = set()
+    for k in range(300):
+        nvars = 1 + k % 3
+        if k % 3 == 0:
+            ring = QuotientRing(nvars)
+            igens = gen_mprimary_monomial(rng, nvars).gens
+        else:
+            nvars, defining, igens, _ = oracles.rand_monomial_instance(rng)
+            ring = QuotientRing(nvars, defining)
+            if k % 10 == 4:
+                igens = [(0,) * nvars]
+        i = ring.ideal(igens)
+        cap = sum(max(g[v] for g in i.rep.gens) for v in range(nvars)) + 1
+        want = oracles.brute_loewy_monomial(i.rep.gens, nvars, cap)
+        got = i.loewy_length()
+        assert got == (oracles.INFINITY if want is None else want), (ring, i)
+        seen.add("inf" if want is None else min(want, 2))
+    assert seen == {"inf", 0, 1, 2}
+
+
 def test_quotient_ring_basics():
     ring = QuotientRing(2, [(3, 0), (2, 1), (1, 2), (0, 3)])
     assert ring.is_artinian()
