@@ -12,6 +12,11 @@ by valuation): basis, multiplication, degrees, the top degree, the
 kernel degree window with its certified flag, and the modulus of the
 early kernel stop.  The ring classes in `rings` document how each
 window is certified.
+A kernel walk spans the decomposable syzygies of each degree from
+products of lower generators.  Over k[S] with multiplicity m it seeds
+that span with t^m times the kernel m degrees down, whose echelon rows
+relabel with no elimination, and forms only the products t^e g with e
+in the Apery set Ap(S, m); see `kernel_minimal_gens`.
 """
 
 from contextlib import contextmanager
@@ -287,12 +292,21 @@ def kernel_memo():
 def kernel_minimal_gens(f, bound=None):
     """Minimal homogeneous generators of ker(f) in degrees <= bound.
 
-    Walks the degrees upward; in each degree the kernel is a nullspace
-    and the decomposable part is spanned by lower generators times
-    positive-degree basis elements, so new generators are the
-    echelon-residuals of the nullspace basis.  Over a semigroup ring
-    the walk ends early once `kernel_stop` certifies that no later
-    degree can hold a generator; the reported window is unchanged.
+    Walks the degrees upward; in each degree d the kernel N_d is a
+    nullspace and the decomposable part D_d is spanned by lower
+    generators times positive-degree basis elements, so new generators
+    are the echelon-residuals of the nullspace basis modulo D_d.  The
+    residual of a vector modulo a subspace in reduced echelon form is
+    unique, so how D_d is spanned does not change the result.
+    Over a semigroup ring, with m its multiplicity, t^m N_{d-m} lies in
+    D_d and its echelon rows relabel into those of degree d
+    (`_shifted_kernel`); they seed D_d, and only the products t^e g
+    with e in the Apery set Ap(S, m) = {e in S : e - m not in S} are
+    formed, as every other product is t^m times one in N_{d-m}.  The
+    walk there also ends early once `kernel_stop` certifies that no
+    later degree can hold a generator; the reported window is
+    unchanged.  Over either ring family, products stop and residuals
+    are skipped once D_d fills N_d.
     Inside a `kernel_memo` scope a repeated map is answered from the
     memo: every hit gets the same map object, which callers must not
     mutate, and which may sit on an equal algebra of an earlier call.
@@ -318,12 +332,38 @@ def kernel_minimal_gens(f, bound=None):
     return got
 
 
+def _apery_degrees(algebra, m):
+    """The m - 1 nonzero degrees e of R with R_{e-m} = 0: the nonzero
+    elements of the Apery set Ap(S, m)."""
+    out = []
+    e = 0
+    while len(out) < m - 1:
+        e += 1
+        if algebra.basis(e) and (e < m or not algebra.basis(e - m)):
+            out.append(e)
+    return out
+
+
+def _shifted_kernel(algebra, tm, kept, index):
+    """Echelon rows of t^m N_{d-m} in the columns of degree d.
+
+    kept is (source basis, echelon rows of N_{d-m}).  t^m takes the
+    column (j, b) to (j, t^m b); over k[S] that relabeling is injective
+    and keeps the column order, so the rows stay in echelon form.
+    """
+    src, rows = kept
+    mult = algebra.mult
+    col = [index[(j, mult(b, tm))] for j, b in src]
+    return [{col[c]: x for c, x in row.items()} for row in rows]
+
+
 def _kernel_minimal_gens(f, bound):
     algebra = f.algebra
+    p = algebra.p
     window = kernel_window(algebra, f.source)
     if bound is None:
         bound = window.bound
-    gens = []
+    gens = {}  # degree -> the generators found there, in order
     if f.source.rank:
         lo = min(f.source.shifts)
         stop = kernel_stop(f)
@@ -331,34 +371,61 @@ def _kernel_minimal_gens(f, bound):
             m, rank = stop
             # residue classes mod m still below dim N_d = rank N
             open_classes = set(range(m)) if rank else set()
+            tm = algebra.basis(m)[0]
+            apery = _apery_degrees(algebra, m)
+            kept = {}  # degree -> (source basis, echelon rows of N_d), last m degrees
         for d in range(lo, bound + 1):
-            if stop is not None and not open_classes:
-                break
+            if stop is not None:
+                if not open_classes:
+                    break
+                prior = kept.pop(d - m, None)
             src = f.source.basis(algebra, d)
             if not src:
                 continue
             rows, _, _ = f.matrix(d)
-            null = linalg.nullspace([r for r in rows if r], len(src), algebra.p)
-            if stop is not None and len(null) == rank:
+            null = linalg.nullspace([r for r in rows if r], len(src), p)
+            dim = len(null)
+            if stop is not None and dim == rank:
                 open_classes.discard(d % m)
-            if not null:
+            if not dim:
                 continue
             index = {key: i for i, key in enumerate(src)}
-            span = linalg.EchelonSpan(algebra.p)
-            for gd, g in gens:
-                for r in algebra.basis(d - gd):
-                    prod = scale_module_elt(algebra, g, r)
-                    if prod:
-                        span.add({index[key]: x for key, x in prod.items()})
+            if stop is None:
+                span = linalg.EchelonSpan(p)
+                products = (
+                    (g, r)
+                    for gd, at in gens.items()
+                    for g in at
+                    for r in algebra.basis(d - gd)
+                )
+            else:
+                seed = () if prior is None else _shifted_kernel(algebra, tm, prior, index)
+                span = linalg.EchelonSpan(p, seed)
+                products = (
+                    (g, r)
+                    for e in apery
+                    for g in gens.get(d - e, ())
+                    for r in algebra.basis(e)
+                )
+            for g, r in products:
+                if span.rank == dim:
+                    break
+                prod = scale_module_elt(algebra, g, r)
+                if prod:
+                    span.add({index[key]: x for key, x in prod.items()})
             for vec in null:
+                if span.rank == dim:
+                    break
                 resid = span.reduce(vec)
                 if resid is not None:
                     # entries in basis order, not in the order elimination left
-                    gens.append((d, {src[c]: resid[c] for c in sorted(resid)}))
+                    gens.setdefault(d, []).append({src[c]: resid[c] for c in sorted(resid)})
                     span.add(resid)
-    shifts = tuple(d for d, _ in gens)
+            if stop is not None:
+                kept[d] = (src, span.rows)
+    shifts = tuple(d for d, at in gens.items() for _ in at)
     out = HomogeneousMap(
-        algebra, GradedFreeModule(shifts), f.source, [g for _, g in gens]
+        algebra, GradedFreeModule(shifts), f.source, [g for at in gens.values() for g in at]
     )
     return out, window.certified
 

@@ -8,12 +8,20 @@ vector's own entry in that pivot column, and reducing a vector touches
 only the pivot rows its support meets.  The RREF of a row space is
 unique, so results do not depend on the order rows arrive in.
 
+Keeping other rows reduced when a pivot row arrives touches only the
+rows with an entry in its pivot column.  An occurrence index maps each
+non-pivot column to the rows that have held an entry there: lists that
+only grow, where a row whose entry has since cancelled is skipped, and
+a column's list is dropped once the column becomes a pivot.  `_echelon`
+and `EchelonSpan` own their index; nothing else appends rows.
+
 The modulus must be prime (`check_prime`): inverses are taken as
-x^(p-2) mod p.
+pow(x, -1, p).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
@@ -77,33 +85,49 @@ def _residual(row, red, pivots, p):
     return out
 
 
-def _insert(red, pivots, res, p):
-    """Append a nonzero residual as a pivot row and keep red reduced."""
+def _insert(red, pivots, occ, res, p):
+    """Append a nonzero residual as a pivot row and keep red reduced.
+
+    occ is the occurrence index of red; only the rows it lists for the
+    new pivot column are visited.
+    """
     pc = min(res)
     f = res[pc]
     if f != 1:
-        inv = pow(f, p - 2, p)
+        inv = pow(f, -1, p)
         res = {c: x * inv % p for c, x in res.items()}
-    for row in red:
+    for at in occ.pop(pc, ()):
+        row = red[at]
         f = row.get(pc)
-        if f:
-            for k, y in res.items():
-                x = (row.get(k, 0) - f * y) % p
+        if not f:
+            continue
+        for k, y in res.items():
+            x = row.get(k)
+            if x is None:
+                # nonzero: p is prime and f, y are units
+                row[k] = -f * y % p
+                occ[k].append(at)
+            else:
+                x = (x - f * y) % p
                 if x:
                     row[k] = x
                 else:
                     del row[k]
-    pivots[pc] = len(red)
+    at = len(red)
+    for k in res:
+        if k != pc:
+            occ[k].append(at)
+    pivots[pc] = at
     red.append(res)
 
 
 def _echelon(rows, p):
     """Reduced echelon rows of the row space, in the order they were found."""
-    red, pivots = [], {}
+    red, pivots, occ = [], {}, defaultdict(list)
     for row in rows:
         out = _residual(row, red, pivots, p)
         if out:
-            _insert(red, pivots, out, p)
+            _insert(red, pivots, occ, out, p)
     return red, pivots
 
 
@@ -148,13 +172,22 @@ class EchelonSpan:
     """Incrementally maintained row space in reduced echelon form.
 
     rows are kept in the order they were added; pivots maps each pivot
-    column to the index of its row, as `reduce_row` expects.
+    column to the index of its row, as `reduce_row` expects.  seed, if
+    given, is a list of rows already in reduced echelon form, each with
+    entry 1 at its lowest column; they are taken over as they are, with
+    no elimination.  Add rows only through `add`, which keeps the
+    occurrence index.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, seed=()):
         self.p = p
-        self.rows = []
-        self.pivots = {}
+        self.rows = list(seed)
+        self.pivots = {min(row): at for at, row in enumerate(self.rows)}
+        self._occ = defaultdict(list)
+        for at, row in enumerate(self.rows):
+            for k in row:
+                if k not in self.pivots:
+                    self._occ[k].append(at)
 
     def reduce(self, vec):
         """Residual of vec modulo the span, or None if it lies inside."""
@@ -165,7 +198,7 @@ class EchelonSpan:
         res = _residual(vec, self.rows, self.pivots, self.p)
         if not res:
             return False
-        _insert(self.rows, self.pivots, res, self.p)
+        _insert(self.rows, self.pivots, self._occ, res, self.p)
         return True
 
     @property

@@ -79,12 +79,13 @@ class QuotientRing:
         return self.mpow(1)
 
     def mpow(self, s):
-        """m^s, kept on the ring once built."""
-        got = self._powers.get(s)
-        if got is None:
-            rep = _ideal(self.nvars, mpow(self.nvars, s).gens + self.defining.gens)
-            got = self._powers[s] = _qideal(self, rep)
-        return got
+        """m^s; its representative is kept on the ring once built, and
+        not the ideal, which would point back at the ring."""
+        rep = self._powers.get(s)
+        if rep is None:
+            gens = mpow(self.nvars, s).gens + self.defining.gens
+            rep = self._powers[s] = _ideal(self.nvars, gens)
+        return _qideal(self, rep)
 
     def depth_positive(self):
         return not self.ctx.depth_zero()
@@ -322,7 +323,13 @@ class SemigroupRing:
         return 2 * self.S.conductor + 1, True
 
     def stop_modulus(self):
-        """The multiplicity m: t^m acts injectively on free modules."""
+        """The multiplicity m: t^m acts injectively on free modules.
+
+        It takes the basis label t^b of each degree piece to t^(b+m),
+        which is injective and keeps the order of labels, so the degree-d
+        basis of a free module relabels, in order, into that of degree
+        d + m (`homalg` seeds each kernel degree from the one m below).
+        """
         return self.S.generators[0]
 
     def __eq__(self, other):

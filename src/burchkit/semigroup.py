@@ -39,7 +39,7 @@ class NumericalSemigroup:
         self.frobenius = max(self._apery) - self._min_gen
         self.conductor = self.frobenius + 1
         self._minimal_gens = None
-        self._powers = None  # value sets of the maximal-ideal powers, by mpow_set
+        self._powers = None  # thresholds of the maximal-ideal powers, by mpow_set
 
     @staticmethod
     def _apery_by_shortest_path(gens):
@@ -97,11 +97,11 @@ class RelativeIdealSet:
 
     __slots__ = ("ambient", "thresholds", "_gens")
 
-    def __init__(self, ambient: NumericalSemigroup, gens, *, minimal=False):
+    def __init__(self, ambient: NumericalSemigroup, gens):
         vals = sorted({int(v) for v in gens})
         self.ambient = ambient
         self.thresholds = _meet(min, [_shifted(ambient._apery, v) for v in vals]) if vals else None
-        self._gens = tuple(vals) if minimal else None
+        self._gens = None
 
     @property
     def gens(self):
@@ -257,13 +257,13 @@ def maximal_ideal_set(S: NumericalSemigroup) -> RelativeIdealSet:
 
 
 def mpow_set(S: NumericalSemigroup, s: int) -> RelativeIdealSet:
-    """The set of valuations of m^s, kept on S once built."""
+    """The set of valuations of m^s.  Its thresholds are kept on S once
+    built, and not the set, which would point back at S."""
     if s < 0:
         raise ValueError("negative power")
     powers = S._powers
     if powers is None:
-        gens = ((0,), S.minimal_generators())
-        powers = S._powers = [RelativeIdealSet(S, g, minimal=True) for g in gens]
+        powers = S._powers = [S._apery, RelativeIdealSet(S, S.minimal_generators()).thresholds]
     while len(powers) <= s:
-        powers.append(powers[-1] + powers[1])
-    return powers[s]
+        powers.append(_meet(min, [_shifted(powers[1], c) for c in powers[-1]]))
+    return _relset(S, powers[s])

@@ -370,6 +370,59 @@ def dense_reduce_row(row, red, pivots, p):
     return out if any(out) else None
 
 
+# ------------------------------------------------------ row-scanning sparse kernel
+#
+# The sparse elimination as it was before linalg kept an occurrence
+# index: a new pivot row is cleared out of every row of the echelon
+# list, each one scanned for the pivot column.  tests/test_linalg.py
+# compares rref, nullspace and EchelonSpan against it.
+
+def scan_residual(row, red, pivots, p):
+    """Residual of a sparse row modulo sparse RREF rows, as a new dict."""
+    out = {c: x % p for c, x in row.items() if x % p}
+    for c, f in row.items():
+        at = pivots.get(c)
+        if at is None or not f % p:
+            continue
+        f %= p
+        for k, y in red[at].items():
+            x = (out.get(k, 0) - f * y) % p
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return out
+
+
+def scan_insert(red, pivots, res, p):
+    """Append a nonzero residual as a pivot row, scanning every row."""
+    pc = min(res)
+    inv = pow(res[pc], p - 2, p)
+    res = {c: x * inv % p for c, x in res.items()}
+    for row in red:
+        f = row.get(pc)
+        if f:
+            for k, y in res.items():
+                x = (row.get(k, 0) - f * y) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    pivots[pc] = len(red)
+    red.append(res)
+
+
+def scan_echelon(rows, p, red=None):
+    """(red, pivots) after adding rows in order to the RREF rows red."""
+    red = [] if red is None else [dict(r) for r in red]
+    pivots = {min(r): at for at, r in enumerate(red)}
+    for row in rows:
+        out = scan_residual(row, red, pivots, p)
+        if out:
+            scan_insert(red, pivots, out, p)
+    return red, pivots
+
+
 # ------------------------------------------------------ dense map assembly
 #
 # Degree-piece assembly as the library did it while a graded map stored
@@ -449,6 +502,70 @@ def full_window_kernel_gens(f, bound=None):
             for vec in null:
                 resid = span.reduce(vec)
                 if resid is not None:
+                    gens.append((d, {src[c]: resid[c] for c in sorted(resid)}))
+                    span.add(resid)
+    shifts = tuple(d for d, _ in gens)
+    out = HomogeneousMap(
+        algebra, GradedFreeModule(shifts), f.source, [g for _, g in gens]
+    )
+    return out, window.certified
+
+
+# ------------------------------------------------------ full-product kernel walk
+#
+# kernel_minimal_gens as it was before a semigroup walk seeded each
+# degree from t^m times the kernel m degrees down: every product of a
+# lower generator with a positive-degree basis element is formed in
+# every degree, and every nullspace vector is reduced.
+# tests/test_homalg.py compares the engine against it.
+
+def reference_kernel_minimal_gens(f, bound=None):
+    """(map, certified) of the minimal kernel generators, forming every
+    product of a lower generator in every degree walked."""
+    from burchkit import linalg
+    from burchkit.homalg import (
+        GradedFreeModule,
+        HomogeneousMap,
+        kernel_stop,
+        kernel_window,
+        scale_module_elt,
+    )
+
+    algebra = f.algebra
+    window = kernel_window(algebra, f.source)
+    if bound is None:
+        bound = window.bound
+    gens = []
+    if f.source.rank:
+        lo = min(f.source.shifts)
+        stop = kernel_stop(f)
+        if stop is not None:
+            m, rank = stop
+            # residue classes mod m still below dim N_d = rank N
+            open_classes = set(range(m)) if rank else set()
+        for d in range(lo, bound + 1):
+            if stop is not None and not open_classes:
+                break
+            src = f.source.basis(algebra, d)
+            if not src:
+                continue
+            rows, _, _ = f.matrix(d)
+            null = linalg.nullspace([r for r in rows if r], len(src), algebra.p)
+            if stop is not None and len(null) == rank:
+                open_classes.discard(d % m)
+            if not null:
+                continue
+            index = {key: i for i, key in enumerate(src)}
+            span = linalg.EchelonSpan(algebra.p)
+            for gd, g in gens:
+                for r in algebra.basis(d - gd):
+                    prod = scale_module_elt(algebra, g, r)
+                    if prod:
+                        span.add({index[key]: x for key, x in prod.items()})
+            for vec in null:
+                resid = span.reduce(vec)
+                if resid is not None:
+                    # entries in basis order, not in the order elimination left
                     gens.append((d, {src[c]: resid[c] for c in sorted(resid)}))
                     span.add(resid)
     shifts = tuple(d for d, _ in gens)

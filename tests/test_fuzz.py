@@ -1,5 +1,6 @@
 """Seeded suites: determinism, shrinking, generator quality bands."""
 
+import gc
 import hashlib
 import json
 
@@ -410,3 +411,23 @@ def test_decoded_entries_are_reduced_mod_p():
     pres = _decode_module(alg, data)
     assert pres.map.elts == ({(0, (1, 0)): 1},)
     assert pres.map.is_minimal
+
+
+def test_suites_leave_no_ring_for_the_collector():
+    # a ring or semigroup that keeps its powers of m as ideals pointing
+    # back at it is a reference cycle, freed only by a full collection
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("prop24", "hw12"):
+            run_suite(name, FuzzConfig(seed=20240819, trials=40))
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        freed = [o for o in gc.garbage if isinstance(o, (QuotientRing, NumericalSemigroup))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert freed == []

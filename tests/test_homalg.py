@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from burchkit import homalg, linalg
+from burchkit import fuzz, homalg, linalg
 from burchkit.homalg import (
     GradedAlgebra,
     GradedFreeModule,
@@ -30,7 +30,7 @@ from burchkit.homalg import (
 from burchkit.fuzz import FuzzConfig, gen_module, trial_rng
 from burchkit.rings import QuotientRing, SemigroupRing
 
-from oracles import dense_matrix, full_window_kernel_gens
+from oracles import dense_matrix, full_window_kernel_gens, reference_kernel_minimal_gens
 
 
 def _cube_ring():
@@ -93,6 +93,19 @@ def test_residue_field_differentials_are_pinned():
     assert res.betti() == (1, 4, 12, 36, 108, 324, 972)
     assert _differentials_digest(res) == (
         "e5d181096e2c2768275674d8d248c579b09c1f8a784d935dc98a532b4c69147b"
+    )
+    # deeper stages, where most degrees are seeded from t^m N_{d-m}
+    ring = SemigroupRing((6, 7, 9, 11))
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
+    assert res.betti() == (1, 4, 12, 36, 108, 324, 972)
+    assert _differentials_digest(res) == (
+        "17ebbf309c48b8cdbcd031fb716821772ce83baef9814d85113e2d1276bc52d4"
+    )
+    ring = SemigroupRing((8, 9, 11, 13, 15))
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 5)
+    assert res.betti() == (1, 5, 20, 80, 320, 1280)
+    assert _differentials_digest(res) == (
+        "b09e57436b652075a3b978bead7f0dd2f34c54c2a89c0ecaddbc968bd1e3fae5"
     )
 
 
@@ -392,9 +405,9 @@ def test_dense_cols_view_round_trips_to_elts():
             assert m.cols[0][0] != cols[0][0]
 
 
-def _assert_same_kernel(f):
+def _assert_same_kernel(f, reference=full_window_kernel_gens):
     got, got_cert = kernel_minimal_gens(f)
-    want, want_cert = full_window_kernel_gens(f)
+    want, want_cert = reference(f)
     assert got.source.shifts == want.source.shifts
     assert got.elts == want.elts
     assert got_cert == want_cert
@@ -447,6 +460,91 @@ def test_early_stop_handles_rank_deficient_and_injective_maps():
     # monomial quotients walk their whole window
     cube = _cube_ring()
     assert kernel_stop(cyclic_presentation(GradedAlgebra(cube), cube.maximal_ideal()).map) is None
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [SemigroupRing(g) for g in fuzz._SG_POOL]
+    + [_cube_ring(), QuotientRing(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])],
+    ids=repr,
+)
+def test_kernel_walk_matches_full_product_walk_on_residue_fields(ring):
+    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 5)
+    for f in res.maps[:-1]:
+        _assert_same_kernel(f, reference_kernel_minimal_gens)
+
+
+def _draw_map(alg, rng):
+    """A homogeneous map with entries of positive degree; with some
+    columns t^e times earlier ones up to a scalar, so that over k[S] the
+    coefficient matrix often loses rank."""
+    tshifts = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
+    degrees = [e for e in range(1, 9) if alg.basis(e)]
+    sshifts, elts = [], []
+    for _ in range(rng.randint(1, 3)):
+        if elts and rng.random() < 0.5:
+            k = rng.randrange(len(elts))
+            e = rng.choice(degrees[:3])
+            r = rng.choice(alg.basis(e))
+            c = rng.randint(1, alg.p - 1)
+            elt = {
+                (i, prod): c * x
+                for (i, label), x in elts[k].items()
+                if (prod := alg.mult(label, r)) is not None
+            }
+            sshifts.append(sshifts[k] + e)
+        else:
+            first = rng.randrange(len(tshifts))
+            s = tshifts[first] + rng.choice(degrees)
+            elt = {}
+            for i, t in enumerate(tshifts):
+                labels = alg.basis(s - t) if s > t else ()
+                if labels and (i == first or rng.random() < 0.5):
+                    elt[(i, rng.choice(labels))] = rng.randint(1, alg.p - 1)
+            sshifts.append(s)
+        elts.append(elt)
+    return HomogeneousMap(alg, GradedFreeModule(sshifts), GradedFreeModule(tshifts), elts)
+
+
+def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
+    rng = random.Random(4111)
+    rings = [SemigroupRing(g) for g in fuzz._SG_POOL] + [
+        _cube_ring(),
+        QuotientRing(2, [(4, 0), (1, 2), (0, 3)]),
+        QuotientRing(2, [(2, 2)]),
+    ]
+    deficient = injective = 0
+    for k in range(72):
+        alg = GradedAlgebra(rings[k % len(rings)], rng.choice((2, 101)))
+        f = _draw_map(alg, rng)
+        stop = kernel_stop(f)
+        if stop is not None:
+            rank_n = stop[1]
+            deficient += f.source.rank - rank_n < min(f.source.rank, f.target.rank)
+            injective += rank_n == 0
+        _assert_same_kernel(f, reference_kernel_minimal_gens)
+        # and the next stage, a kernel of a kernel
+        syz = kernel_minimal_gens(f)[0]
+        if syz.source.rank:
+            _assert_same_kernel(syz, reference_kernel_minimal_gens)
+    assert deficient >= 10 and injective >= 10
+
+
+def test_semigroup_walk_forms_only_apery_products(monkeypatch):
+    # k over k[[t^6,t^7,t^9,t^11]] to depth 6: the full-product walk
+    # forms 9602 products of a generator with a basis element; seeded
+    # degrees form only Apery products, and none once D_d fills N_d
+    calls = {"n": 0}
+    real = homalg.scale_module_elt
+
+    def counting(*args):
+        calls["n"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(homalg, "scale_module_elt", counting)
+    ring = SemigroupRing((6, 7, 9, 11))
+    resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
+    assert calls["n"] <= 2961
 
 
 def _record_matrix_degrees(monkeypatch):

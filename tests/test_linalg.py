@@ -11,7 +11,7 @@ import pytest
 
 from burchkit import linalg
 from burchkit.linalg import PRIME_BOUND, EchelonSpan, check_prime
-from oracles import dense_nullspace, dense_reduce_row, dense_rref
+from oracles import dense_nullspace, dense_reduce_row, dense_rref, scan_echelon, scan_residual
 
 PRIMES = (2, 3, 101)
 REFERENCE_PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1)
@@ -143,6 +143,65 @@ def test_sparse_kernel_matches_dense_reference(p):
                 span.add(r)
             order = sorted(span.pivots)
             assert [_dense(span.rows[span.pivots[c]], ncols) for c in order] == want_red
+
+
+def _scan_nullspace(rows, ncols, p):
+    red, pivots = scan_echelon(rows, p)
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for pc, at in pivots.items():
+        for c, x in red[at].items():
+            if c != pc:
+                basis[c][pc] = p - x
+    return list(basis.values())
+
+
+@pytest.mark.parametrize("p", REFERENCE_PRIMES)
+def test_indexed_elimination_matches_row_scanning_reference(p):
+    # the occurrence index visits only rows that hold the new pivot
+    # column; the reference clears it out of every row
+    rng = random.Random(7 * p + 1)
+    for density in (0.1, 0.3, 0.7):
+        for _ in range(40):
+            ncols = rng.randint(1, 14)
+            rows = [_sparse(_rand_row(rng, p, ncols, density)) for _ in range(rng.randint(0, 12))]
+            red, pivots = scan_echelon(rows, p)
+            order = sorted(pivots)
+            assert linalg.rref(rows, ncols, p) == (
+                [red[pivots[c]] for c in order],
+                {c: i for i, c in enumerate(order)},
+            )
+            assert linalg.nullspace(rows, ncols, p) == _scan_nullspace(rows, ncols, p)
+            # unseeded and seeded spans keep the reference's rows, in order
+            more = [_sparse(_rand_row(rng, p, ncols, density)) for _ in range(rng.randint(0, 8))]
+            for seed in ((), red):
+                span = EchelonSpan(p, [dict(r) for r in seed])
+                grew = [span.add(r) for r in more]
+                want, want_pivots = scan_echelon(more, p, red=seed)
+                assert span.rows == want and span.pivots == want_pivots
+                assert grew.count(True) == len(want) - len(seed)
+                probe = _sparse(_rand_row(rng, p, ncols, density))
+                assert span.reduce(probe) == (scan_residual(probe, want, want_pivots, p) or None)
+
+
+def test_a_row_that_loses_and_regains_a_column_is_cleared():
+    p = 101
+    added = [{0: 1, 1: 1, 2: 1, 3: 1}, {1: 1, 3: 1}, {2: 1, 3: 1}, {3: 1}]
+    span = EchelonSpan(p)
+    for n, row in enumerate(added, 1):
+        assert span.add(row)
+        want, _ = scan_echelon(added[:n], p)
+        assert span.rows == want
+        if n == 2:
+            assert span.rows[0] == {0: 1, 2: 1}  # column 3 cancelled
+        if n == 3:
+            assert span.rows[0] == {0: 1, 3: p - 1}  # and came back
+    assert span.rows == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
+    # the same rows through a seeded span and through rref
+    seeded = EchelonSpan(p, [{0: 1, 2: 1}, {1: 1, 3: 1}])
+    assert seeded.add({2: 1, 3: 1}) and seeded.rows[0] == {0: 1, 3: p - 1}
+    assert seeded.add({3: 1})
+    assert sorted(seeded.rows, key=min) == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
+    assert linalg.rref(added, 4, p)[0] == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
 
 def _trial_division(n):
