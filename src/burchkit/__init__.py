@@ -40,7 +40,7 @@ from .hw import (
     hw_has_torsion,
     hw_report,
 )
-from .monomial import MonomialIdeal, QuotientContext, integral_closure
+from .monomial import MonomialIdeal, integral_closure
 from .problemfile import ParsedProblem, ProblemFileError, load_problem, parse_problem
 from .rings import QuotientRing, SemigroupRing
 from .semigroup import NumericalSemigroup, RelativeIdealSet, mpow_set, relset_colon
@@ -56,7 +56,6 @@ __all__ = [
     "NumericalSemigroup",
     "ParsedProblem",
     "ProblemFileError",
-    "QuotientContext",
     "QuotientRing",
     "RelativeIdealSet",
     "Resolution",

@@ -621,7 +621,7 @@ def _attach_premise_module(inst, stream, ring, i):
     """Free, R/yR for a socle monomial y outside I, or random; and a stage t."""
     r = stream.random()
     if 0.2 <= r < 0.6 and inst["family"] == "monomial":
-        options = [y for y in ring.ctx.socle() if not i.member(y)]
+        options = [y for y in ring.socle() if not i.member(y)]
         if options:
             inst["mkind"] = "socle"
             inst["socle_gen"] = list(stream.choice(options))
@@ -724,7 +724,7 @@ def _suite_thm25():
         inst["jpow"] = stream.randint(max(1, ll - 2), ll - 1)
         ring_m = ring.maximal_ideal()
         u = ring_m * ring.mpow(inst["jpow"]).colon(ring_m)
-        soc = ring.ideal(list(ring.ctx.socle()))
+        soc = ring.ideal(list(ring.socle()))
         if soc.is_zero() or not soc.subset_of(u):
             return None
         extras = [g for g in u.min_gens() if stream.random() < 0.5]
@@ -741,7 +741,7 @@ def _suite_thm25():
         i = ring.ideal(inst["ideal"])
         ring_m = ring.maximal_ideal()
         u = ring_m * j.colon(ring_m)
-        soc = ring.ideal(list(ring.ctx.socle()))
+        soc = ring.ideal(list(ring.socle()))
         if not (soc.subset_of(i) and i.subset_of(u)) or i.is_unit():
             return None
         pres = _decode_premise_module(inst, ring)
@@ -770,7 +770,7 @@ def _suite_prop26():
         cut[1] = stream.randint(1, bounds[1] - 1)
         inst["defining"].append(cut)
         ring = _build_ring(inst)
-        soc = sorted(ring.ctx.socle())
+        soc = sorted(ring.socle())
         if len(soc) < 2:
             return None
         y = stream.choice(soc)
@@ -791,7 +791,7 @@ def _suite_prop26():
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit():
             return None
-        options = [y for y in ring.ctx.socle() if not i.member(y)]
+        options = [y for y in ring.socle() if not i.member(y)]
         if not options:
             return None
         y = options[0]

@@ -155,80 +155,24 @@ def _mpow(nvars, s):
     return MonomialIdeal(nvars, _compositions(nvars, s), minimal=True)
 
 
-def maximal_ideal(nvars: int) -> MonomialIdeal:
-    return mpow(nvars, 1)
-
-
-class QuotientContext:
-    """The ring k[x_1..x_n]/a for a proper monomial ideal a."""
-
-    __slots__ = ("nvars", "defining", "_socle", "_basis_cache")
-
-    def __init__(self, nvars: int, defining: MonomialIdeal):
-        if defining.nvars != nvars:
-            raise ValueError("defining ideal has wrong arity")
-        if defining.is_unit():
-            raise ValueError("defining ideal must be proper")
-        self.nvars = nvars
-        self.defining = defining
-        self._socle = None
-        self._basis_cache = {}
-
-    def is_artinian(self) -> bool:
-        return all(
-            any(all(g[j] == 0 for j in range(self.nvars) if j != i) for g in self.defining.gens)
-            for i in range(self.nvars)
-        )
-
-    def std_basis(self, d: int):
-        """Monomials of total degree d that survive in the quotient."""
-        if d < 0:
-            return ()
-        if d not in self._basis_cache:
-            self._basis_cache[d] = tuple(
-                u for u in _compositions(self.nvars, d) if not self.defining.member(u)
-            )
-        return self._basis_cache[d]
-
-    def socle(self):
-        """Standard monomials killed by every variable, as exponent vectors.
-
-        Any socle monomial u has u_i + 1 bounded by the largest x_i
-        exponent among the defining generators, so the search box is
-        finite even when the quotient is not Artinian.
-        """
-        if self._socle is None:
-            gens = self.defining.gens
-            self._socle = tuple(sorted(_corners(gens), key=_deglex)) if gens else ()
-        return self._socle
-
-    def depth_zero(self) -> bool:
-        return bool(self.socle())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientContext)
-            and self.nvars == other.nvars
-            and self.defining == other.defining
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, self.defining))
-
-    def __repr__(self):
-        return "QuotientContext(%d, %r)" % (self.nvars, self.defining)
+# bits held by the masks of one staircase box, sum(L_i + 1) * prod(L_i + 1):
+# 2^26 bits is 8 MiB, and (x^300, y^300, xy) still fits
+_BOX_BITS_MAX = 1 << 26
 
 
 @lru_cache(maxsize=128)
 def _staircase(top):
     """(strides, ge, full) for the box prod [0, top_i], cell v at bit
     sum(v_i * strides_i) (lexicographic order); ge[i][k] has the cells
-    with v_i >= k, full every cell."""
+    with v_i >= k, full every cell.  Raises ValueError when the masks
+    would hold more than _BOX_BITS_MAX bits."""
     strides, size = [], 1
     for t in reversed(top):
         strides.append(size)
         size *= t + 1
     strides.reverse()
+    if (sum(top) + len(top)) * size > _BOX_BITS_MAX:
+        raise ValueError("staircase box too large: generator maxima %s" % (list(top),))
     ge = []
     for t, s in zip(top, strides):
         block = (1 << (t + 1) * s) - 1
@@ -345,8 +289,3 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
 
 def is_integrally_closed(ideal: MonomialIdeal) -> bool:
     return integral_closure(ideal) == ideal
-
-
-def min_term_degree_check(relation_term_degrees, d: int) -> bool:
-    """Whether every listed relation has all of its terms in degree >= d."""
-    return all(all(t >= d for t in rel) for rel in relation_term_degrees)

@@ -7,7 +7,10 @@ basis(d), mult(a, b) (None when the product is zero), deg(label),
 top_degree() (None when unbounded), kernel_window(slack), the width
 past a free module's highest shift that holds its kernel generators,
 with a certified flag, and stop_modulus(), the m of `homalg.kernel_stop`
-(None when there is none).  Their ideals, QIdeal and SgIdeal, answer
+(None when there is none).  Both answer depth_positive() and
+is_artinian(), whether top_degree() is finite; QuotientRing also answers
+socle(), the standard monomials that every variable kills, from which
+its depth_positive() follows.  Their ideals, QIdeal and SgIdeal, answer
 the predicate layer: colon, product, sum, comparison, subset,
 m-primariness, Loewy length, and quotient_top_degree() of R/I.
 Everything is immutable and value-compared.
@@ -21,8 +24,9 @@ from operator import add
 
 from .monomial import (
     MonomialIdeal,
-    QuotientContext,
+    _compositions,
     _corners,
+    _deglex,
     _ideal,
     integral_closure,
     mpow,
@@ -48,23 +52,36 @@ class QuotientRing:
     a heuristic slack, flagged certified=False.
     """
 
-    __slots__ = ("ctx", "basis", "_powers", "_std")
+    __slots__ = ("nvars", "defining", "_basis", "_socle", "_powers", "_std")
 
     def __init__(self, nvars, defining_gens=()):
         defining = MonomialIdeal(nvars, defining_gens)
-        self.ctx = QuotientContext(nvars, defining)
-        # basis(d): the standard monomials of degree d, cached on ctx
-        self.basis = self.ctx.std_basis
+        if defining.is_unit():
+            raise ValueError("defining ideal must be proper")
+        self.nvars = nvars
+        self.defining = defining
+        self._basis = {}
+        self._socle = None
         self._powers = {}
         self._std = None  # standard monomials of an Artinian R; False if not
 
-    @property
-    def nvars(self):
-        return self.ctx.nvars
+    def basis(self, d):
+        """The standard monomials of degree d: those outside A."""
+        got = self._basis.get(d)
+        if got is None:
+            member = self.defining.member
+            comps = _compositions(self.nvars, d) if d >= 0 else ()
+            got = self._basis[d] = tuple(u for u in comps if not member(u))
+        return got
 
-    @property
-    def defining(self):
-        return self.ctx.defining
+    def socle(self):
+        """Standard monomials killed by every variable, as exponent
+        vectors: the corners of A's staircase, which lie in the box of
+        its generator maxima even when R is not Artinian."""
+        if self._socle is None:
+            gens = self.defining.gens
+            self._socle = tuple(sorted(_corners(gens), key=_deglex)) if gens else ()
+        return self._socle
 
     def ideal(self, gens, name=None):
         return QIdeal(self, gens, name=name)
@@ -88,13 +105,13 @@ class QuotientRing:
         return _qideal(self, rep)
 
     def depth_positive(self):
-        return not self.ctx.depth_zero()
+        return not self.socle()
 
     def is_regular(self):
         return self.defining.is_zero()
 
     def is_artinian(self):
-        return self.ctx.is_artinian()
+        return self.top_degree() is not None
 
     def deg(self, label):
         return sum(label)
@@ -110,7 +127,7 @@ class QuotientRing:
                 u for d in range(top + 1) for u in self.basis(d)
             )
         if std is False:
-            return None if self.ctx.defining.member(prod) else prod
+            return None if self.defining.member(prod) else prod
         return prod if prod in std else None
 
     def top_degree(self):
@@ -128,10 +145,10 @@ class QuotientRing:
     def __eq__(self, other):
         if not isinstance(other, QuotientRing):
             return NotImplemented
-        return self.ctx == other.ctx
+        return self.nvars == other.nvars and self.defining == other.defining
 
     def __hash__(self):
-        return hash(self.ctx)
+        return hash((self.nvars, self.defining))
 
     def __repr__(self):
         return "QuotientRing(%d, %r)" % (self.nvars, list(self.defining.gens))

@@ -63,9 +63,6 @@ class NumericalSemigroup:
     def __contains__(self, v) -> bool:
         return v >= 0 and self._apery[v % self._min_gen] <= v
 
-    def gaps(self):
-        return tuple(v for v in range(self.conductor) if v not in self)
-
     def minimal_generators(self):
         """Generators that are not sums of two nonzero elements."""
         if self._minimal_gens is None:

@@ -459,67 +459,18 @@ def dense_matrix(pmap, d, view=None):
     return rows, src, tgt
 
 
-# ------------------------------------------------------ full-window kernel walk
-#
-# kernel_minimal_gens as it was before the walk over a semigroup ring
-# learned to stop early: every degree of kernel_window is walked.  It
-# uses only public pieces of the library (the map's matrix, nullspace,
-# EchelonSpan), and tests/test_homalg.py compares the engine against it.
-
-def full_window_kernel_gens(f, bound=None):
-    """(map, certified) of the minimal kernel generators, walking every
-    degree up to the window bound."""
-    from burchkit import linalg
-    from burchkit.homalg import (
-        GradedFreeModule,
-        HomogeneousMap,
-        kernel_window,
-        scale_module_elt,
-    )
-
-    algebra = f.algebra
-    window = kernel_window(algebra, f.source)
-    if bound is None:
-        bound = window.bound
-    gens = []
-    if f.source.rank:
-        lo = min(f.source.shifts)
-        for d in range(lo, bound + 1):
-            src = f.source.basis(algebra, d)
-            if not src:
-                continue
-            rows, _, _ = f.matrix(d)
-            null = linalg.nullspace([r for r in rows if r], len(src), algebra.p)
-            if not null:
-                continue
-            index = {key: i for i, key in enumerate(src)}
-            span = linalg.EchelonSpan(algebra.p)
-            for gd, g in gens:
-                for r in algebra.basis(d - gd):
-                    prod = scale_module_elt(algebra, g, r)
-                    if prod:
-                        span.add({index[key]: x for key, x in prod.items()})
-            for vec in null:
-                resid = span.reduce(vec)
-                if resid is not None:
-                    gens.append((d, {src[c]: resid[c] for c in sorted(resid)}))
-                    span.add(resid)
-    shifts = tuple(d for d, _ in gens)
-    out = HomogeneousMap(
-        algebra, GradedFreeModule(shifts), f.source, [g for _, g in gens]
-    )
-    return out, window.certified
-
-
-# ------------------------------------------------------ full-product kernel walk
+# ------------------------------------------------------ reference kernel walk
 #
 # kernel_minimal_gens as it was before a semigroup walk seeded each
 # degree from t^m times the kernel m degrees down: every product of a
-# lower generator with a positive-degree basis element is formed in
-# every degree, and every nullspace vector is reduced.
+# lower generator with a basis element is formed in every degree, and
+# every nullspace vector is reduced.  With early_stop=False it walks
+# every degree of kernel_window, as before the walk over a semigroup
+# ring learned to stop at `homalg.kernel_stop`.  It uses only public
+# pieces of the library (the map's matrix, nullspace, EchelonSpan), and
 # tests/test_homalg.py compares the engine against it.
 
-def reference_kernel_minimal_gens(f, bound=None):
+def reference_kernel_gens(f, early_stop=True):
     """(map, certified) of the minimal kernel generators, forming every
     product of a lower generator in every degree walked."""
     from burchkit import linalg
@@ -533,17 +484,15 @@ def reference_kernel_minimal_gens(f, bound=None):
 
     algebra = f.algebra
     window = kernel_window(algebra, f.source)
-    if bound is None:
-        bound = window.bound
     gens = []
     if f.source.rank:
         lo = min(f.source.shifts)
-        stop = kernel_stop(f)
+        stop = kernel_stop(f) if early_stop else None
         if stop is not None:
             m, rank = stop
             # residue classes mod m still below dim N_d = rank N
             open_classes = set(range(m)) if rank else set()
-        for d in range(lo, bound + 1):
+        for d in range(lo, window.bound + 1):
             if stop is not None and not open_classes:
                 break
             src = f.source.basis(algebra, d)
@@ -576,6 +525,11 @@ def reference_kernel_minimal_gens(f, bound=None):
 
 
 # ------------------------------------------------------ instance generators
+
+def rand_gens(rng, nvars, count, hi):
+    """count exponent vectors with entries in [0, hi]."""
+    return [tuple(rng.randint(0, hi) for _ in range(nvars)) for _ in range(count)]
+
 
 def rand_monomial_instance(rng):
     """Random (nvars, defining, igens, jgens) with small exponents."""

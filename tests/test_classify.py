@@ -170,7 +170,7 @@ def test_weakly_mfull_implies_socle_inside_ideal():
         i = _random_artinian_ideal(rng)
         if i.is_unit() or i.is_zero() or not is_weakly_mfull(i):
             continue
-        soc = i.ring.ideal(list(i.ring.ctx.socle()))
+        soc = i.ring.ideal(list(i.ring.socle()))
         assert soc.subset_of(i)
 
 

@@ -99,6 +99,13 @@ def test_classify_power_range_override(files, capsys):
     assert payload["wmf_wrt_mpow"] == {"4": True, "5": True}
 
 
+def _box_file(tmp_path, e):
+    path = tmp_path / "box.prob"
+    text = "ring r = poly(x, y)\nideal i in r = [x^%d, y^%d, x*y]\n" % (e, e)
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def test_classify_errors_exit_2(files, capsys, tmp_path):
     rc, payload, err = run(capsys, ["classify", files["e45"], "one"])
     assert rc == 2 and payload is None and "error:" in err
@@ -116,6 +123,17 @@ def test_classify_errors_exit_2(files, capsys, tmp_path):
 
     rc, _, err = run(capsys, ["classify", files["e45"], "i", "--wrt-mpow-range", "5..4"])
     assert rc == 2 and "empty" in err
+
+    # the staircase masks of (x^3000, y^3000, xy) would take about 6.4 GiB
+    rc, _, err = run(capsys, ["classify", _box_file(tmp_path, 3000), "i"])
+    assert rc == 2 and "staircase box too large" in err
+
+
+def test_classify_answers_within_the_staircase_limit(tmp_path, capsys):
+    # the staircase masks of (x^300, y^300, xy) hold 602 * 301^2 bits, under 2^26
+    rc, payload, _ = run(capsys, ["classify", _box_file(tmp_path, 300), "i"])
+    assert rc == 0
+    assert payload["is_burch"] is True and payload["loewy_R_mod_I"] == 300
 
 
 def test_tor_detects_nonfree_quotient(files, capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from burchkit.monomial import MonomialIdeal, mpow
 from burchkit.rings import QIdeal, QuotientRing, SemigroupRing, SgIdeal
 from burchkit.semigroup import RelativeIdealSet
 
@@ -61,6 +62,38 @@ def test_quotient_ring_basics():
     assert not poly.is_artinian()
     assert poly.depth_positive()
     assert poly.zero_ideal().loewy_length() == oracles.INFINITY
+
+
+def test_std_basis_dimensions():
+    ring = QuotientRing(2, mpow(2, 3).gens)
+    assert [len(ring.basis(d)) for d in range(4)] == [1, 2, 3, 0]
+    assert ring.is_artinian()
+    poly = QuotientRing(2)
+    assert not poly.is_artinian()
+    assert len(poly.basis(5)) == 6
+
+
+def test_socle_values():
+    ring = QuotientRing(2, [(3, 0), (0, 3)])
+    assert set(ring.socle()) == {(2, 2)}
+    stairs = QuotientRing(2, [(3, 0), (1, 2), (0, 3)])
+    # both corners of the staircase survive multiplication by nothing
+    assert set(stairs.socle()) == {(2, 1), (0, 2)}
+    assert not stairs.depth_positive()
+    poly = QuotientRing(2)
+    assert poly.depth_positive()
+    assert set(poly.socle()) == set()
+
+
+def test_socle_matches_enumeration():
+    rng = random.Random(1303)
+    for k in range(300):
+        nvars = 1 + k % 3
+        defining = MonomialIdeal(nvars, oracles.rand_gens(rng, nvars, rng.randint(1, 5), 4))
+        if defining.is_unit():
+            continue
+        ring = QuotientRing(nvars, defining.gens)
+        assert list(ring.socle()) == oracles.brute_socle(defining.gens, nvars, 5), defining
 
 
 def test_semigroup_ring_basics():
