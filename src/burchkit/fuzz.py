@@ -21,6 +21,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 from .classify import (
     ColonTable,
@@ -195,9 +196,20 @@ def _rand_sg_vals(stream, s, count, floor=1):
 
 
 def _build_ring(inst):
+    """The ring of an instance, one shared object per ring description,
+    so its cached bases, socle, powers of m and Apery tuple are built
+    once per process rather than once per trial."""
     if inst["family"] == "monomial":
-        return QuotientRing(inst["nvars"], inst["defining"])
-    return SemigroupRing(tuple(inst["sgens"]))
+        return _shared_ring(inst["nvars"], tuple(map(tuple, inst["defining"])))
+    return _shared_ring(None, tuple(inst["sgens"]))
+
+
+# the generators draw rings from fixed pools: 79 distinct rings in 150
+# rounds of 100 trials per suite
+@lru_cache(maxsize=128)
+def _shared_ring(nvars, data):
+    """QuotientRing(nvars, data), or SemigroupRing(data) when nvars is None."""
+    return SemigroupRing(data) if nvars is None else QuotientRing(nvars, data)
 
 
 def _encode_label(label):
@@ -288,8 +300,7 @@ def _rand_ideal_gens(inst, stream, count):
             e[0] = max(1, bounds[0] - 1)
             gens = [tuple(e)]
         return [list(g) for g in gens]
-    s = NumericalSemigroup(inst["sgens"])
-    vals = _rand_sg_vals(stream, s, count)
+    vals = _rand_sg_vals(stream, _build_ring(inst).S, count)
     return sorted(vals)
 
 
@@ -842,7 +853,7 @@ def _suite_cor210():
     def gen(stream):
         inst = _semigroup_instance(stream)
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        s = NumericalSemigroup(inst["sgens"])
+        s = _build_ring(inst).S
         kind = stream.random()
         if kind < 0.25:
             _draw_module(inst, stream, "free")
@@ -922,8 +933,7 @@ def _suite_hw12():
         r = stream.random()
         if r < 0.25:
             inst["kind"] = "control"
-            s = NumericalSemigroup(inst["sgens"])
-            inst["ideal"] = _rand_sg_vals(stream, s, 1)
+            inst["ideal"] = _rand_sg_vals(stream, _build_ring(inst).S, 1)
         elif r < 0.8:
             inst["kind"] = "constructed"
             inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
@@ -1047,7 +1057,10 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
     failures = 0
     counterexample = None
     tags = Counter()
-    # trials draw small rings from fixed pools, so syzygies recur
+    # trials draw small rings from fixed pools, so rings, ideal colons
+    # and products, and syzygies recur: rings (_build_ring), colons and
+    # products stay in bounded caches across runs, syzygies in a memo
+    # for this run only
     with kernel_memo():
         for index in range(cfg.trials):
             inst = suite.generate(trial_rng(cfg, index))

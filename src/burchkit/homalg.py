@@ -598,14 +598,16 @@ def tor_dims(presentation, ideal, t0, t1, bound=None):
     """tor_dim for every t in t0..t1, read off one resolution.
 
     The resolution to depth t1 + 1 extends the shorter one each tor_dim
-    call would build, so every result is the same.
+    call would build, so every result is the same.  Each map d_t is
+    ranked once per degree, though both Tor_(t-1) and Tor_t need it.
     """
     view = presentation.algebra.modulo(ideal)
     res = resolve(presentation, t1 + 1, bound)
-    return [_tor_from(res, view, t) for t in range(t0, t1 + 1)]
+    ranks = {}  # (map index, degree) -> rank over R/I
+    return [_tor_from(res, view, t, ranks) for t in range(t0, t1 + 1)]
 
 
-def _tor_from(res, view, t):
+def _tor_from(res, view, t, ranks):
     if t > len(res.maps) and res.complete:
         cert = res.certified_through(len(res.maps))
         return TorResult(t, {}, 0, cert, (0, -1))
@@ -625,8 +627,8 @@ def _tor_from(res, view, t):
         hi = max(ft.shifts) + HEURISTIC_WINDOW
         certified = False
 
-    outgoing = res.maps[t - 1] if t >= 1 else None
-    incoming = res.maps[t] if t < len(res.maps) else None
+    # d_t = maps[t - 1] leaves F_t and d_(t+1) = maps[t] enters it
+    around = [i for i in (t - 1, t) if 0 <= i < len(res.maps)]
     dims = {}
     total = 0
     for d in range(lo, hi + 1):
@@ -634,10 +636,11 @@ def _tor_from(res, view, t):
         if nsrc == 0:
             continue
         k = nsrc
-        if outgoing is not None:
-            k -= _rank_of(outgoing, d, view)
-        if incoming is not None:
-            k -= _rank_of(incoming, d, view)
+        for i in around:
+            rank = ranks.get((i, d))
+            if rank is None:
+                rank = ranks[i, d] = _rank_of(res.maps[i], d, view)
+            k -= rank
         if k:
             dims[d] = k
             total += k

@@ -33,10 +33,41 @@ def _minimalize(gens):
 def _ideal(nvars, gens):
     """MonomialIdeal from valid exponent tuples (results of operations on
     ideals): no per-entry checks, but still minimalized."""
+    return _from_gens(nvars, _minimalize(gens))
+
+
+def _from_gens(nvars, gens):
+    """MonomialIdeal whose gens are already minimal and sorted."""
     out = MonomialIdeal.__new__(MonomialIdeal)
     out.nvars = nvars
-    out.gens = _minimalize(gens)
+    out.gens = gens
     return out
+
+
+# Products and colons recur across the trials of a fuzz suite, so both
+# are memoized on the generator tuples; the stored values are tuples of
+# exponent vectors and hold no ideal or ring.
+_OP_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_OP_CACHE_SIZE)
+def _product(f, g):
+    """Minimal generators of the product of the ideals on f and g."""
+    return _minimalize([tuple(map(add, a, b)) for a in f for b in g])
+
+
+@lru_cache(maxsize=_OP_CACHE_SIZE)
+def _colon(gens, by):
+    """Minimal generators of (I : J), I on gens nonzero and J on by.
+
+    (I : u) is generated by the (g - u)^+, which lie in I's box, so it
+    is the OR of their up-set masks; (I : J) ANDs those over u.
+    """
+    box = _staircase(tuple(map(max, zip(*gens))))
+    out = box[2]
+    for u in by:
+        out &= _upset(box, gens, u)
+    return _mask_gens(out, box)
 
 
 class MonomialIdeal:
@@ -83,8 +114,7 @@ class MonomialIdeal:
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
-        prods = [tuple(map(add, f, g)) for f in self.gens for g in other.gens]
-        return _ideal(self.nvars, prods)
+        return _from_gens(self.nvars, _product(self.gens, other.gens))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check(other)
@@ -92,21 +122,13 @@ class MonomialIdeal:
         return _ideal(self.nvars, meets)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """(self : other); other must be nonzero.
-
-        (I : u) is generated by the (g - u)^+, which lie in I's box, so
-        it is the OR of their up-set masks; (I : J) ANDs those over u.
-        """
+        """(self : other); other must be nonzero."""
         self._check(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal")
         if self.is_zero():
             return self
-        box = _staircase(tuple(map(max, zip(*self.gens))))
-        out = box[2]
-        for u in other.gens:
-            out &= _upset(box, self.gens, u)
-        return _from_mask(self.nvars, out, box)
+        return _from_gens(self.nvars, _colon(self.gens, other.gens))
 
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -208,17 +230,14 @@ def _cells(mask, strides):
         yield tuple(v)
 
 
-def _from_mask(nvars, mask, box):
-    """MonomialIdeal of an up-set mask over a box: the cells with no
-    predecessor c - e_i in the mask are its minimal generators."""
+def _mask_gens(mask, box):
+    """Minimal generators of an up-set mask over a box: the cells with no
+    predecessor c - e_i in the mask."""
     strides, ge = box[0], box[1]
     below = 0
     for s, axis in zip(strides, ge):
         below |= (mask & ~axis[-1]) << s
-    out = MonomialIdeal.__new__(MonomialIdeal)
-    out.nvars = nvars
-    out.gens = tuple(sorted(_cells(mask & ~below, strides), key=_deglex))
-    return out
+    return tuple(sorted(_cells(mask & ~below, strides), key=_deglex))
 
 
 def _corners(gens):
@@ -284,7 +303,7 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     for idx, v in enumerate(product(*[range(t + 1) for t in top])):
         if all(sum(map(mul, a, v)) + b >= 0 for a, b in rows):
             mask |= 1 << idx
-    return _from_mask(ideal.nvars, mask, _staircase(top))
+    return _from_gens(ideal.nvars, _mask_gens(mask, _staircase(top)))
 
 
 def is_integrally_closed(ideal: MonomialIdeal) -> bool:

@@ -17,7 +17,7 @@ S, lies in E.
 from __future__ import annotations
 
 import heapq
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 from operator import ge
 
@@ -133,7 +133,7 @@ class RelativeIdealSet:
         _check_ambient(self, other)
         if self.thresholds is None or other.thresholds is None:
             return _relset(self.ambient, None)
-        return _relset(self.ambient, _meet(min, [_shifted(other.thresholds, c) for c in self.thresholds]))
+        return _relset(self.ambient, _sum(self.thresholds, other.thresholds))
 
     def union(self, other: "RelativeIdealSet") -> "RelativeIdealSet":
         """Set union; this is the sum of the corresponding ideals."""
@@ -205,6 +205,18 @@ def _meet(pick, tuples):
     return tuple(map(pick, *tuples)) if len(tuples) > 1 else tuples[0]
 
 
+# Sums and colons recur across the trials of a fuzz suite, so both are
+# memoized on the threshold tuples, which hold no semigroup.
+_OP_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_OP_CACHE_SIZE)
+def _sum(e, f):
+    """Thresholds of the Minkowski sum E + F: F shifted by each of E's."""
+    return _meet(min, [_shifted(f, c) for c in e])
+
+
+@lru_cache(maxsize=_OP_CACHE_SIZE)
 def _colon(e, f):
     """Thresholds of (E : F): z + t_F[s] lies in E for every class s."""
     return _meet(max, [_shifted(e, -c) for c in f])
@@ -262,5 +274,5 @@ def mpow_set(S: NumericalSemigroup, s: int) -> RelativeIdealSet:
     if powers is None:
         powers = S._powers = [S._apery, RelativeIdealSet(S, S.minimal_generators()).thresholds]
     while len(powers) <= s:
-        powers.append(_meet(min, [_shifted(powers[1], c) for c in powers[-1]]))
+        powers.append(_sum(powers[-1], powers[1]))
     return _relset(S, powers[s])

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from burchkit import cli, fuzz, homalg, linalg
+from burchkit import cli, fuzz, homalg, linalg, monomial, semigroup
 from burchkit.fuzz import (
     SUITES,
     _decode_module,
@@ -431,3 +431,45 @@ def test_suites_leave_no_ring_for_the_collector():
         if enabled:
             gc.enable()
     assert freed == []
+
+
+# bounded caches kept across suite runs: fuzz rings, colons and products
+PROCESS_CACHES = (
+    fuzz._shared_ring,
+    monomial._colon,
+    monomial._product,
+    semigroup._colon,
+    semigroup._sum,
+)
+
+
+def test_process_caches_are_bounded():
+    for cache in PROCESS_CACHES:
+        assert 0 < cache.cache_info().maxsize <= 512, cache
+
+
+def test_warm_and_cleared_caches_give_the_same_reports():
+    cfg = FuzzConfig(seed=20240819, trials=100)
+
+    def reports():
+        return [run_suite(name, cfg).to_json() for name in ("remark22", "cor214", "thm28")]
+
+    first = reports()
+    assert all(json.loads(r)["effective"] > 0 for r in first)
+    assert reports() == first
+    for cache in PROCESS_CACHES:
+        cache.cache_clear()
+    assert reports() == first
+
+
+def test_build_ring_shares_one_ring_per_description():
+    mono = {"family": "monomial", "nvars": 2, "defining": [[2, 0], [0, 3]], "bounds": [2, 3]}
+    ring = fuzz._build_ring(mono)
+    assert fuzz._build_ring(json.loads(json.dumps(mono))) is ring
+    assert fuzz._build_ring({**mono, "defining": [[2, 0], [0, 4]]}) is not ring
+    assert fuzz._build_ring({**mono, "nvars": 3, "defining": [[2, 0, 0], [0, 3, 0]]}) is not ring
+    sg = fuzz._build_ring({"family": "semigroup", "sgens": [4, 5, 6]})
+    assert fuzz._build_ring({"family": "semigroup", "sgens": [4, 5, 6]}) is sg
+    assert fuzz._build_ring({"family": "semigroup", "sgens": [4, 5, 7]}) is not sg
+    assert ring == QuotientRing(2, [(2, 0), (0, 3)])
+    assert sg == SemigroupRing((4, 5, 6))

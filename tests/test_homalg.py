@@ -268,6 +268,29 @@ def test_tor_symmetry_on_small_pairs():
             assert a.dims_by_degree == b.dims_by_degree
 
 
+def test_tor_range_ranks_each_map_once_per_degree(monkeypatch):
+    # d_t bounds both Tor_(t-1) and Tor_t; one tor_dims call ranks it
+    # once per degree, with the same results as separate tor_dim calls
+    real = homalg._rank_of
+    cube, sg = _cube_ring(), SemigroupRing((4, 5, 6))
+    cases = [
+        (cyclic_presentation(GradedAlgebra(cube), cube.maximal_ideal()), cube.ideal([(2, 0), (1, 1)])),
+        (cyclic_presentation(GradedAlgebra(sg), sg.ideal([5, 6])), sg.ideal([8, 9])),
+    ]
+    for pres, ideal in cases:
+        single = [tor_dim(pres, ideal, t) for t in range(4)]
+        seen = []
+
+        def counting(pmap, d, view):
+            seen.append((id(pmap), d))
+            return real(pmap, d, view)
+
+        monkeypatch.setattr(homalg, "_rank_of", counting)
+        assert homalg.tor_dims(pres, ideal, 0, 3) == single
+        monkeypatch.setattr(homalg, "_rank_of", real)
+        assert seen and len(seen) == len(set(seen))
+
+
 def test_module_from_ideal():
     ring = SemigroupRing((4, 5, 6))
     alg = GradedAlgebra(ring)

@@ -3,6 +3,7 @@
 import random
 
 import oracles
+from burchkit import monomial
 from burchkit.monomial import MonomialIdeal, integral_closure, is_integrally_closed, mpow
 
 
@@ -151,3 +152,22 @@ def test_integral_closure_matches_reference():
         closed += want == i.gens
     assert 30 < closed < 270
 
+
+
+def test_memoized_colon_and_product_match_fresh_and_brute_force():
+    # the second pass is answered from the caches; both passes must equal
+    # an uncached computation and the enumeration oracles
+    rng = random.Random(1601)
+    cases = [oracles.rand_monomial_instance(rng) for _ in range(300)]
+    monomial._colon.cache_clear()
+    monomial._product.cache_clear()
+    for _ in range(2):
+        for nvars, _, igens, jgens in cases:
+            i, j = MonomialIdeal(nvars, igens), MonomialIdeal(nvars, jgens)
+            quot, prod = i.colon(j), i * j
+            assert quot.gens == monomial._colon.__wrapped__(i.gens, j.gens)
+            assert quot.gens == oracles.reference_colon(igens, jgens)
+            assert prod.gens == monomial._product.__wrapped__(i.gens, j.gens)
+            assert prod == MonomialIdeal(nvars, oracles.brute_product_gens(igens, jgens))
+    assert monomial._colon.cache_info().hits >= len(cases)
+    assert monomial._product.cache_info().hits >= len(cases)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import oracles
+from burchkit import semigroup
 from burchkit.semigroup import (
     NumericalSemigroup,
     RelativeIdealSet,
@@ -190,3 +191,27 @@ def test_threshold_operations_match_window_model(gens, span, window, pairs):
         assert agrees(e.shift(c), model.shift(egens, c))
         assert e.subset_of(f) == (emem <= fmem)
         assert e.is_integral() == (emem <= model.semigroup())
+
+
+def test_memoized_colon_and_sum_match_fresh_and_brute_force():
+    # the second pass is answered from the caches; both passes must equal
+    # an uncached computation and the dense-table oracles
+    rng = random.Random(1602)
+    cases = [oracles.rand_semigroup_instance(rng) for _ in range(300)]
+    rings = {gens: NumericalSemigroup(gens) for gens, _, _ in cases}
+    semigroup._colon.cache_clear()
+    semigroup._sum.cache_clear()
+    for _ in range(2):
+        for gens, ivals, jvals in cases:
+            s = rings[gens]
+            e, f = RelativeIdealSet(s, ivals), RelativeIdealSet(s, jvals)
+            quot, total = relset_colon(e, f), e + f
+            assert quot.thresholds == semigroup._colon.__wrapped__(e.thresholds, f.thresholds)
+            assert total.thresholds == semigroup._sum.__wrapped__(e.thresholds, f.thresholds)
+            window = max(ivals + jvals) * 2 + 2 * s.conductor + max(gens) + 2
+            want = oracles.brute_colon_values(gens, ivals, jvals, window)
+            assert [z for z in range(window + 1) if z in quot] == want
+            table = oracles.ideal_table(gens, [a + b for a in ivals for b in jvals], window)
+            assert [v for v in range(window + 1) if v in total] == [v for v, ok in enumerate(table) if ok]
+    assert semigroup._colon.cache_info().hits >= len(cases)
+    assert semigroup._sum.cache_info().hits >= len(cases)
