@@ -16,7 +16,14 @@ A kernel walk spans the decomposable syzygies of each degree from
 products of lower generators.  Over k[S] with multiplicity m it seeds
 that span with t^m times the kernel m degrees down, whose echelon rows
 relabel with no elimination, and forms only the products t^e g with e
-in the Apery set Ap(S, m); see `kernel_minimal_gens`.
+in the Apery set Ap(S, m); see `kernel_minimal_gens`.  There every
+entry of a map is c_ij t^(s_j - t_i), so its degree-d piece is the
+scalar coefficient matrix C on the columns j with d - s_j in S.  The
+walk row-reduces C once per map and reads each degree's kernel off
+that RREF: its rows with a pivot among those columns are already
+reduced there and seed the elimination, and only the others are
+eliminated on top.  The RREF is unique, so kernels, generators and
+differentials are the ones a degree-by-degree elimination gives.
 """
 
 from contextlib import contextmanager
@@ -245,7 +252,7 @@ def kernel_window(algebra, module):
 
 
 def kernel_stop(f):
-    """(m, rank N) certifying an early end to the walk over N = ker f.
+    """(m, rank N, R) certifying an early end to the walk over N = ker f.
 
     Over k[S] with multiplicity m, N sits in a free module over a domain,
     so t^m acts on it injectively: along each residue class mod m,
@@ -253,7 +260,9 @@ def kernel_stop(f):
     needs dim N_d > dim N_{d-m}.  Once every class has met a degree with
     dim N_d = rank N, no later degree holds a generator.  Homogeneity
     makes f = diag(t^-t_i) C diag(t^s_j), where C takes each entry c*t^a
-    to c, so rank N = rank F - rank C over the fraction field.
+    to c, so rank N = rank F - rank C over the fraction field.  R is the
+    list of RREF rows of C, ordered by pivot column, which the walk
+    reads every degree piece of f from (`_CoefficientPieces`).
     None when the ring has no stop modulus (monomial quotients), and the
     walk runs the whole window.
     """
@@ -265,7 +274,7 @@ def kernel_stop(f):
         for (i, _), c in elt.items():
             rows[i][j] = c  # one label per entry: pieces of k[S] are <= 1-dim
     red, _ = linalg.rref([r for r in rows if r], f.source.rank, f.algebra.p)
-    return m, f.source.rank - len(red)
+    return m, f.source.rank - len(red), red
 
 
 @contextmanager
@@ -299,14 +308,20 @@ def kernel_minimal_gens(f, bound=None):
     residual of a vector modulo a subspace in reduced echelon form is
     unique, so how D_d is spanned does not change the result.
     Over a semigroup ring, with m its multiplicity, t^m N_{d-m} lies in
-    D_d and its echelon rows relabel into those of degree d
-    (`_shifted_kernel`); they seed D_d, and only the products t^e g
-    with e in the Apery set Ap(S, m) = {e in S : e - m not in S} are
-    formed, as every other product is t^m times one in N_{d-m}.  The
-    walk there also ends early once `kernel_stop` certifies that no
-    later degree can hold a generator; the reported window is
-    unchanged.  Over either ring family, products stop and residuals
-    are skipped once D_d fills N_d.
+    D_d and its echelon rows relabel into those of degree d; they seed
+    D_d, and only the products t^e g with e in the Apery set
+    Ap(S, m) = {e in S : e - m not in S} are formed, as every other
+    product is t^m times one in N_{d-m}.  A product relabels the columns
+    of g, as t^e takes (j, t^b) to (j, t^(b+e)).  No matrix is assembled
+    there: f_d is the coefficient matrix C of `kernel_stop` on the
+    columns j with d - s_j in S, and N_d comes from the RREF of C, whose
+    rows with a pivot among those columns seed the nullspace while only
+    the others are eliminated (`_CoefficientPieces`); the RREF is
+    unique, so N_d is the nullspace of f.matrix(d).  The walk there also
+    ends early once `kernel_stop` certifies that no later degree can
+    hold a generator; the reported window is unchanged.  Over either
+    ring family, products stop and residuals are skipped once D_d fills
+    N_d.
     Inside a `kernel_memo` scope a repeated map is answered from the
     memo: every hit gets the same map object, which callers must not
     mutate, and which may sit on an equal algebra of an earlier call.
@@ -344,90 +359,160 @@ def _apery_degrees(algebra, m):
     return out
 
 
-def _shifted_kernel(algebra, tm, kept, index):
-    """Echelon rows of t^m N_{d-m} in the columns of degree d.
+class _CoefficientPieces:
+    """The degree pieces of a map f over k[S], read off R = RREF(C).
 
-    kept is (source basis, echelon rows of N_{d-m}).  t^m takes the
-    column (j, b) to (j, t^m b); over k[S] that relabeling is injective
-    and keeps the column order, so the rows stay in echelon form.
+    Every entry of f is c_ij t^(s_j - t_i), so f_d is the coefficient
+    matrix C on the columns J_d = {j : d - s_j in S}, one per basis
+    element (j, t^(d - s_j)) of the source, with its zero rows dropped.
+    The rows of R[:, J_d] span the row space of C[:, J_d].  Those whose
+    pivot lies in J_d, restricted and relabeled in order, are already
+    reduced echelon rows with a leading 1, and seed the elimination; the
+    other rows are eliminated on top.  The RREF is unique, so each
+    nullspace equals the one of f.matrix(d).  Past max s_j + conductor
+    J_d holds every column, so consecutive degrees with the same J_d
+    share one nullspace.
     """
-    src, rows = kept
-    mult = algebra.mult
-    col = [index[(j, mult(b, tm))] for j, b in src]
-    return [{col[c]: x for c, x in row.items()} for row in rows]
+
+    __slots__ = ("f", "p", "rows", "_last")
+
+    def __init__(self, f, red):
+        self.f = f
+        self.p = f.algebra.p
+        self.rows = [(min(row), row) for row in red]
+        self._last = (None, None)  # (J_d, nullspace basis of f_d) last read
+
+    def kernel(self, d):
+        """(src, pos, null): the source basis in degree d, the position of
+        each column j of J_d in it, and the nullspace basis of f_d."""
+        src = self.f.source.basis(self.f.algebra, d)
+        pos = {j: c for c, (j, _) in enumerate(src)}
+        if not src:
+            return src, pos, []
+        cols = tuple(pos)
+        if cols != self._last[0]:
+            seed, rest = [], []
+            for pc, row in self.rows:
+                out = {pos[j]: x for j, x in row.items() if j in pos}
+                if pc in pos:
+                    seed.append(out)
+                elif out:
+                    rest.append(out)
+            self._last = cols, linalg.nullspace(rest, len(src), self.p, seed)
+        return src, pos, self._last[1]
+
+
+def _relabel(elt, pos):
+    """t^e elt in the columns of degree d, for elt of degree d - e: over
+    k[S] the column (j, t^b) goes to (j, t^(b+e)), at position pos[j]."""
+    return {pos[j]: x for (j, _), x in elt.items()}
+
+
+def _new_generators(span, null, src):
+    """Residuals of the nullspace vectors modulo the span, as sparse
+    elements over the basis src, each added to the span once found."""
+    out = []
+    for vec in null:
+        if span.rank == len(null):
+            break
+        resid = span.reduce(vec)
+        if resid is not None:
+            # entries in basis order, not in the order elimination left
+            out.append({src[c]: resid[c] for c in sorted(resid)})
+            span.insert(resid)
+    return out
 
 
 def _kernel_minimal_gens(f, bound):
     algebra = f.algebra
-    p = algebra.p
     window = kernel_window(algebra, f.source)
     if bound is None:
         bound = window.bound
     gens = {}  # degree -> the generators found there, in order
     if f.source.rank:
-        lo = min(f.source.shifts)
         stop = kernel_stop(f)
-        if stop is not None:
-            m, rank = stop
-            # residue classes mod m still below dim N_d = rank N
-            open_classes = set(range(m)) if rank else set()
-            tm = algebra.basis(m)[0]
-            apery = _apery_degrees(algebra, m)
-            kept = {}  # degree -> (source basis, echelon rows of N_d), last m degrees
-        for d in range(lo, bound + 1):
-            if stop is not None:
-                if not open_classes:
-                    break
-                prior = kept.pop(d - m, None)
-            src = f.source.basis(algebra, d)
-            if not src:
-                continue
-            rows, _, _ = f.matrix(d)
-            null = linalg.nullspace([r for r in rows if r], len(src), p)
-            dim = len(null)
-            if stop is not None and dim == rank:
-                open_classes.discard(d % m)
-            if not dim:
-                continue
-            index = {key: i for i, key in enumerate(src)}
-            if stop is None:
-                span = linalg.EchelonSpan(p)
-                products = (
-                    (g, r)
-                    for gd, at in gens.items()
-                    for g in at
-                    for r in algebra.basis(d - gd)
-                )
-            else:
-                seed = () if prior is None else _shifted_kernel(algebra, tm, prior, index)
-                span = linalg.EchelonSpan(p, seed)
-                products = (
-                    (g, r)
-                    for e in apery
-                    for g in gens.get(d - e, ())
-                    for r in algebra.basis(e)
-                )
-            for g, r in products:
-                if span.rank == dim:
-                    break
-                prod = scale_module_elt(algebra, g, r)
-                if prod:
-                    span.add({index[key]: x for key, x in prod.items()})
-            for vec in null:
-                if span.rank == dim:
-                    break
-                resid = span.reduce(vec)
-                if resid is not None:
-                    # entries in basis order, not in the order elimination left
-                    gens.setdefault(d, []).append({src[c]: resid[c] for c in sorted(resid)})
-                    span.add(resid)
-            if stop is not None:
-                kept[d] = (src, span.rows)
+        gens = _full_walk(f, bound) if stop is None else _semigroup_walk(f, bound, stop)
     shifts = tuple(d for d, at in gens.items() for _ in at)
     out = HomogeneousMap(
         algebra, GradedFreeModule(shifts), f.source, [g for at in gens.values() for g in at]
     )
     return out, window.certified
+
+
+def _full_walk(f, bound):
+    """Generators by degree, walking every degree of the window and
+    forming every product of a lower generator and a basis element."""
+    algebra = f.algebra
+    p = algebra.p
+    gens = {}
+    for d in range(min(f.source.shifts), bound + 1):
+        src = f.source.basis(algebra, d)
+        if not src:
+            continue
+        rows, _, _ = f.matrix(d)
+        null = linalg.nullspace([r for r in rows if r], len(src), p)
+        if not null:
+            continue
+        index = {key: i for i, key in enumerate(src)}
+        span = linalg.EchelonSpan(p)
+        products = (
+            (g, r)
+            for gd, at in gens.items()
+            for g in at
+            for r in algebra.basis(d - gd)
+        )
+        for g, r in products:
+            if span.rank == len(null):
+                break
+            prod = scale_module_elt(algebra, g, r)
+            if prod:
+                span.add({index[key]: x for key, x in prod.items()})
+        found = _new_generators(span, null, src)
+        if found:
+            gens[d] = found
+    return gens
+
+
+def _semigroup_walk(f, bound, stop):
+    """Generators by degree over k[S]: pieces from R = RREF(C), D_d
+    seeded with t^m N_{d-m}, Apery products only, and the early stop."""
+    algebra = f.algebra
+    p = algebra.p
+    m, rank, red = stop
+    gens = {}
+    # residue classes mod m still below dim N_d = rank N
+    open_classes = set(range(m)) if rank else set()
+    apery = _apery_degrees(algebra, m)
+    pieces = _CoefficientPieces(f, red)
+    kept = {}  # degree -> (source basis, echelon rows of N_d), last m degrees
+    for d in range(min(f.source.shifts), bound + 1):
+        if not open_classes:
+            break
+        prior = kept.pop(d - m, None)
+        src, pos, null = pieces.kernel(d)
+        if not src:
+            continue
+        dim = len(null)
+        if dim == rank:
+            open_classes.discard(d % m)
+        if not dim:
+            continue
+        seed = ()
+        if prior is not None:
+            # t^m relabels N_{d-m} into degree d in order: no elimination
+            col = [pos[j] for j, _ in prior[0]]
+            seed = [{col[c]: x for c, x in row.items()} for row in prior[1]]
+        span = linalg.EchelonSpan(p, seed)
+        products = (g for e in apery for g in gens.get(d - e, ()))
+        for g in products:
+            if span.rank == dim:
+                break
+            span.add(_relabel(g, pos))
+        found = _new_generators(span, null, src)
+        if found:
+            gens[d] = found
+        kept[d] = (src, span.rows)
+    return gens
 
 
 class GradedPresentation:

@@ -121,9 +121,27 @@ def _insert(red, pivots, occ, res, p):
     red.append(res)
 
 
-def _echelon(rows, p):
-    """Reduced echelon rows of the row space, in the order they were found."""
-    red, pivots, occ = [], {}, defaultdict(list)
+def _seeded(seed):
+    """(red, pivots, occ) holding the seed rows as they are.
+
+    seed is a list of rows already in reduced echelon form, each with
+    entry 1 at its lowest column, its pivot.  The rows are taken over,
+    not copied: later insertions edit them in place.
+    """
+    red = list(seed)
+    pivots = {min(row): at for at, row in enumerate(red)}
+    occ = defaultdict(list)
+    for at, row in enumerate(red):
+        for k in row:
+            if k not in pivots:
+                occ[k].append(at)
+    return red, pivots, occ
+
+
+def _echelon(rows, p, seed=()):
+    """Reduced echelon rows of the span of seed and rows: the seed rows
+    first (see `_seeded`), then new ones in the order they were found."""
+    red, pivots, occ = _seeded(seed)
     for row in rows:
         out = _residual(row, red, pivots, p)
         if out:
@@ -144,13 +162,17 @@ def rref(rows, ncols, p):
     return [red[pivots[c]] for c in order], {c: i for i, c in enumerate(order)}
 
 
-def nullspace(rows, ncols, p):
+def nullspace(rows, ncols, p, seed=()):
     """Basis of the right kernel {v : A v = 0}, one vector per free column.
 
     The vector for free column f has a 1 at f and -red[r][f] at the
-    pivot of every row r; vectors come in ascending order of f.
+    pivot of every row r; vectors come in ascending order of f.  seed,
+    as in `EchelonSpan`, holds further rows of A already in reduced
+    echelon form; only rows are eliminated on top of them.  The RREF of
+    the row space is unique, so the basis does not depend on how its
+    rows were split between seed and rows.
     """
-    red, pivots = _echelon(rows, p)
+    red, pivots = _echelon(rows, p, seed)
     basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
     for pc, at in pivots.items():
         for c, x in red[at].items():
@@ -175,19 +197,13 @@ class EchelonSpan:
     column to the index of its row, as `reduce_row` expects.  seed, if
     given, is a list of rows already in reduced echelon form, each with
     entry 1 at its lowest column; they are taken over as they are, with
-    no elimination.  Add rows only through `add`, which keeps the
-    occurrence index.
+    no elimination.  Add rows only through `add` or `insert`, which keep
+    the occurrence index.
     """
 
     def __init__(self, p: int, seed=()):
         self.p = p
-        self.rows = list(seed)
-        self.pivots = {min(row): at for at, row in enumerate(self.rows)}
-        self._occ = defaultdict(list)
-        for at, row in enumerate(self.rows):
-            for k in row:
-                if k not in self.pivots:
-                    self._occ[k].append(at)
+        self.rows, self.pivots, self._occ = _seeded(seed)
 
     def reduce(self, vec):
         """Residual of vec modulo the span, or None if it lies inside."""
@@ -200,6 +216,11 @@ class EchelonSpan:
             return False
         _insert(self.rows, self.pivots, self._occ, res, self.p)
         return True
+
+    def insert(self, res):
+        """Insert a residual that `reduce` has just returned, with no
+        second reduction.  The span takes res over and may edit it."""
+        _insert(self.rows, self.pivots, self._occ, res, self.p)
 
     @property
     def rank(self) -> int:

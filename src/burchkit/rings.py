@@ -20,16 +20,16 @@ Colon by the zero ideal returns the unit ideal.
 """
 
 import math
-from operator import add
+from operator import add, le
 
 from .monomial import (
     MonomialIdeal,
     _compositions,
     _corners,
     _deglex,
+    _from_gens,
     _ideal,
     integral_closure,
-    mpow,
 )
 from .semigroup import (
     NumericalSemigroup,
@@ -97,11 +97,24 @@ class QuotientRing:
 
     def mpow(self, s):
         """m^s; its representative is kept on the ring once built, and
-        not the ideal, which would point back at the ring."""
+        not the ideal, which would point back at the ring.
+
+        The degree-s monomials are pairwise incomparable, and each
+        generator of A of degree >= s is divisible by one of them, so the
+        minimal generators of m^s + A are the generators of A below
+        degree s and the degree-s monomials none of those divide.
+        """
         rep = self._powers.get(s)
         if rep is None:
-            gens = mpow(self.nvars, s).gens + self.defining.gens
-            rep = self._powers[s] = _ideal(self.nvars, gens)
+            if s < 0:
+                raise ValueError("negative power")
+            low = tuple(a for a in self.defining.gens if sum(a) < s)
+            top = [
+                u for u in _compositions(self.nvars, s)
+                if not any(all(map(le, a, u)) for a in low)
+            ]
+            # low is in deglex order already, below every degree-s monomial
+            rep = self._powers[s] = _from_gens(self.nvars, low + tuple(sorted(top)))
         return _qideal(self, rep)
 
     def depth_positive(self):
@@ -308,10 +321,10 @@ class SemigroupRing:
         return SgIdeal(self, (0,))
 
     def maximal_ideal(self):
-        return SgIdeal(self, maximal_ideal_set(self.S))
+        return _sgideal(self, maximal_ideal_set(self.S))
 
     def mpow(self, s):
-        return SgIdeal(self, mpow_set(self.S, s))
+        return _sgideal(self, mpow_set(self.S, s))
 
     def depth_positive(self):
         # one-dimensional domain, depth 1
@@ -396,24 +409,27 @@ class SgIdeal:
         self._check(other)
         return self.relset.subset_of(other.relset)
 
+    # Sums, products and intersections of integral sets are integral,
+    # and the colon is cut down to the semigroup: no result is checked.
+
     def __add__(self, other):
         self._check(other)
-        return SgIdeal(self.ring, self.relset.union(other.relset))
+        return _sgideal(self.ring, self.relset.union(other.relset))
 
     def __mul__(self, other):
         self._check(other)
-        return SgIdeal(self.ring, self.relset + other.relset)
+        return _sgideal(self.ring, self.relset + other.relset)
 
     def intersect(self, other):
         self._check(other)
-        return SgIdeal(self.ring, self.relset.intersect(other.relset))
+        return _sgideal(self.ring, self.relset.intersect(other.relset))
 
     def colon(self, other):
         self._check(other)
         if other.is_zero():
             return self.ring.unit_ideal()
         frac = relset_colon(self.relset, other.relset)
-        return SgIdeal(self.ring, restrict_to_semigroup(frac))
+        return _sgideal(self.ring, restrict_to_semigroup(frac))
 
     def min_gens(self):
         return self.relset.gens
@@ -462,3 +478,12 @@ class SgIdeal:
 
     def __repr__(self):
         return "SgIdeal(%r)" % (list(self.relset.gens),)
+
+
+def _sgideal(ring, relset):
+    """SgIdeal on an integral RelativeIdealSet over ring.S, unchecked."""
+    out = SgIdeal.__new__(SgIdeal)
+    out.ring = ring
+    out.relset = relset
+    out.name = None
+    return out

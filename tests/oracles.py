@@ -489,7 +489,7 @@ def reference_kernel_gens(f, early_stop=True):
         lo = min(f.source.shifts)
         stop = kernel_stop(f) if early_stop else None
         if stop is not None:
-            m, rank = stop
+            m, rank, _ = stop
             # residue classes mod m still below dim N_d = rank N
             open_classes = set(range(m)) if rank else set()
         for d in range(lo, window.bound + 1):

@@ -107,6 +107,13 @@ def test_residue_field_differentials_are_pinned():
     assert _differentials_digest(res) == (
         "b09e57436b652075a3b978bead7f0dd2f34c54c2a89c0ecaddbc968bd1e3fae5"
     )
+    # a prime near 2^31, as in the benchmark's word-size inputs
+    ring = SemigroupRing((4, 5, 6, 7))
+    res = resolve(cyclic_presentation(GradedAlgebra(ring, 2147483647), ring.maximal_ideal()), 6)
+    assert res.betti() == (1, 4, 12, 36, 108, 324, 972)
+    assert _differentials_digest(res) == (
+        "044e26cc928e9c5804eb82cdd09278965500d6452012bbe6e32cfee52928c341"
+    )
 
 
 def test_algebra_rejects_composite_and_oversized_moduli():
@@ -456,7 +463,7 @@ def test_early_stop_matches_full_window_walk_on_random_presentations():
         for f in resolve(pres, 4).maps:
             if not f.source.rank:
                 continue
-            _, rank_n = kernel_stop(f)
+            _, rank_n, _ = kernel_stop(f)
             # rank C = rank F - rank N falls short of both dimensions of C
             if f.source.rank - rank_n < min(f.source.rank, f.target.rank):
                 deficient += 1
@@ -473,11 +480,11 @@ def test_early_stop_handles_rank_deficient_and_injective_maps():
     f = HomogeneousMap(
         alg, GradedFreeModule((4, 5)), two, [{(0, 4): 1, (1, 4): 1}, {(0, 5): 1, (1, 5): 1}]
     )
-    assert kernel_stop(f) == (4, 1)
+    assert kernel_stop(f)[:2] == (4, 1)
     _assert_same_kernel(f)
     # C = [[1, 0], [0, 1]]: f is injective, and the walk stops before it starts
     g = HomogeneousMap(alg, GradedFreeModule((4, 5)), two, [{(0, 4): 1}, {(1, 5): 1}])
-    assert kernel_stop(g) == (4, 0)
+    assert kernel_stop(g)[:2] == (4, 0)
     _assert_same_kernel(g)
     assert kernel_minimal_gens(g)[0].source.rank == 0
     # monomial quotients walk their whole window
@@ -553,18 +560,40 @@ def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
     assert deficient >= 10 and injective >= 10
 
 
+def test_coefficient_pieces_give_the_nullspace_of_each_degree():
+    # over k[S] the walk reads N_d off the RREF of the coefficient
+    # matrix; it must equal the nullspace of the assembled f_d exactly
+    rng = random.Random(4112)
+    rings = [SemigroupRing(g) for g in fuzz._SG_POOL]
+    deficient = 0
+    for k in range(60):
+        alg = GradedAlgebra(rings[k % len(rings)], rng.choice((2, 101, 2147483647)))
+        f = _draw_map(alg, rng)
+        _, rank_n, red = kernel_stop(f)
+        deficient += f.source.rank - rank_n < min(f.source.rank, f.target.rank)
+        pieces = homalg._CoefficientPieces(f, red)
+        for d in range(min(f.source.shifts), kernel_window(alg, f.source).bound + 1):
+            src, pos, null = pieces.kernel(d)
+            rows, want_src, _ = f.matrix(d)
+            assert src == want_src
+            assert pos == {j: c for c, (j, _) in enumerate(src)}
+            if src:
+                assert null == linalg.nullspace([r for r in rows if r], len(src), alg.p)
+    assert deficient >= 10
+
+
 def test_semigroup_walk_forms_only_apery_products(monkeypatch):
     # k over k[[t^6,t^7,t^9,t^11]] to depth 6: the full-product walk
     # forms 9602 products of a generator with a basis element; seeded
     # degrees form only Apery products, and none once D_d fills N_d
     calls = {"n": 0}
-    real = homalg.scale_module_elt
+    real = homalg._relabel
 
     def counting(*args):
         calls["n"] += 1
         return real(*args)
 
-    monkeypatch.setattr(homalg, "scale_module_elt", counting)
+    monkeypatch.setattr(homalg, "_relabel", counting)
     ring = SemigroupRing((6, 7, 9, 11))
     resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
     assert calls["n"] <= 2961
@@ -583,12 +612,25 @@ def _record_matrix_degrees(monkeypatch):
     return top
 
 
+def _record_walked_degrees(monkeypatch):
+    """Largest degree the semigroup walk reads a kernel in, by map identity."""
+    top = {}
+    kernel = homalg._CoefficientPieces.kernel
+
+    def recording(self, d):
+        top[id(self.f)] = max(top.get(id(self.f), d), d)
+        return kernel(self, d)
+
+    monkeypatch.setattr(homalg._CoefficientPieces, "kernel", recording)
+    return top
+
+
 def test_early_stop_is_active(monkeypatch):
     # k over k[[t^6,t^7,t^9,t^11]]: stages 2-6 stop about a conductor
     # below their windows; windows and certification are unchanged
     ring = SemigroupRing((6, 7, 9, 11))
     alg = GradedAlgebra(ring)
-    top = _record_matrix_degrees(monkeypatch)
+    top = _record_walked_degrees(monkeypatch)
     res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 6)
     walked = res.maps[:-1]
     assert tuple(top[id(f)] for f in walked) == (27, 39, 50, 62, 73)

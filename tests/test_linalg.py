@@ -183,6 +183,28 @@ def test_indexed_elimination_matches_row_scanning_reference(p):
                 assert span.reduce(probe) == (scan_residual(probe, want, want_pivots, p) or None)
 
 
+@pytest.mark.parametrize("p", (2, 101, 2**31 - 1))
+def test_seeded_nullspace_equals_unseeded(p):
+    # any set of RREF rows of the row space is a valid seed; the rows
+    # eliminated on top of it may be the matrix's own or the other RREF
+    # rows, and the nullspace does not change
+    rng = random.Random(3 * p + 2)
+    for density in (0.2, 0.5, 0.9):
+        for _ in range(40):
+            ncols = rng.randint(1, 12)
+            rows = [_sparse(_rand_row(rng, p, ncols, density)) for _ in range(rng.randint(0, 10))]
+            want = linalg.nullspace(rows, ncols, p)
+            red, _ = linalg.rref(rows, ncols, p)
+            keep = [rng.random() < 0.5 for _ in red]
+            # nullspace takes its seed rows over, so each call gets copies
+            seed = [dict(r) for r, k in zip(red, keep) if k]
+            assert linalg.nullspace(rows, ncols, p, seed) == want
+            seed = [dict(r) for r, k in zip(red, keep) if k]
+            rest = [dict(r) for r, k in zip(red, keep) if not k]
+            assert linalg.nullspace(rest, ncols, p, seed) == want
+            assert linalg.nullspace([], ncols, p, [dict(r) for r in red]) == want
+
+
 def test_a_row_that_loses_and_regains_a_column_is_cleared():
     p = 101
     added = [{0: 1, 1: 1, 2: 1, 3: 1}, {1: 1, 3: 1}, {2: 1, 3: 1}, {3: 1}]

@@ -158,7 +158,7 @@ def test_trusted_results_equal_validated_construction():
     # results that skip re-adding the defining ideal, or hand a value set
     # straight to SgIdeal, must equal the validating public constructors
     rng = random.Random(404)
-    for _ in range(80):
+    for _ in range(300):
         nvars, defining, igens, jgens = oracles.rand_monomial_instance(rng)
         ring = QuotientRing(nvars, defining)
         i, j = ring.ideal(igens), ring.ideal(jgens)
@@ -169,10 +169,32 @@ def test_trusted_results_equal_validated_construction():
         gens, ivals, jvals = oracles.rand_semigroup_instance(rng)
         ring = SemigroupRing(gens)
         i, j = ring.ideal(ivals), ring.ideal(jvals)
-        for got in (i + j, i * j, i.intersect(j), i.colon(j), ring.mpow(rng.randint(0, 4))):
+        results = (
+            i + j, i * j, i.intersect(j), i.colon(j), j.colon(i),
+            ring.mpow(rng.randint(0, 4)), ring.maximal_ideal(),
+        )
+        for got in results:
             want = SgIdeal(ring, list(got.min_gens()))
             assert got == want and got.relset.thresholds == want.relset.thresholds
             assert got.name is None
+
+
+def test_quotient_mpow_equals_minimalized_sum():
+    # m^s + A compares only the generators of A with the degree-s
+    # monomials; the full pairwise minimalization gives the same ideal
+    from burchkit.monomial import _ideal
+
+    rng = random.Random(406)
+    for k in range(120):
+        nvars, defining, _, _ = oracles.rand_monomial_instance(rng)
+        ring = QuotientRing(nvars, defining)
+        top = ring.top_degree()
+        for s in range((top if top is not None else 6) + 2):
+            got = ring.mpow(s)
+            want = _ideal(nvars, mpow(nvars, s).gens + ring.defining.gens)
+            assert got.rep.gens == want.gens, (nvars, defining, s)
+    with pytest.raises(ValueError, match="negative power"):
+        QuotientRing(2, [(2, 0)]).mpow(-1)
 
 
 def test_semigroup_ideal_from_value_set_checks_integrality():
@@ -180,4 +202,7 @@ def test_semigroup_ideal_from_value_set_checks_integrality():
     frac = RelativeIdealSet(ring.S, (-2, 1))
     with pytest.raises(ValueError, match="value -2 is not in the semigroup"):
         SgIdeal(ring, frac)
+    for vals, bad in (([3], 3), ([4, 7], 7), ([-1, 8], -1)):
+        with pytest.raises(ValueError, match="value %d is not in the semigroup" % bad):
+            ring.ideal(vals)
     assert SgIdeal(ring, frac.shift(10)) == ring.ideal([8, 11])
