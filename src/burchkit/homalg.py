@@ -24,10 +24,16 @@ that RREF: its rows with a pivot among those columns are already
 reduced there and seed the elimination, and only the others are
 eliminated on top.  The RREF is unique, so kernels, generators and
 differentials are the ones a degree-by-degree elimination gives.
+Two rules skip elimination whose result is known.  A column free in
+degree d - m stays free in degree d, and its null vector lies in the
+seed plus the vectors of columns that became free, so the walk reduces
+only the latter.  Tor against the residue field k = R/m is F_t (x) k,
+since every entry of a minimal differential lies in m: `tor_dims` reads
+it off the shifts of F_t and ranks nothing.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import linalg
 
@@ -317,7 +323,13 @@ def kernel_minimal_gens(f, bound=None):
     columns j with d - s_j in S, and N_d comes from the RREF of C, whose
     rows with a pivot among those columns seed the nullspace while only
     the others are eliminated (`_CoefficientPieces`); the RREF is
-    unique, so N_d is the nullspace of f.matrix(d).  The walk there also
+    unique, so N_d is the nullspace of f.matrix(d).  Only the null
+    vectors whose free column was not free in degree d - m are reduced:
+    J_(d-m) lies in J_d, so a column free in C[:, J_(d-m)] stays free in
+    C[:, J_d]; a null vector is 1 at its free column f, its highest, with
+    other entries only at pivots below f, so t^m times the degree-(d-m)
+    vector for f is the vector for f plus vectors of lower columns that
+    became free, and its residual is 0.  The walk there also
     ends early once `kernel_stop` certifies that no later degree can
     hold a generator; the reported window is unchanged.  Over either
     ring family, products stop and residuals are skipped once D_d fills
@@ -380,15 +392,17 @@ class _CoefficientPieces:
         self.f = f
         self.p = f.algebra.p
         self.rows = [(min(row), row) for row in red]
-        self._last = (None, None)  # (J_d, nullspace basis of f_d) last read
+        self._last = (None, None)  # (J_d, {free column: null vector}) last read
 
     def kernel(self, d):
         """(src, pos, null): the source basis in degree d, the position of
-        each column j of J_d in it, and the nullspace basis of f_d."""
+        each column j of J_d in it, and the nullspace basis of f_d as a
+        dict from the free column j of each vector to the vector, in
+        ascending order of j."""
         src = self.f.source.basis(self.f.algebra, d)
         pos = {j: c for c, (j, _) in enumerate(src)}
         if not src:
-            return src, pos, []
+            return src, pos, {}
         cols = tuple(pos)
         if cols != self._last[0]:
             seed, rest = [], []
@@ -398,7 +412,9 @@ class _CoefficientPieces:
                     seed.append(out)
                 elif out:
                     rest.append(out)
-            self._last = cols, linalg.nullspace(rest, len(src), self.p, seed)
+            null = linalg.nullspace(rest, len(src), self.p, seed)
+            # a nullspace vector's free column is its highest column
+            self._last = cols, {cols[max(v)]: v for v in null}
         return src, pos, self._last[1]
 
 
@@ -408,12 +424,13 @@ def _relabel(elt, pos):
     return {pos[j]: x for (j, _), x in elt.items()}
 
 
-def _new_generators(span, null, src):
-    """Residuals of the nullspace vectors modulo the span, as sparse
-    elements over the basis src, each added to the span once found."""
+def _new_generators(span, vecs, src, dim):
+    """Residuals of the vectors vecs of N_d modulo the span, as sparse
+    elements over the basis src, each added to the span once found;
+    none once the span has rank dim = dim N_d."""
     out = []
-    for vec in null:
-        if span.rank == len(null):
+    for vec in vecs:
+        if span.rank == dim:
             break
         resid = span.reduce(vec)
         if resid is not None:
@@ -467,7 +484,7 @@ def _full_walk(f, bound):
             prod = scale_module_elt(algebra, g, r)
             if prod:
                 span.add({index[key]: x for key, x in prod.items()})
-        found = _new_generators(span, null, src)
+        found = _new_generators(span, null, src, len(null))
         if found:
             gens[d] = found
     return gens
@@ -484,7 +501,9 @@ def _semigroup_walk(f, bound, stop):
     open_classes = set(range(m)) if rank else set()
     apery = _apery_degrees(algebra, m)
     pieces = _CoefficientPieces(f, red)
-    kept = {}  # degree -> (source basis, echelon rows of N_d), last m degrees
+    # degree -> (source basis, echelon rows of N_d, free columns j of
+    # f_d), for the last m degrees
+    kept = {}
     for d in range(min(f.source.shifts), bound + 1):
         if not open_classes:
             break
@@ -498,20 +517,23 @@ def _semigroup_walk(f, bound, stop):
         if not dim:
             continue
         seed = ()
+        fresh = null.values()
         if prior is not None:
             # t^m relabels N_{d-m} into degree d in order: no elimination
             col = [pos[j] for j, _ in prior[0]]
             seed = [{col[c]: x for c, x in row.items()} for row in prior[1]]
+            # only vectors whose free column became free can leave the span
+            fresh = [v for j, v in null.items() if j not in prior[2]]
         span = linalg.EchelonSpan(p, seed)
         products = (g for e in apery for g in gens.get(d - e, ()))
         for g in products:
             if span.rank == dim:
                 break
             span.add(_relabel(g, pos))
-        found = _new_generators(span, null, src)
+        found = _new_generators(span, fresh, src, dim)
         if found:
             gens[d] = found
-        kept[d] = (src, span.rows)
+        kept[d] = (src, span.rows, set(null))
     return gens
 
 
@@ -685,14 +707,31 @@ def tor_dims(presentation, ideal, t0, t1, bound=None):
     The resolution to depth t1 + 1 extends the shorter one each tor_dim
     call would build, so every result is the same.  Each map d_t is
     ranked once per degree, though both Tor_(t-1) and Tor_t need it.
+    Against the residue field k = R/m nothing is ranked: every entry of
+    a minimal differential lies in m, so Tor_t(M, k) = F_t (x) k and its
+    dimensions are the shifts of F_t.  The resolution then goes to depth
+    t1 only (2 when t1 = 1, so that a redundant relation is still caught
+    at stage 2); stage t1 + 1, never built, is certified exactly when
+    its window `kernel_window(algebra, F_t1)` is, and the results are
+    the ones the ranks would give.
     """
     view = presentation.algebra.modulo(ideal)
-    res = resolve(presentation, t1 + 1, bound)
-    ranks = {}  # (map index, degree) -> rank over R/I
-    return [_tor_from(res, view, t, ranks) for t in range(t0, t1 + 1)]
+    if ideal != ideal.ring.maximal_ideal():
+        res = resolve(presentation, t1 + 1, bound)
+        ranks = {}  # (map index, degree) -> rank over R/I
+        return [_tor_from(res, view, t, ranks) for t in range(t0, t1 + 1)]
+    res = resolve(presentation, t1 if t1 > 1 else t1 + 1, bound)
+    out = [_tor_from(res, view, t, None) for t in range(t0, t1 + 1)]
+    if out and len(res.maps) == t1 and not res.complete:
+        nxt = kernel_window(presentation.algebra, res.module(t1)).certified
+        out[-1] = replace(out[-1], bound_certified=out[-1].bound_certified and nxt)
+    return out
 
 
 def _tor_from(res, view, t, ranks):
+    """Tor_t off res over view.  ranks caches the ranks of the maps over
+    R/I by (map index, degree); it is None over k = R/m, where every map
+    of a minimal resolution becomes zero."""
     if t > len(res.maps) and res.complete:
         cert = res.certified_through(len(res.maps))
         return TorResult(t, {}, 0, cert, (0, -1))
@@ -712,6 +751,11 @@ def _tor_from(res, view, t, ranks):
         hi = max(ft.shifts) + HEURISTIC_WINDOW
         certified = False
 
+    if ranks is None:
+        dims = {}
+        for s in sorted(ft.shifts):
+            dims[s] = dims.get(s, 0) + 1
+        return TorResult(t, dims, ft.rank, certified, (lo, hi))
     # d_t = maps[t - 1] leaves F_t and d_(t+1) = maps[t] enters it
     around = [i for i in (t - 1, t) if 0 <= i < len(res.maps)]
     dims = {}

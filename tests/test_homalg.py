@@ -161,9 +161,12 @@ def test_duplicate_relation_columns_are_rejected():
     pres = GradedPresentation(HomogeneousMap(alg, source, target, elts))
     with pytest.raises(ValueError, match="not minimal"):
         resolve(pres, 2)
-    # tor against any ideal routes through resolve and raises the same way
+    # tor against any ideal routes through resolve and raises the same way,
+    # also Tor_1 against k, which reads F_1 but still builds stage 2
     with pytest.raises(ValueError, match="not minimal"):
         tor_dim(pres, ring.maximal_ideal(), 2)
+    with pytest.raises(ValueError, match="not minimal"):
+        tor_dim(pres, ring.maximal_ideal(), 1)
 
 
 def test_entries_vanishing_mod_p_are_dropped():
@@ -296,6 +299,91 @@ def test_tor_range_ranks_each_map_once_per_degree(monkeypatch):
         assert homalg.tor_dims(pres, ideal, 0, 3) == single
         monkeypatch.setattr(homalg, "_rank_of", real)
         assert seen and len(seen) == len(set(seen))
+
+
+def _tor_by_ranks(pres, ideal, t1):
+    """Tor_0..Tor_t1 through the ranks of every map over R/I, off one
+    resolution to depth t1 + 1."""
+    res = resolve(pres, t1 + 1)
+    view = pres.algebra.modulo(ideal)
+    ranks = {}
+    return [homalg._tor_from(res, view, t, ranks) for t in range(t1 + 1)]
+
+
+def test_tor_against_k_reads_the_resolution_off_f_t():
+    # against k = R/m no map is ranked and the resolution stops at F_t;
+    # every result, window and certified flag included, is the rank one
+    rng = random.Random(4113)
+    rings = [_cube_ring(), _BOX, SemigroupRing((4, 5, 6))]
+    raised = 0
+    for ring in rings:
+        alg = GradedAlgebra(ring)
+        m = ring.maximal_ideal()
+        cases = [cyclic_presentation(alg, m)]
+        cases += [GradedPresentation(_draw_map(alg, rng)) for _ in range(12)]
+        for pres in cases:
+            try:
+                want = _tor_by_ranks(pres, m, 4)
+            except ValueError as err:
+                # a redundant relation: caught at stage 2 on both paths
+                assert "not minimal" in str(err)
+                with pytest.raises(ValueError, match="not minimal"):
+                    homalg.tor_dims(pres, m, 0, 4)
+                raised += 1
+                continue
+            assert homalg.tor_dims(pres, m, 0, 4) == want
+            assert [tor_dim(pres, m, t) for t in range(5)] == want
+    assert raised
+    # k[x,y] has no certified window: Tor_1(R/(x), k) stays uncertified
+    poly = QuotientRing(2)
+    pres = cyclic_presentation(GradedAlgebra(poly), poly.ideal([(1, 0)]))
+    m = poly.maximal_ideal()
+    want = _tor_by_ranks(pres, m, 4)
+    assert homalg.tor_dims(pres, m, 0, 4) == want
+    assert tor_dim(pres, m, 1) == want[1]
+    assert want[1].bound_certified is False and want[1].total_dim == 1
+
+
+def test_tor_against_k_builds_no_stage_past_t(monkeypatch):
+    calls = []
+    real = homalg.kernel_minimal_gens
+
+    def counting(f, bound=None):
+        calls.append(f)
+        return real(f, bound)
+
+    monkeypatch.setattr(homalg, "kernel_minimal_gens", counting)
+    ring = _cube_ring()
+    m = ring.maximal_ideal()
+    pres = cyclic_presentation(GradedAlgebra(ring), m)
+    # stages 2..t1 for t1 >= 2; stage 2 alone for t1 = 1, to test minimality
+    for t1, stages in ((4, 3), (2, 1), (1, 1), (0, 0)):
+        calls.clear()
+        homalg.tor_dims(pres, m, 0, t1)
+        assert len(calls) == stages, t1
+    # against another ideal the ranks of d_(t1+1) need stage t1 + 1
+    calls.clear()
+    homalg.tor_dims(pres, ring.ideal([(2, 0), (1, 1)]), 0, 4)
+    assert len(calls) == 4
+
+
+def test_tor_against_k_certifies_the_unbuilt_stage_by_its_window(monkeypatch):
+    # the stage after F_t is certified exactly when kernel_window(F_t)
+    # is; windows made to depend on the module show that flag is read
+    real = homalg.kernel_window
+
+    def partial(algebra, module):
+        got = real(algebra, module)
+        return homalg.DegreeWindow(got.bound, got.certified and max(module.shifts, default=0) < 4)
+
+    monkeypatch.setattr(homalg, "kernel_window", partial)
+    ring = _cube_ring()
+    m = ring.maximal_ideal()
+    pres = cyclic_presentation(GradedAlgebra(ring), m)
+    want = _tor_by_ranks(pres, m, 4)
+    assert [r.bound_certified for r in want] == [True, True, True, False, False]
+    for t1 in range(5):
+        assert homalg.tor_dims(pres, m, 0, t1) == want[: t1 + 1]
 
 
 def test_module_from_ideal():
@@ -492,14 +580,17 @@ def test_early_stop_handles_rank_deficient_and_injective_maps():
     assert kernel_stop(cyclic_presentation(GradedAlgebra(cube), cube.maximal_ideal()).map) is None
 
 
+@pytest.mark.parametrize("p", (2, 101, 2**31 - 1))
 @pytest.mark.parametrize(
     "ring",
     [SemigroupRing(g) for g in fuzz._SG_POOL]
     + [_cube_ring(), QuotientRing(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])],
     ids=repr,
 )
-def test_kernel_walk_matches_full_product_walk_on_residue_fields(ring):
-    res = resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 5)
+def test_kernel_walk_matches_full_product_walk_on_residue_fields(ring, p):
+    # over GF(2) entries cancel most often, which the skipped reductions
+    # of columns already free m degrees down must survive
+    res = resolve(cyclic_presentation(GradedAlgebra(ring, p), ring.maximal_ideal()), 5)
     for f in res.maps[:-1]:
         _assert_same_kernel(f, early_stop=True)
 
@@ -578,7 +669,12 @@ def test_coefficient_pieces_give_the_nullspace_of_each_degree():
             assert src == want_src
             assert pos == {j: c for c, (j, _) in enumerate(src)}
             if src:
-                assert null == linalg.nullspace([r for r in rows if r], len(src), alg.p)
+                want = linalg.nullspace([r for r in rows if r], len(src), alg.p)
+                assert list(null.values()) == want
+                # each vector is keyed by the column j of its free column
+                assert list(null) == [src[max(v)][0] for v in want]
+            else:
+                assert null == {}
     assert deficient >= 10
 
 
@@ -596,7 +692,31 @@ def test_semigroup_walk_forms_only_apery_products(monkeypatch):
     monkeypatch.setattr(homalg, "_relabel", counting)
     ring = SemigroupRing((6, 7, 9, 11))
     resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
-    assert calls["n"] <= 2961
+    assert calls["n"] == 2961
+
+
+@pytest.mark.parametrize(
+    "gens, p, depth, want",
+    [((4, 5, 6, 7), 2**31 - 1, 6, 1452), ((6, 7, 9, 11), 101, 6, 2071)],
+)
+def test_semigroup_walk_reduces_only_newly_free_columns(monkeypatch, gens, p, depth, want):
+    # a column free in degree d - m stays free in degree d, and its null
+    # vector lies in t^m N_(d-m) plus the vectors of columns that became
+    # free; only the latter are reduced (3093 and 3866 reductions when
+    # every null vector was).  Over <4,5,6,7> each one is a generator.
+    calls = {"n": 0}
+    real = linalg.EchelonSpan.reduce
+
+    def counting(self, vec):
+        calls["n"] += 1
+        return real(self, vec)
+
+    monkeypatch.setattr(linalg.EchelonSpan, "reduce", counting)
+    ring = SemigroupRing(gens)
+    res = resolve(cyclic_presentation(GradedAlgebra(ring, p), ring.maximal_ideal()), depth)
+    assert calls["n"] == want
+    if gens == (4, 5, 6, 7):
+        assert want == sum(res.betti()[2:])
 
 
 def _record_matrix_degrees(monkeypatch):

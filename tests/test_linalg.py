@@ -194,7 +194,12 @@ def test_seeded_nullspace_equals_unseeded(p):
             ncols = rng.randint(1, 12)
             rows = [_sparse(_rand_row(rng, p, ncols, density)) for _ in range(rng.randint(0, 10))]
             want = linalg.nullspace(rows, ncols, p)
-            red, _ = linalg.rref(rows, ncols, p)
+            red, pivots = linalg.rref(rows, ncols, p)
+            # one vector per free column, in ascending order; the free
+            # column is the vector's highest, with entry 1 there
+            free = [c for c in range(ncols) if c not in pivots]
+            assert [max(v) for v in want] == free
+            assert all(v[max(v)] == 1 for v in want)
             keep = [rng.random() < 0.5 for _ in red]
             # nullspace takes its seed rows over, so each call gets copies
             seed = [dict(r) for r, k in zip(red, keep) if k]
