@@ -12,6 +12,13 @@ by valuation): basis, multiplication, degrees, the top degree, the
 kernel degree window with its certified flag, and the modulus of the
 early kernel stop.  The ring classes in `rings` document how each
 window is certified.
+There is one algebra, R.  Over R/I, for a monomial ideal I, the
+degree-d piece of a map keeps the rows and columns (j, b) of R's with
+b outside I, in R's order.  A product label*b that lies in I has no row
+there, so the lookup that places each product drops it; that is the
+product being zero in R/I.  So Tor over R/I filters R's bases through
+`ideal.outside(e)`, the basis of R_e outside I, and needs no second
+algebra.
 A kernel walk spans the decomposable syzygies of each degree from
 products of lower generators.  Over k[S] with multiplicity m it seeds
 that span with t^m times the kernel m degrees down, whose echelon rows
@@ -62,45 +69,6 @@ class GradedAlgebra:
         self.mult = ring.mult
         self.deg = ring.deg
 
-    def modulo(self, ideal):
-        """The quotient algebra R/I with the same oracle interface."""
-        if ideal.ring != self.ring:
-            raise ValueError("ambient mismatch")
-        return QuotientView(self, ideal)
-
-
-class QuotientView:
-    """R/I through the same basis/mult interface as GradedAlgebra."""
-
-    __slots__ = ("base", "ideal", "p", "ring", "deg", "_basis")
-
-    def __init__(self, base, ideal):
-        self.base = base
-        self.ideal = ideal
-        self.p = base.p
-        self.ring = base.ring
-        self.deg = base.deg
-        self._basis = {}
-
-    def basis(self, d):
-        got = self._basis.get(d)
-        if got is None:
-            got = tuple(
-                b for b in self.base.basis(d) if not self.ideal.member(b)
-            )
-            self._basis[d] = got
-        return got
-
-    def mult(self, a, b):
-        prod = self.base.mult(a, b)
-        if prod is None or self.ideal.member(prod):
-            return None
-        return prod
-
-    def top_degree(self):
-        """Largest degree with (R/I)_d != 0; None when unbounded."""
-        return self.ideal.quotient_top_degree()
-
 
 @dataclass(frozen=True)
 class GradedFreeModule:
@@ -113,13 +81,11 @@ class GradedFreeModule:
     def rank(self):
         return len(self.shifts)
 
-    def basis(self, view, d):
-        """Ordered basis of the degree-d piece over the given algebra."""
-        out = []
-        for j, s in enumerate(self.shifts):
-            for b in view.basis(d - s):
-                out.append((j, b))
-        return out
+    def basis(self, algebra, d, ideal=None):
+        """Ordered basis of the degree-d piece over R, or over R/I when an
+        ideal I is given: the (j, b) with b outside I, in the same order."""
+        piece = algebra.basis if ideal is None else ideal.outside
+        return [(j, b) for j, s in enumerate(self.shifts) for b in piece(d - s)]
 
 
 class HomogeneousMap:
@@ -185,18 +151,21 @@ class HomogeneousMap:
     def is_zero(self):
         return not any(self.elts)
 
-    def matrix(self, d, view=None):
-        """Sparse GF(p) matrix of the degree-d piece over R or R/I.
+    def matrix(self, d, ideal=None):
+        """Sparse GF(p) matrix of the degree-d piece over R, or over R/I
+        when an ideal I is given.
 
-        Rows follow target.basis(view, d), columns source.basis(view, d);
-        each row is a {column: coeff} dict of its nonzero entries.
+        Rows follow target.basis(algebra, d, ideal), columns
+        source.basis(algebra, d, ideal); each row is a {column: coeff}
+        dict of its nonzero entries.  A product that is zero in R, or
+        that lies in I, has no row and is dropped.
         """
-        view = view or self.algebra
-        p = view.p
-        mult = view.mult
+        algebra = self.algebra
+        p = algebra.p
+        mult = algebra.mult
         elts = self.elts
-        src = self.source.basis(view, d)
-        tgt = self.target.basis(view, d)
+        src = self.source.basis(algebra, d, ideal)
+        tgt = self.target.basis(algebra, d, ideal)
         index = {key: r for r, key in enumerate(tgt)}
         rows = [{} for _ in tgt]
         for c, (j, b) in enumerate(src):
@@ -217,12 +186,12 @@ class HomogeneousMap:
 
     def apply_sparse(self, elt):
         """Image of a sparse element {(j, label): coeff} of the source."""
-        view = self.algebra
-        p = view.p
+        algebra = self.algebra
+        p = algebra.p
         out = {}
         for (j, b), coeff in elt.items():
             for (i, label), c in self.elts[j].items():
-                prod = view.mult(label, b)
+                prod = algebra.mult(label, b)
                 if prod is None:
                     continue
                 key = (i, prod)
@@ -230,15 +199,15 @@ class HomogeneousMap:
         return {k: v for k, v in out.items() if v}
 
 
-def scale_module_elt(view, elt, rlabel):
+def scale_module_elt(algebra, elt, rlabel):
     """rlabel * elt for a sparse free-module element."""
     out = {}
     for (j, b), coeff in elt.items():
-        prod = view.mult(b, rlabel)
+        prod = algebra.mult(b, rlabel)
         if prod is None:
             continue
         key = (j, prod)
-        out[key] = (out.get(key, 0) + coeff) % view.p
+        out[key] = (out.get(key, 0) + coeff) % algebra.p
     return {k: v for k, v in out.items() if v}
 
 
@@ -288,7 +257,7 @@ def kernel_memo():
     """Scope in which kernel_minimal_gens reuses its results.
 
     Inside it, a call on a map equal in value to an earlier one (prime,
-    ring, shifts, entries and bound) returns the stored (map, certified)
+    ring, shifts and entries) returns the stored (map, certified)
     pair with no elimination.  At most KERNEL_MEMO_CAP results are kept,
     a call that raises stores nothing, and a nested scope shares the
     outer memo, which is dropped when the outermost scope exits.
@@ -304,14 +273,15 @@ def kernel_memo():
         _kernel_memo = None
 
 
-def kernel_minimal_gens(f, bound=None):
-    """Minimal homogeneous generators of ker(f) in degrees <= bound.
+def kernel_minimal_gens(f):
+    """Minimal homogeneous generators of ker(f) up to the top of its
+    `kernel_window`.
 
     Walks the degrees upward; in each degree d the kernel N_d is a
     nullspace and the decomposable part D_d is spanned by lower
     generators times positive-degree basis elements, so new generators
-    are the echelon-residuals of the nullspace basis modulo D_d.  The
-    residual of a vector modulo a subspace in reduced echelon form is
+    are the echelon-residuals of the nullspace basis against D_d.  The
+    residual of a vector against a subspace in reduced echelon form is
     unique, so how D_d is spanned does not change the result.
     Over a semigroup ring, with m its multiplicity, t^m N_{d-m} lies in
     D_d and its echelon rows relabel into those of degree d; they seed
@@ -339,21 +309,19 @@ def kernel_minimal_gens(f, bound=None):
     mutate, and which may sit on an equal algebra of an earlier call.
     """
     memo = _kernel_memo
+    if memo is None:
+        return _kernel_minimal_gens(f)
     algebra = f.algebra
-    # a QuotientView shares its ring with R, so only maps over R are keyed
-    if memo is None or type(algebra) is not GradedAlgebra:
-        return _kernel_minimal_gens(f, bound)
     key = (
         algebra.p,
         algebra.ring,
         f.source.shifts,
         f.target.shifts,
         tuple(frozenset(e.items()) for e in f.elts),
-        bound,
     )
     got = memo.get(key)
     if got is None:
-        got = _kernel_minimal_gens(f, bound)
+        got = _kernel_minimal_gens(f)
         if len(memo) < KERNEL_MEMO_CAP:
             memo[key] = got
     return got
@@ -425,7 +393,7 @@ def _relabel(elt, pos):
 
 
 def _new_generators(span, vecs, src, dim):
-    """Residuals of the vectors vecs of N_d modulo the span, as sparse
+    """Residuals of the vectors vecs of N_d against the span, as sparse
     elements over the basis src, each added to the span once found;
     none once the span has rank dim = dim N_d."""
     out = []
@@ -440,15 +408,14 @@ def _new_generators(span, vecs, src, dim):
     return out
 
 
-def _kernel_minimal_gens(f, bound):
+def _kernel_minimal_gens(f):
     algebra = f.algebra
     window = kernel_window(algebra, f.source)
-    if bound is None:
-        bound = window.bound
     gens = {}  # degree -> the generators found there, in order
     if f.source.rank:
         stop = kernel_stop(f)
-        gens = _full_walk(f, bound) if stop is None else _semigroup_walk(f, bound, stop)
+        hi = window.bound
+        gens = _full_walk(f, hi) if stop is None else _semigroup_walk(f, hi, stop)
     shifts = tuple(d for d, at in gens.items() for _ in at)
     out = HomogeneousMap(
         algebra, GradedFreeModule(shifts), f.source, [g for at in gens.values() for g in at]
@@ -631,7 +598,7 @@ class Resolution:
         return all(self.stage_certified[:t])
 
 
-def resolve(presentation, t_max, bound=None):
+def resolve(presentation, t_max):
     """Build partial minimal resolution: maps d_1 .. d_{t_max}."""
     if not presentation.map.is_minimal:
         raise ValueError("presentation is not minimal")
@@ -643,7 +610,7 @@ def resolve(presentation, t_max, bound=None):
         if prev.source.rank == 0:
             complete = True
             break
-        nxt, cert = kernel_minimal_gens(prev, bound)
+        nxt, cert = kernel_minimal_gens(prev)
         if not nxt.is_minimal:
             # a minimal presentation has all syzygies inside m*F, so a
             # unit entry here convicts the input of a redundant relation
@@ -655,11 +622,11 @@ def resolve(presentation, t_max, bound=None):
     return Resolution(presentation, maps, certified, complete)
 
 
-def syzygy(presentation, t, bound=None):
+def syzygy(presentation, t):
     """Presentation of the image of the t-th differential."""
     if t == 0:
         return presentation
-    res = resolve(presentation, t + 1, bound)
+    res = resolve(presentation, t + 1)
     if t <= len(res.maps) - 1:
         return GradedPresentation(res.maps[t])
     if res.complete:
@@ -685,23 +652,24 @@ class TorResult:
     window: tuple
 
 
-def _rank_of(pmap, d, view):
-    """Rank of the degree-d piece of pmap over view."""
-    rows, src, _ = pmap.matrix(d, view)
+def _rank_of(pmap, d, ideal=None):
+    """Rank of the degree-d piece of pmap over R, or over R/I when an
+    ideal I is given."""
+    rows, src, _ = pmap.matrix(d, ideal)
     rows = [r for r in rows if r]
     if not rows:
         return 0
-    reduced, _ = linalg.rref(rows, len(src), view.p)
+    reduced, _ = linalg.rref(rows, len(src), pmap.algebra.p)
     return len(reduced)
 
 
-def tor_dim(presentation, ideal, t, bound=None):
+def tor_dim(presentation, ideal, t):
     """dim_k Tor_t(M, R/I) by degree, over a certified window when
     R/I has finite length."""
-    return tor_dims(presentation, ideal, t, t, bound)[0]
+    return tor_dims(presentation, ideal, t, t)[0]
 
 
-def tor_dims(presentation, ideal, t0, t1, bound=None):
+def tor_dims(presentation, ideal, t0, t1):
     """tor_dim for every t in t0..t1, read off one resolution.
 
     The resolution to depth t1 + 1 extends the shorter one each tor_dim
@@ -715,21 +683,22 @@ def tor_dims(presentation, ideal, t0, t1, bound=None):
     its window `kernel_window(algebra, F_t1)` is, and the results are
     the ones the ranks would give.
     """
-    view = presentation.algebra.modulo(ideal)
+    if ideal.ring != presentation.algebra.ring:
+        raise ValueError("ambient mismatch")
     if ideal != ideal.ring.maximal_ideal():
-        res = resolve(presentation, t1 + 1, bound)
+        res = resolve(presentation, t1 + 1)
         ranks = {}  # (map index, degree) -> rank over R/I
-        return [_tor_from(res, view, t, ranks) for t in range(t0, t1 + 1)]
-    res = resolve(presentation, t1 if t1 > 1 else t1 + 1, bound)
-    out = [_tor_from(res, view, t, None) for t in range(t0, t1 + 1)]
+        return [_tor_from(res, ideal, t, ranks) for t in range(t0, t1 + 1)]
+    res = resolve(presentation, t1 if t1 > 1 else t1 + 1)
+    out = [_tor_from(res, ideal, t, None) for t in range(t0, t1 + 1)]
     if out and len(res.maps) == t1 and not res.complete:
         nxt = kernel_window(presentation.algebra, res.module(t1)).certified
         out[-1] = replace(out[-1], bound_certified=out[-1].bound_certified and nxt)
     return out
 
 
-def _tor_from(res, view, t, ranks):
-    """Tor_t off res over view.  ranks caches the ranks of the maps over
+def _tor_from(res, ideal, t, ranks):
+    """Tor_t(M, R/I) off res.  ranks caches the ranks of the maps over
     R/I by (map index, degree); it is None over k = R/m, where every map
     of a minimal resolution becomes zero."""
     if t > len(res.maps) and res.complete:
@@ -742,7 +711,7 @@ def _tor_from(res, view, t, ranks):
     if ft.rank == 0:
         cert = res.certified_through(min(t, len(res.maps)))
         return TorResult(t, {}, 0, cert, (0, -1))
-    top = view.top_degree()
+    top = ideal.quotient_top_degree()
     lo = min(ft.shifts)
     if top is not None:
         hi = max(ft.shifts) + top
@@ -761,14 +730,14 @@ def _tor_from(res, view, t, ranks):
     dims = {}
     total = 0
     for d in range(lo, hi + 1):
-        nsrc = len(ft.basis(view, d))
+        nsrc = len(ft.basis(res.algebra, d, ideal))
         if nsrc == 0:
             continue
         k = nsrc
         for i in around:
             rank = ranks.get((i, d))
             if rank is None:
-                rank = ranks[i, d] = _rank_of(res.maps[i], d, view)
+                rank = ranks[i, d] = _rank_of(res.maps[i], d, ideal)
             k -= rank
         if k:
             dims[d] = k
@@ -776,7 +745,7 @@ def _tor_from(res, view, t, ranks):
     return TorResult(t, dims, total, certified, (lo, hi))
 
 
-def annihilates(ideal, presentation, t, bound=None):
+def annihilates(ideal, presentation, t):
     """Does J kill the t-th syzygy module?
 
     For t >= 1 the products j*c are evaluated literally in F_{t-1} for
@@ -806,7 +775,7 @@ def annihilates(ideal, presentation, t, bound=None):
                 if span.reduce({index[(i, g)]: 1}) is not None:
                     return False
         return True
-    res = resolve(presentation, t, bound)
+    res = resolve(presentation, t)
     if t > len(res.maps):
         if res.complete:
             return True  # zero syzygy
@@ -818,7 +787,7 @@ def annihilates(ideal, presentation, t, bound=None):
     return True
 
 
-def audit_resolution(res, degree_cap=None):
+def audit_resolution(res):
     """Degreewise exactness and minimality checks.
 
     Verifies every differential has entries in the maximal ideal, that
@@ -841,19 +810,17 @@ def audit_resolution(res, degree_cap=None):
             continue
         lo = min(outer.source.shifts)
         hi = kernel_window(algebra, outer.source).bound
-        if degree_cap is not None:
-            hi = min(hi, degree_cap)
         for d in range(lo, hi + 1):
             nsrc = len(outer.source.basis(algebra, d))
             if nsrc == 0:
                 continue
-            dim_ker = nsrc - _rank_of(outer, d, algebra)
-            if dim_ker != _rank_of(inner, d, algebra):
+            dim_ker = nsrc - _rank_of(outer, d)
+            if dim_ker != _rank_of(inner, d):
                 return False
-    return euler_holds(res, degree_cap)
+    return euler_holds(res)
 
 
-def euler_holds(res, degree_cap=None):
+def euler_holds(res):
     """sum_{i=0..n} (-1)^i dim (F_i)_d = dim (F_0)_d - rank (d_1)_d.
 
     F_n is the last module computed.  The alternating sum differs from
@@ -872,11 +839,9 @@ def euler_holds(res, degree_cap=None):
         hi = min(last.shifts)
     else:
         hi = kernel_window(algebra, res.module(n - 1)).bound
-    if degree_cap is not None:
-        hi = min(hi, degree_cap)
     modules = [res.module(i) for i in range(n + 1)]
     for d in range(min(f0.shifts), hi + 1):
         alt = sum((-1) ** i * len(f.basis(algebra, d)) for i, f in enumerate(modules))
-        if alt != len(f0.basis(algebra, d)) - _rank_of(res.maps[0], d, algebra):
+        if alt != len(f0.basis(algebra, d)) - _rank_of(res.maps[0], d):
             return False
     return True

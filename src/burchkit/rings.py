@@ -12,7 +12,9 @@ is_artinian(), whether top_degree() is finite; QuotientRing also answers
 socle(), the standard monomials that every variable kills, from which
 its depth_positive() follows.  Their ideals, QIdeal and SgIdeal, answer
 the predicate layer: colon, product, sum, comparison, subset,
-m-primariness, Loewy length, and quotient_top_degree() of R/I.
+m-primariness, Loewy length, and quotient_top_degree() of R/I; and
+outside(e), the labels of basis(e) outside the ideal, in order, which
+`homalg` reads the degree pieces of R/I from.
 Everything is immutable and value-compared.
 
 Colon here is always the ring-level colon (I : J) = {x in R : xJ <= I}.
@@ -52,7 +54,7 @@ class QuotientRing:
     a heuristic slack, flagged certified=False.
     """
 
-    __slots__ = ("nvars", "defining", "_basis", "_socle", "_powers", "_std")
+    __slots__ = ("nvars", "defining", "_basis", "_socle", "_powers", "_std", "_top")
 
     def __init__(self, nvars, defining_gens=()):
         defining = MonomialIdeal(nvars, defining_gens)
@@ -64,6 +66,8 @@ class QuotientRing:
         self._socle = None
         self._powers = {}
         self._std = None  # standard monomials of an Artinian R; False if not
+        # read by mpow, mult and every kernel window, so computed once
+        self._top = self.zero_ideal().quotient_top_degree()
 
     def basis(self, d):
         """The standard monomials of degree d: those outside A."""
@@ -102,19 +106,26 @@ class QuotientRing:
         The degree-s monomials are pairwise incomparable, and each
         generator of A of degree >= s is divisible by one of them, so the
         minimal generators of m^s + A are the generators of A below
-        degree s and the degree-s monomials none of those divide.
+        degree s and the degree-s monomials none of those divide.  Past
+        the top degree of an Artinian R, m^s lies in A and m^s + A is A:
+        no monomial of degree s is built.
         """
         rep = self._powers.get(s)
         if rep is None:
             if s < 0:
                 raise ValueError("negative power")
-            low = tuple(a for a in self.defining.gens if sum(a) < s)
-            top = [
-                u for u in _compositions(self.nvars, s)
-                if not any(all(map(le, a, u)) for a in low)
-            ]
-            # low is in deglex order already, below every degree-s monomial
-            rep = self._powers[s] = _from_gens(self.nvars, low + tuple(sorted(top)))
+            last = self.top_degree()
+            if last is not None and s > last:
+                rep = self.defining
+            else:
+                low = tuple(a for a in self.defining.gens if sum(a) < s)
+                top = [
+                    u for u in _compositions(self.nvars, s)
+                    if not any(all(map(le, a, u)) for a in low)
+                ]
+                # low is in deglex order already, below every degree-s monomial
+                rep = _from_gens(self.nvars, low + tuple(sorted(top)))
+            self._powers[s] = rep
         return _qideal(self, rep)
 
     def depth_positive(self):
@@ -144,7 +155,7 @@ class QuotientRing:
         return prod if prod in std else None
 
     def top_degree(self):
-        return self.zero_ideal().quotient_top_degree()
+        return self._top
 
     def kernel_window(self, slack):
         top = self.top_degree()
@@ -174,7 +185,7 @@ class QIdeal:
     are equal iff the representatives have the same minimal generators.
     """
 
-    __slots__ = ("ring", "rep", "name")
+    __slots__ = ("ring", "rep", "name", "_outside")
 
     def __init__(self, ring, gens, name=None):
         self.ring = ring
@@ -182,10 +193,24 @@ class QIdeal:
             gens = gens.gens
         self.rep = MonomialIdeal(ring.nvars, tuple(gens) + ring.defining.gens)
         self.name = name
+        self._outside = None
 
     # containment of a monomial, as an element of R
     def member(self, v):
         return self.rep.member(v)
+
+    def outside(self, e):
+        """The standard monomials of degree e outside I, in basis order;
+        kept per degree, as every Tor over R/I asks for each several
+        times."""
+        kept = self._outside
+        if kept is None:
+            kept = self._outside = {}
+        got = kept.get(e)
+        if got is None:
+            member = self.rep.member
+            got = kept[e] = tuple(u for u in self.ring.basis(e) if not member(u))
+        return got
 
     def is_zero(self):
         return self.rep == self.ring.defining
@@ -291,6 +316,7 @@ def _qideal(ring, rep):
     out.ring = ring
     out.rep = rep
     out.name = None
+    out._outside = None
     return out
 
 
@@ -395,6 +421,10 @@ class SgIdeal:
 
     def member(self, v):
         return v in self.relset
+
+    def outside(self, e):
+        """(e,) when t^e lies in R but not in I, else ()."""
+        return () if e in self.relset else self.ring.basis(e)
 
     def is_zero(self):
         return self.relset.is_zero()

@@ -428,15 +428,31 @@ def scan_echelon(rows, p, red=None):
 # Degree-piece assembly as the library did it while a graded map stored
 # every column as a list of target.rank entry dicts, most of them empty.
 # It reads the map through its dense `cols` view and uses the algebra's
-# own basis and multiplication.  tests/test_homalg.py compares
-# HomogeneousMap.matrix against it.
+# own basis and multiplication.  Over R/I it is the literal quotient, as
+# the library built it while R/I was a second algebra: the bases keep
+# the elements outside I, and a product is checked against I after
+# multiplication.  tests/test_homalg.py compares HomogeneousMap.matrix
+# against it.
 
-def dense_matrix(pmap, d, view=None):
-    """(rows, src, tgt) of the degree-d piece, walking every entry."""
-    view = view or pmap.algebra
-    p = view.p
-    src = pmap.source.basis(view, d)
-    tgt = pmap.target.basis(view, d)
+def dense_matrix(pmap, d, ideal=None):
+    """(rows, src, tgt) of the degree-d piece over R, or over R/I when
+    an ideal I is given, walking every entry."""
+    algebra = pmap.algebra
+    p = algebra.p
+
+    def outside(b):
+        return ideal is None or not ideal.member(b)
+
+    def basis(module):
+        return [
+            (j, b)
+            for j, s in enumerate(module.shifts)
+            for b in algebra.basis(d - s)
+            if outside(b)
+        ]
+
+    src = basis(pmap.source)
+    tgt = basis(pmap.target)
     index = {key: r for r, key in enumerate(tgt)}
     rows = [{} for _ in tgt]
     cols = pmap.cols
@@ -444,13 +460,10 @@ def dense_matrix(pmap, d, view=None):
         col = cols[j]
         for i, entry in enumerate(col):
             for label, coeff in entry.items():
-                prod = view.mult(label, b)
-                if prod is None:
+                prod = algebra.mult(label, b)
+                if prod is None or not outside(prod):
                     continue
-                r = index.get((i, prod))
-                if r is None:
-                    continue
-                row = rows[r]
+                row = rows[index[(i, prod)]]
                 x = (row.get(c, 0) + coeff) % p
                 if x:
                     row[c] = x

@@ -197,6 +197,66 @@ def test_quotient_mpow_equals_minimalized_sum():
         QuotientRing(2, [(2, 0)]).mpow(-1)
 
 
+def test_outside_is_the_basis_filtered_by_membership():
+    # the basis of (R/I)_e that Tor over R/I reads, against membership
+    rng = random.Random(421)
+    for _ in range(60):
+        nvars, defining, igens, _ = oracles.rand_monomial_instance(rng)
+        ring = QuotientRing(nvars, defining)
+        gens, ivals, _ = oracles.rand_semigroup_instance(rng)
+        sg = SemigroupRing(gens)
+        for r, ideal in (
+            (ring, ring.ideal(igens)), (ring, ring.mpow(2)), (ring, ring.zero_ideal()),
+            (ring, ring.unit_ideal()), (sg, sg.ideal(ivals)), (sg, sg.zero_ideal()),
+            (sg, sg.unit_ideal()),
+        ):
+            for e in range(-1, 12):
+                want = tuple(b for b in r.basis(e) if not ideal.member(b))
+                assert tuple(ideal.outside(e)) == want, (ideal, e)
+                assert tuple(ideal.outside(e)) == want  # kept per degree
+
+
+def test_quotient_mpow_past_the_top_degree_lists_no_monomial(monkeypatch):
+    # over an Artinian R, m^s lies in A once s passes the top degree, so
+    # mpow returns A without listing the degree-s monomials; every power
+    # equals the construction through those monomials
+    from operator import le
+
+    from burchkit import rings
+    from burchkit.monomial import _compositions, _from_gens
+
+    def through_monomials(ring, s):
+        low = tuple(a for a in ring.defining.gens if sum(a) < s)
+        top = [
+            u for u in _compositions(ring.nvars, s)
+            if not any(all(map(le, a, u)) for a in low)
+        ]
+        return _from_gens(ring.nvars, low + tuple(sorted(top)))
+
+    rng = random.Random(419)
+    cases = []
+    while len(cases) < 40:
+        nvars, defining, _, _ = oracles.rand_monomial_instance(rng)
+        ring = QuotientRing(nvars, defining)
+        top = ring.top_degree()
+        if top is not None:
+            cases.append((ring, top, [through_monomials(ring, s) for s in range(top + 4)]))
+    asked = []
+    real = rings._compositions
+
+    def recording(nvars, s):
+        asked.append(s)
+        return real(nvars, s)
+
+    monkeypatch.setattr(rings, "_compositions", recording)
+    for ring, top, want in cases:
+        asked.clear()
+        for s, rep in enumerate(want):
+            assert ring.mpow(s).rep == rep, (ring, s)
+        assert asked and max(asked) <= top, (ring, top, asked)
+    assert any(ring.nvars == 3 for ring, _, _ in cases)
+
+
 def test_semigroup_ideal_from_value_set_checks_integrality():
     ring = SemigroupRing((4, 5, 6))
     frac = RelativeIdealSet(ring.S, (-2, 1))
