@@ -114,6 +114,39 @@ def test_residue_field_differentials_are_pinned():
     assert _differentials_digest(res) == (
         "044e26cc928e9c5804eb82cdd09278965500d6452012bbe6e32cfee52928c341"
     )
+    # monomial walks, which span each D_d from the degree below: Artinian
+    # and non-Artinian rings, and cyclic modules R/I other than k
+    cases = [
+        (_cube_ring(), 101, None, 8, "42ff56555ef223ea502da7a7f977fd1daed11c7bb6a39154821c2d97c75a3d87"),
+        (
+            QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]), 2**31 - 1, None, 8,
+            "a3c6097d48778f983897a2918f8362dc9650b9168c43be698369090ed1f6039b",
+        ),
+        (
+            QuotientRing(3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]),
+            101, None, 6, "2d8f5f8cb430f954c31b59f29640076184a6ef9a8493dd5ea36d24c02fce42fa",
+        ),
+        (
+            QuotientRing(2, [(2, 0)]), 101, None, 5,
+            "e2663c27d1a1c989ca7ec2a9259d5b3b44782f238d86deef09e1549e727c6c31",
+        ),
+        (
+            QuotientRing(3, [(3, 0, 0), (0, 2, 0), (1, 1, 0)]), 101, None, 4,
+            "72f909c256e73ff2abb026ec6163d894975820452d6e5eeea3ae89a22a137807",
+        ),
+        (
+            QuotientRing(3, [(3, 0, 0), (0, 3, 0), (0, 0, 2)]), 101, [(2, 0, 0), (1, 1, 0)], 5,
+            "dd2cbc4d190cf64b0eb1d056194577c5732e3a27f44a65ffb29e9792742a1289",
+        ),
+        (
+            QuotientRing(2), 101, [(2, 0), (1, 1), (0, 3)], 3,
+            "6a4ba585d474ecb2c36714105ed00ac2e11bce7cc704181009a0a3328d277439",
+        ),
+    ]
+    for ring, p, gens, depth, want in cases:
+        ideal = ring.maximal_ideal() if gens is None else ring.ideal(gens)
+        res = resolve(cyclic_presentation(GradedAlgebra(ring, p), ideal), depth)
+        assert _differentials_digest(res) == want, (ring, gens)
 
 
 def test_algebra_rejects_composite_and_oversized_moduli():
