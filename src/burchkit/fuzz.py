@@ -48,6 +48,7 @@ from .homalg import (
     module_from_ideal,
     resolve,
     tor_dim,
+    tor_dims,
 )
 from .hw import hw_has_torsion, hw_report
 from .monomial import MonomialIdeal, integral_closure
@@ -808,8 +809,7 @@ def _suite_prop26():
         y = options[0]
         algebra = GradedAlgebra(ring)
         pres = cyclic_presentation(algebra, ring.ideal([y]))
-        tor1 = tor_dim(pres, i, 1)
-        tor2 = tor_dim(pres, i, 2)
+        tor1, tor2 = tor_dims(pres, i, 1, 2)
         res = resolve(pres, 3)
         never_free = res.rank(3) > 0
         return tor1.total_dim == 0 and tor2.total_dim > 0 and never_free
@@ -837,8 +837,7 @@ def _suite_btor33():
         if i is None or i.is_zero() or i.is_unit() or not is_burch(i):
             return None
         pres = _decode_premise_module(inst, ring)
-        tor1 = tor_dim(pres, i, 1).total_dim
-        tor2 = tor_dim(pres, i, 2).total_dim
+        tor1, tor2 = (r.total_dim for r in tor_dims(pres, i, 1, 2))
         if inst["mkind"] == "free" or is_free(pres):
             return tor1 == 0 and tor2 == 0
         # non-free over an Artinian ring: infinite projective dimension,
@@ -881,8 +880,7 @@ def _suite_cor210():
             ok = ok and tor.total_dim == 0
         elif inst["mkind"] == "cyclic":
             # pd R/fR = 1 over a domain, and f is a zerodivisor on R/I
-            tor1 = tor_dim(pres, i, 1)
-            tor2 = tor_dim(pres, i, 2)
+            tor1, tor2 = tor_dims(pres, i, 1, 2)
             ok = ok and tor1.total_dim > 0 and tor2.total_dim == 0
         elif not is_free(pres):
             # non-principal ideal module: infinite projective dimension,

@@ -20,10 +20,13 @@ product being zero in R/I.  So Tor over R/I filters R's bases through
 `ideal.outside(e)`, the basis of R_e outside I, and needs no second
 algebra.
 A kernel walk spans the decomposable syzygies of each degree from
-products of lower generators.  Over k[S] with multiplicity m it seeds
-that span with t^m times the kernel m degrees down, whose echelon rows
-relabel with no elimination, and forms only the products t^e g with e
-in the Apery set Ap(S, m); see `kernel_minimal_gens`.  There every
+products of lower generators.  A monomial quotient is generated in
+degree 1, so that span is R_1 N_(d-1), the variables times the echelon
+rows of the kernel one degree down, which the walk holds already.  Over
+k[S] with multiplicity m it seeds that span with t^m times the kernel m
+degrees down, whose echelon rows relabel with no elimination, and forms
+only the products t^e g with e in the Apery set Ap(S, m); see
+`kernel_minimal_gens`.  There every
 entry of a map is c_ij t^(s_j - t_i), so its degree-d piece is the
 scalar coefficient matrix C on the columns j with d - s_j in S.  The
 walk row-reduces C once per map and reads each degree's kernel off
@@ -31,10 +34,13 @@ that RREF: its rows with a pivot among those columns are already
 reduced there and seed the elimination, and only the others are
 eliminated on top.  The RREF is unique, so kernels, generators and
 differentials are the ones a degree-by-degree elimination gives.
-Two rules skip elimination whose result is known.  A column free in
+Three rules skip elimination whose result is known.  A column free in
 degree d - m stays free in degree d, and its null vector lies in the
 seed plus the vectors of columns that became free, so the walk reduces
-only the latter.  Tor against the residue field k = R/m is F_t (x) k,
+only the latter.  A product t^e g whose columns j all lie in
+J_(d-m) = {j : d - m - s_j in S} is t^m h for some h in F_(d-m), and
+f(h) = 0 as t^m acts injectively, so it lies in the seed and is not
+formed.  Tor against the residue field k = R/m is F_t (x) k,
 since every entry of a minimal differential lies in m: `tor_dims` reads
 it off the shifts of F_t and ranks nothing.
 """
@@ -283,12 +289,21 @@ def kernel_minimal_gens(f):
     are the echelon-residuals of the nullspace basis against D_d.  The
     residual of a vector against a subspace in reduced echelon form is
     unique, so how D_d is spanned does not change the result.
+    Over a monomial quotient, generated in degree 1,
+    D_d = sum_g R_(d - deg g) g = sum_i x_i N_{d-1}, since N_{d-1} is
+    D_{d-1} plus the generators found in degree d - 1; the walk holds
+    the echelon rows of N_{d-1} from the degree below, and x_i takes
+    each to degree d through one column map (j, b) -> (j, b x_i),
+    dropping the columns where b x_i lies in A.
     Over a semigroup ring, with m its multiplicity, t^m N_{d-m} lies in
     D_d and its echelon rows relabel into those of degree d; they seed
     D_d, and only the products t^e g with e in the Apery set
     Ap(S, m) = {e in S : e - m not in S} are formed, as every other
-    product is t^m times one in N_{d-m}.  A product relabels the columns
-    of g, as t^e takes (j, t^b) to (j, t^(b+e)).  No matrix is assembled
+    product is t^m times one in N_{d-m}.  Of those, a product whose
+    columns j all lie in J_(d-m) is t^m h with h in F_{d-m} and
+    f(h) = 0, so it lies in the seed and is skipped too.  A product
+    relabels the columns of g, as t^e takes (j, t^b) to (j, t^(b+e)).
+    No matrix is assembled
     there: f_d is the coefficient matrix C of `kernel_stop` on the
     columns j with d - s_j in S, and N_d comes from the RREF of C, whose
     rows with a pivot among those columns seed the nullspace while only
@@ -424,12 +439,16 @@ def _kernel_minimal_gens(f):
 
 
 def _full_walk(f, bound):
-    """Generators by degree, walking every degree of the window and
-    forming every product of a lower generator and a basis element."""
+    """Generators by degree over a monomial quotient, walking every degree
+    of the window, with D_d spanned by the variables times the echelon
+    rows of N_{d-1}."""
     algebra = f.algebra
     p = algebra.p
+    mult = algebra.mult
     gens = {}
+    prior = None  # (source basis, echelon rows of N_{d-1}) when N_{d-1} != 0
     for d in range(min(f.source.shifts), bound + 1):
+        below, prior = prior, None
         src = f.source.basis(algebra, d)
         if not src:
             continue
@@ -437,39 +456,44 @@ def _full_walk(f, bound):
         null = linalg.nullspace([r for r in rows if r], len(src), p)
         if not null:
             continue
-        index = {key: i for i, key in enumerate(src)}
+        dim = len(null)
         span = linalg.EchelonSpan(p)
-        products = (
-            (g, r)
-            for gd, at in gens.items()
-            for g in at
-            for r in algebra.basis(d - gd)
-        )
-        for g, r in products:
-            if span.rank == len(null):
-                break
-            prod = scale_module_elt(algebra, g, r)
-            if prod:
-                span.add({index[key]: x for key, x in prod.items()})
-        found = _new_generators(span, null, src, len(null))
+        if below is not None:
+            index = {key: i for i, key in enumerate(src)}
+            for v in algebra.basis(1):
+                if span.rank == dim:
+                    break
+                # x_v takes column (j, b) of degree d - 1 to (j, b x_v), or
+                # to None when b x_v lies in A
+                col = [index.get((j, mult(b, v))) for j, b in below[0]]
+                for row in below[1]:
+                    if span.rank == dim:
+                        break
+                    vec = {k: x for c, x in row.items() if (k := col[c]) is not None}
+                    if vec:
+                        span.add(vec)
+        found = _new_generators(span, null, src, dim)
         if found:
             gens[d] = found
+        prior = (src, span.rows)
     return gens
 
 
 def _semigroup_walk(f, bound, stop):
     """Generators by degree over k[S]: pieces from R = RREF(C), D_d
-    seeded with t^m N_{d-m}, Apery products only, and the early stop."""
+    seeded with t^m N_{d-m}, only the Apery products with a column
+    outside J_(d-m), and the early stop."""
     algebra = f.algebra
     p = algebra.p
     m, rank, red = stop
     gens = {}
+    supports = {}  # degree -> the columns j of each generator there, as bits 1 << j
     # residue classes mod m still below dim N_d = rank N
     open_classes = set(range(m)) if rank else set()
     apery = _apery_degrees(algebra, m)
     pieces = _CoefficientPieces(f, red)
-    # degree -> (source basis, echelon rows of N_d, free columns j of
-    # f_d), for the last m degrees
+    # degree -> (position of each column j of J_d, echelon rows of N_d,
+    # free columns j of f_d), for the last m degrees
     kept = {}
     for d in range(min(f.source.shifts), bound + 1):
         if not open_classes:
@@ -485,14 +509,24 @@ def _semigroup_walk(f, bound, stop):
             continue
         seed = ()
         fresh = null.values()
+        new = -1  # every column, as bits
         if prior is not None:
             # t^m relabels N_{d-m} into degree d in order: no elimination
-            col = [pos[j] for j, _ in prior[0]]
+            col = [pos[j] for j in prior[0]]
             seed = [{col[c]: x for c, x in row.items()} for row in prior[1]]
             # only vectors whose free column became free can leave the span
             fresh = [v for j, v in null.items() if j not in prior[2]]
+            # columns outside J_(d-m)
+            new = sum(1 << j for j in pos.keys() - prior[0].keys())
         span = linalg.EchelonSpan(p, seed)
-        products = (g for e in apery for g in gens.get(d - e, ()))
+        # a product with every column in J_(d-m) is t^m times an element
+        # of N_(d-m), so it lies in the seed already
+        products = (
+            g
+            for e in apery
+            for g, cols in zip(gens.get(d - e, ()), supports.get(d - e, ()))
+            if cols & new
+        )
         for g in products:
             if span.rank == dim:
                 break
@@ -500,7 +534,9 @@ def _semigroup_walk(f, bound, stop):
         found = _new_generators(span, fresh, src, dim)
         if found:
             gens[d] = found
-        kept[d] = (src, span.rows, set(null))
+            # one entry per column j: pieces of k[S] are <= 1-dim
+            supports[d] = [sum(1 << j for j, _ in g) for g in found]
+        kept[d] = (pos, span.rows, set(null))
     return gens
 
 

@@ -640,7 +640,8 @@ def test_early_stop_handles_rank_deficient_and_injective_maps():
 @pytest.mark.parametrize(
     "ring",
     [SemigroupRing(g) for g in fuzz._SG_POOL]
-    + [_cube_ring(), QuotientRing(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])],
+    + [_cube_ring(), QuotientRing(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])]
+    + [QuotientRing(2, [(2, 0)]), QuotientRing(2)],
     ids=repr,
 )
 def test_kernel_walk_matches_full_product_walk_on_residue_fields(ring, p):
@@ -689,6 +690,8 @@ def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
         _cube_ring(),
         QuotientRing(2, [(4, 0), (1, 2), (0, 3)]),
         QuotientRing(2, [(2, 2)]),
+        QuotientRing(2, [(2, 0)]),
+        QuotientRing(2),
     ]
     deficient = injective = 0
     for k in range(72):
@@ -705,6 +708,48 @@ def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
         if syz.source.rank:
             _assert_same_kernel(syz, early_stop=True)
     assert deficient >= 10 and injective >= 10
+
+
+def test_kernel_walk_matches_full_product_walk_on_two_entry_columns():
+    # gen_module's columns with an entry in each of two rows, and the
+    # resolutions of their cokernels, over monomial quotients
+    cfg = FuzzConfig(seed=31)
+    pool = [
+        _cube_ring(),
+        QuotientRing(2),
+        QuotientRing(2, [(2, 0)]),
+        QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+    ]
+    two = 0
+    for k in range(80):
+        ring = pool[k % len(pool)]
+        pres = gen_module(ring, trial_rng(cfg, k))
+        if not any(len({i for i, _ in e}) == 2 for e in pres.map.elts):
+            continue
+        two += 1
+        for f in resolve(pres, 3).maps:
+            if f.source.rank:
+                _assert_same_kernel(f)
+    assert two >= 10
+
+
+def test_monomial_walk_forms_no_generator_products(monkeypatch):
+    # k over k[x,y,z]/(x^2,y^3,z^4) to depth 8: D_d is spanned as the
+    # variables times N_(d-1), one column map per variable and degree,
+    # where every product of a generator and a basis element took 3432
+    # scale_module_elt calls
+    calls = {"n": 0}
+    real = homalg.scale_module_elt
+
+    def counting(*args):
+        calls["n"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(homalg, "scale_module_elt", counting)
+    ring = QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)])
+    res = resolve(cyclic_presentation(GradedAlgebra(ring, 2**31 - 1), ring.maximal_ideal()), 8)
+    assert res.betti() == (1, 3, 6, 10, 15, 21, 28, 36, 45)
+    assert calls["n"] == 0
 
 
 def test_coefficient_pieces_give_the_nullspace_of_each_degree():
@@ -737,7 +782,10 @@ def test_coefficient_pieces_give_the_nullspace_of_each_degree():
 def test_semigroup_walk_forms_only_apery_products(monkeypatch):
     # k over k[[t^6,t^7,t^9,t^11]] to depth 6: the full-product walk
     # forms 9602 products of a generator with a basis element; seeded
-    # degrees form only Apery products, and none once D_d fills N_d
+    # degrees form only Apery products t^e g, none once D_d fills N_d,
+    # and none with every column j of g in J_(d-m), as such a product is
+    # t^m times an element of N_(d-m) and lies in the seed (2961 products
+    # without that rule, 726 of which enlarge the span)
     calls = {"n": 0}
     real = homalg._relabel
 
@@ -748,7 +796,13 @@ def test_semigroup_walk_forms_only_apery_products(monkeypatch):
     monkeypatch.setattr(homalg, "_relabel", counting)
     ring = SemigroupRing((6, 7, 9, 11))
     resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
-    assert calls["n"] == 2961
+    assert calls["n"] == 1202
+    # over <4,5,6,7> the seed is all of D_d: none of the 2544 products
+    # formed without the rule enlarged the span
+    calls["n"] = 0
+    ring = SemigroupRing((4, 5, 6, 7))
+    resolve(cyclic_presentation(GradedAlgebra(ring, 2**31 - 1), ring.maximal_ideal()), 6)
+    assert calls["n"] == 0
 
 
 @pytest.mark.parametrize(
