@@ -24,6 +24,7 @@ from .homalg import (
     Resolution,
     TorResult,
     annihilates,
+    audit_resolution,
     cyclic_presentation,
     free_presentation,
     is_free,
@@ -64,6 +65,7 @@ __all__ = [
     "TorResult",
     "TorsionVerdict",
     "annihilates",
+    "audit_resolution",
     "classification_report",
     "cor214_classify",
     "cyclic_presentation",

@@ -127,11 +127,6 @@ def loewy_length(i):
     return i.loewy_length()
 
 
-def depth_quotient_positive(i):
-    """depth(R/I) > 0, decided by (I : m) = I."""
-    return ColonTable(i).depth_positive()
-
-
 def _inf_mpow_multiplier(i, j, cap):
     """min s with m^s * J <= I, scanned up to cap; math.inf past it."""
     ring = i.ring
@@ -165,8 +160,9 @@ def l2_identities(i, j):
     m = i.ring.maximal_ideal()
     c = i.colon(j)
     lhs = c.loewy_length()
-    # bounded independent scan; a finite lhs certifies the bound
-    cap = int(lhs) + 1 if lhs != INFINITY else int(_default_scan_cap(i))
+    # bounded independent scan; a finite lhs certifies the bound, and an
+    # infinite one means I, inside (I : J), is not m-primary: scan to 12
+    cap = int(lhs) + 1 if lhs != INFINITY else 12
     rhs = _inf_mpow_multiplier(i, j, cap)
     first = lhs == rhs
 
@@ -178,11 +174,6 @@ def l2_identities(i, j):
     return ColonLoewyRecord(
         lhs, rhs, first, True, mid, nested, second, first and second
     )
-
-
-def _default_scan_cap(i):
-    ll = i.loewy_length()
-    return ll if ll != INFINITY else 12
 
 
 def burch_via_loewy(i):

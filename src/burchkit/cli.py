@@ -20,7 +20,7 @@ from .fixtures import EXAMPLES, run_example
 from .fuzz import FuzzConfig, run_suite
 from .homalg import kernel_memo, tor_dims
 from .hw import hw_report
-from .problemfile import ProblemFileError, load_problem
+from .problemfile import load_problem
 
 _DEFAULT_SEED = FuzzConfig().seed
 _DEFAULT_TRIALS = FuzzConfig().trials
@@ -51,11 +51,6 @@ def _emit(payload):
     print(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False))
 
 
-def _fail(message):
-    print("error: %s" % message, file=sys.stderr)
-    return 2
-
-
 def _parse_span(text, what):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if m is None:
@@ -67,50 +62,41 @@ def _parse_span(text, what):
 
 
 def _cmd_classify(args):
-    try:
-        prob = load_problem(args.file)
-        ideal = prob.get_ideal(args.ideal)
-        named = (prob.get_ideal(args.wrt),) if args.wrt else ()
-        report = classification_report(ideal, named=named)
-        payload = _jsonable(report)
-        if args.wrt_mpow_range:
-            lo, hi = _parse_span(args.wrt_mpow_range, "power range")
-            payload["wmf_wrt_mpow"] = _jsonable(report.wmf_wrt_mpow_range(lo, hi))
-    except (ProblemFileError, ValueError, OSError) as exc:
-        return _fail(exc)
+    prob = load_problem(args.file)
+    ideal = prob.get_ideal(args.ideal)
+    named = (prob.get_ideal(args.wrt),) if args.wrt else ()
+    report = classification_report(ideal, named=named)
+    payload = _jsonable(report)
+    if args.wrt_mpow_range:
+        lo, hi = _parse_span(args.wrt_mpow_range, "power range")
+        payload["wmf_wrt_mpow"] = _jsonable(report.wmf_wrt_mpow_range(lo, hi))
     payload["ideal"] = args.ideal
     _emit(payload)
     return 0
 
 
 def _cmd_tor(args):
-    try:
-        prob = load_problem(args.file)
-        pres = prob.get_module(args.module)
-        ideal = prob.get_ideal(args.ideal)
-        if prob.module_ring[args.module] != prob.ideal_ring[args.ideal]:
-            raise ValueError("module and ideal live in different rings")
-        t0, t1 = _parse_span(args.range, "range")
-        results = tor_dims(pres, ideal, t0, t1)
-    except (ProblemFileError, ValueError, OSError) as exc:
-        return _fail(exc)
+    prob = load_problem(args.file)
+    pres = prob.get_module(args.module)
+    ideal = prob.get_ideal(args.ideal)
+    # by identity: each ring declaration is its own ring, even when two are equal
+    if pres.algebra.ring is not ideal.ring:
+        raise ValueError("module and ideal live in different rings")
+    t0, t1 = _parse_span(args.range, "range")
+    results = tor_dims(pres, ideal, t0, t1)
     _emit({"module": args.module, "ideal": args.ideal, "tor": results})
     return 0
 
 
 def _cmd_hw(args):
-    try:
-        prob = load_problem(args.file)
-        ideal = prob.get_ideal(args.ideal)
-        wrt = None
-        if args.wrt:
-            wrt = prob.get_ideal(args.wrt)
-            if wrt.ring != ideal.ring:
-                raise ValueError("ambient mismatch")
-        report = hw_report(ideal, wrt)
-    except (ProblemFileError, ValueError, OSError) as exc:
-        return _fail(exc)
-    payload = _jsonable(report)
+    prob = load_problem(args.file)
+    ideal = prob.get_ideal(args.ideal)
+    wrt = None
+    if args.wrt:
+        wrt = prob.get_ideal(args.wrt)
+        if wrt.ring != ideal.ring:
+            raise ValueError("ambient mismatch")
+    payload = _jsonable(hw_report(ideal, wrt))
     payload["ideal"] = args.ideal
     _emit(payload)
     return 0
@@ -118,10 +104,7 @@ def _cmd_hw(args):
 
 def _cmd_paper(args):
     names = [args.example] if args.example else sorted(EXAMPLES)
-    try:
-        tables = {name: run_example(name) for name in names}
-    except ValueError as exc:
-        return _fail(exc)
+    tables = {name: run_example(name) for name in names}
     payload = {"examples": {}, "pass": True}
     for name, claims in tables.items():
         ok_all = all(ok for _, ok in claims)
@@ -135,11 +118,7 @@ def _cmd_paper(args):
 
 
 def _cmd_fuzz(args):
-    try:
-        cfg = FuzzConfig(seed=args.seed, trials=args.trials)
-        report = run_suite(args.suite, cfg)
-    except ValueError as exc:
-        return _fail(exc)
+    report = run_suite(args.suite, FuzzConfig(seed=args.seed, trials=args.trials))
     _emit(report)
     return 0 if report.passed else 1
 
@@ -195,14 +174,19 @@ def main(argv=None):
     """Run one command; may be called repeatedly in one process.
 
     The parser is built once and holds no state between calls, and
-    each command runs in its own kernel_memo scope.
+    each command runs in its own kernel_memo scope.  A bad file, name,
+    range or suite is reported on stderr with exit code 2.
     """
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    with kernel_memo():
-        return args.fn(args)
+    try:
+        with kernel_memo():
+            return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -161,8 +161,3 @@ def run_example(name: str):
     if fn is None:
         raise ValueError("unknown example: %s" % name)
     return fn()
-
-
-def run_all():
-    """All claim tables keyed by example name."""
-    return {name: fn() for name, fn in EXAMPLES.items()}

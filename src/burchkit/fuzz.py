@@ -53,14 +53,12 @@ from .homalg import (
 from .hw import hw_has_torsion, hw_report
 from .monomial import MonomialIdeal, integral_closure
 from .rings import QuotientRing, SemigroupRing
-from .semigroup import NumericalSemigroup, RelativeIdealSet
 
 INFINITY = float("inf")
 
 # ceilings on the generated instances
 _NVARS_MAX = 3
 _DEGREE_MAX = 8
-_SG_VALUE_MAX = 30
 
 # small non-regular semigroups
 _SG_POOL = (
@@ -96,34 +94,24 @@ def trial_rng(cfg: FuzzConfig, index: int) -> random.Random:
 # generators
 
 
-def gen_mprimary_monomial(stream: random.Random, nvars=None) -> MonomialIdeal:
+def gen_mprimary_monomial(stream: random.Random, nvars: int) -> MonomialIdeal:
     """Pure power of every variable plus a few random monomials."""
-    n = nvars if nvars is not None else stream.randint(1, _NVARS_MAX)
-    cap = max(2, _DEGREE_MAX // n)
+    cap = max(2, _DEGREE_MAX // nvars)
     gens = []
-    for i in range(n):
-        e = [0] * n
+    for i in range(nvars):
+        e = [0] * nvars
         e[i] = stream.randint(2, cap)
         gens.append(tuple(e))
-    for _ in range(stream.randint(0, n + 1)):
-        e = tuple(stream.randint(0, cap - 1) for _ in range(n))
+    for _ in range(stream.randint(0, nvars + 1)):
+        e = tuple(stream.randint(0, cap - 1) for _ in range(nvars))
         if any(e):
             gens.append(e)
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(nvars, gens)
 
 
-def gen_semigroup_ideal(stream: random.Random, semigroup=None) -> RelativeIdealSet:
-    """Random integral valuations above a random floor, minimalized."""
-    s = semigroup
-    if s is None:
-        s = NumericalSemigroup(stream.choice(_SG_POOL))
-    floor = stream.randint(1, _SG_VALUE_MAX // 2)
-    return RelativeIdealSet(s, _rand_sg_vals(stream, s, stream.randint(1, 3), floor))
-
-
-def gen_module(ring, stream: random.Random, algebra=None) -> GradedPresentation:
+def gen_module(ring, stream: random.Random) -> GradedPresentation:
     """Cokernel of a random homogeneous matrix with no unit entries."""
-    algebra = algebra if algebra is not None else GradedAlgebra(ring)
+    algebra = GradedAlgebra(ring)
     ngen = stream.randint(1, 2)
     tshifts = tuple(sorted(stream.randint(0, 2) for _ in range(ngen)))
     jump_pool = [d for d in range(1, 9) if algebra.basis(d)][:3]
@@ -186,9 +174,9 @@ def _rand_monomials(stream, bounds, count):
     return gens
 
 
-def _rand_sg_vals(stream, s, count, floor=1):
-    hi = floor + s.conductor + s.generators[0]
-    pool = [v for v in range(max(1, floor), hi + 1) if v in s]
+def _rand_sg_vals(stream, s, count):
+    hi = 1 + s.conductor + s.generators[0]
+    pool = [v for v in range(1, hi + 1) if v in s]
     return stream.sample(pool, min(count, len(pool)))
 
 
@@ -409,7 +397,7 @@ def _suite_remark37():
         kind = stream.random()
         if inst["family"] == "monomial":
             if kind < 0.5:
-                ideal = gen_mprimary_monomial(stream, nvars=inst["nvars"])
+                ideal = gen_mprimary_monomial(stream, inst["nvars"])
                 inst["ideal"] = [list(g) for g in ideal.gens]
             else:
                 inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
@@ -464,7 +452,7 @@ def _suite_lemma310():
     def gen(stream):
         inst = _base_instance(stream)
         if inst["family"] == "monomial":
-            ideal = gen_mprimary_monomial(stream, nvars=inst["nvars"])
+            ideal = gen_mprimary_monomial(stream, inst["nvars"])
             inst["ideal"] = [list(g) for g in ideal.gens]
         else:
             inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
@@ -517,7 +505,7 @@ def _suite_lemma213():
 def _suite_prop24():
     def gen(stream):
         n = stream.randint(2, _NVARS_MAX)
-        raw = gen_mprimary_monomial(stream, nvars=n)
+        raw = gen_mprimary_monomial(stream, n)
         closed = integral_closure(raw)
         return {
             "family": "monomial",
@@ -574,7 +562,7 @@ def _suite_prop39():
         inst = _base_instance(stream)
         kind = stream.random()
         if inst["family"] == "monomial" and kind < 0.4:
-            ideal = gen_mprimary_monomial(stream, nvars=inst["nvars"])
+            ideal = gen_mprimary_monomial(stream, inst["nvars"])
             inst["ideal"] = [list(g) for g in ideal.gens]
         elif kind < 0.7:
             inst["ideal"] = _mj_gens(inst, stream)

@@ -80,7 +80,7 @@ class MonomialIdeal:
 
     __slots__ = ("nvars", "gens")
 
-    def __init__(self, nvars: int, gens, *, minimal=False):
+    def __init__(self, nvars: int, gens):
         self.nvars = nvars
         gens = [tuple(int(e) for e in g) for g in gens]
         for g in gens:
@@ -88,16 +88,10 @@ class MonomialIdeal:
                 raise ValueError("exponent vector %r has wrong arity" % (g,))
             if any(e < 0 for e in g):
                 raise ValueError("negative exponent in %r" % (g,))
-        if minimal:
-            self.gens = tuple(sorted(gens, key=_deglex))
-        else:
-            self.gens = _minimalize(gens)
+        self.gens = _minimalize(gens)
 
     def member(self, v) -> bool:
         return any(all(map(le, g, v)) for g in self.gens)
-
-    def __contains__(self, v):
-        return self.member(v)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -160,21 +154,6 @@ def _compositions(nvars: int, total: int):
         for tail in _compositions(nvars - 1, total - head):
             out.append((head,) + tail)
     return tuple(out)
-
-
-def mpow(nvars: int, s: int) -> MonomialIdeal:
-    """s-th power of the homogeneous maximal ideal (x_1..x_n)."""
-    if s < 0:
-        raise ValueError("negative power")
-    return _mpow(nvars, s)
-
-
-@lru_cache(maxsize=64)
-def _mpow(nvars, s):
-    if s == 0:
-        return MonomialIdeal(nvars, [(0,) * nvars], minimal=True)
-    # Degree-s monomials are pairwise incomparable, hence already minimal.
-    return MonomialIdeal(nvars, _compositions(nvars, s), minimal=True)
 
 
 # bits held by the masks of one staircase box, sum(L_i + 1) * prod(L_i + 1):
@@ -305,6 +284,3 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
             mask |= 1 << idx
     return _from_gens(ideal.nvars, _mask_gens(mask, _staircase(top)))
 
-
-def is_integrally_closed(ideal: MonomialIdeal) -> bool:
-    return integral_closure(ideal) == ideal

@@ -102,20 +102,8 @@ class ParsedProblem:
 
     prime: int = DEFAULT_PRIME
     rings: dict = field(default_factory=dict)
-    ring_vars: dict = field(default_factory=dict)
-    labels: dict = field(default_factory=dict)  # ring name -> label grammar
     ideals: dict = field(default_factory=dict)
-    ideal_ring: dict = field(default_factory=dict)
     modules: dict = field(default_factory=dict)
-    module_ring: dict = field(default_factory=dict)
-    algebras: dict = field(default_factory=dict)
-
-    def algebra_for(self, ring_name):
-        got = self.algebras.get(ring_name)
-        if got is None:
-            got = GradedAlgebra(self.rings[ring_name], self.prime)
-            self.algebras[ring_name] = got
-        return got
 
     def get_ideal(self, name):
         if name not in self.ideals:
@@ -131,6 +119,7 @@ class ParsedProblem:
 def parse_problem(text):
     """Parse and resolve the whole file; raises ProblemFileError."""
     prob = ParsedProblem()
+    labels = {}  # ring name -> label grammar
     field_line = None
     saw_decl = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -158,11 +147,11 @@ def parse_problem(text):
             continue
         saw_decl = True
         if head == "ring":
-            _parse_ring(prob, stmt, lineno)
+            _parse_ring(prob, labels, stmt, lineno)
         elif head == "ideal":
-            _parse_ideal(prob, stmt, lineno)
+            _parse_ideal(prob, labels, stmt, lineno)
         elif head == "module":
-            _parse_module(prob, stmt, lineno)
+            _parse_module(prob, labels, stmt, lineno)
         else:
             raise ProblemFileError(lineno, "unrecognized statement: %r" % head)
     return prob
@@ -173,7 +162,7 @@ def load_problem(path):
         return parse_problem(fh.read())
 
 
-def _parse_ring(prob, stmt, lineno):
+def _parse_ring(prob, labels, stmt, lineno):
     m = _RING_POLY_RE.match(stmt)
     if m is not None:
         name, varpart, modpart = m.group(1), m.group(2), m.group(3)
@@ -202,8 +191,7 @@ def _parse_ring(prob, stmt, lineno):
         except ValueError as exc:
             raise ProblemFileError(lineno, str(exc)) from exc
         prob.rings[name] = ring
-        prob.ring_vars[name] = tuple(varnames)
-        prob.labels[name] = _MonomialLabels(ring, varindex)
+        labels[name] = _MonomialLabels(ring, varindex)
         return
     m = _RING_SG_RE.match(stmt)
     if m is not None:
@@ -220,27 +208,25 @@ def _parse_ring(prob, stmt, lineno):
         except ValueError as exc:
             raise ProblemFileError(lineno, str(exc)) from exc
         prob.rings[name] = ring
-        prob.labels[name] = _ValuationLabels(ring)
+        labels[name] = _ValuationLabels(ring)
         return
     raise ProblemFileError(lineno, "bad ring declaration")
 
 
-def _parse_ideal(prob, stmt, lineno):
+def _parse_ideal(prob, labels, stmt, lineno):
     m = _IDEAL_RE.match(stmt)
     if m is None:
         raise ProblemFileError(lineno, "bad ideal declaration")
     name, ring_name, body = m.group(1), m.group(2), m.group(3)
     if name in prob.ideals:
         raise ProblemFileError(lineno, "duplicate ideal name: %s" % name)
-    labels = prob.labels.get(ring_name)
-    if labels is None:
+    grammar = labels.get(ring_name)
+    if grammar is None:
         raise ProblemFileError(lineno, "unknown ring: %s" % ring_name)
-    prob.ideals[name] = labels.ideal(_split_items(body), name, lineno)
-    prob.ideal_ring[name] = ring_name
-    return
+    prob.ideals[name] = grammar.ideal(_split_items(body), name, lineno)
 
 
-def _parse_module(prob, stmt, lineno):
+def _parse_module(prob, labels, stmt, lineno):
     m = _MODULE_RE.match(stmt)
     if m is None:
         raise ProblemFileError(lineno, "bad module declaration")
@@ -248,8 +234,8 @@ def _parse_module(prob, stmt, lineno):
     rows, cols_n = int(m.group(3)), int(m.group(4))
     if name in prob.modules:
         raise ProblemFileError(lineno, "duplicate module name: %s" % name)
-    labels = prob.labels.get(ring_name)
-    if labels is None:
+    grammar = labels.get(ring_name)
+    if grammar is None:
         raise ProblemFileError(lineno, "unknown ring: %s" % ring_name)
     if rows < 1:
         raise ProblemFileError(lineno, "rows must be at least 1")
@@ -261,7 +247,7 @@ def _parse_module(prob, stmt, lineno):
     if any(s < 0 for s in shifts):
         raise ProblemFileError(lineno, "shifts must be nonnegative")
 
-    algebra = prob.algebra_for(ring_name)
+    algebra = GradedAlgebra(grammar.ring, prob.prime)
     entries = {}
     for item in _split_items(m.group(5)):
         em = _ENTRY_RE.match(item)
@@ -272,7 +258,7 @@ def _parse_module(prob, stmt, lineno):
             raise ProblemFileError(lineno, "entry (%d, %d) out of range" % (i, j))
         if (i, j) in entries:
             raise ProblemFileError(lineno, "duplicate entry (%d, %d)" % (i, j))
-        entries[(i, j)] = labels.entry(em.group(3), lineno)
+        entries[(i, j)] = grammar.entry(em.group(3), lineno)
 
     if cols_n == 0:
         pres = free_presentation(algebra, tuple(shifts))
@@ -303,8 +289,6 @@ def _parse_module(prob, stmt, lineno):
             raise ProblemFileError(lineno, str(exc)) from exc
         pres = GradedPresentation(pmap)
     prob.modules[name] = pres
-    prob.module_ring[name] = ring_name
-    return
 
 
 @dataclass

@@ -7,10 +7,9 @@ basis(d), mult(a, b) (None when the product is zero), deg(label),
 top_degree() (None when unbounded), kernel_window(slack), the width
 past a free module's highest shift that holds its kernel generators,
 with a certified flag, and stop_modulus(), the m of `homalg.kernel_stop`
-(None when there is none).  Both answer depth_positive() and
-is_artinian(), whether top_degree() is finite; QuotientRing also answers
-socle(), the standard monomials that every variable kills, from which
-its depth_positive() follows.  Their ideals, QIdeal and SgIdeal, answer
+(None when there is none).  Both answer depth_positive(); QuotientRing
+also answers socle(), the standard monomials that every variable kills,
+from which its depth_positive() follows.  Their ideals, QIdeal and SgIdeal, answer
 the predicate layer: colon, product, sum, comparison, subset,
 m-primariness, Loewy length, and quotient_top_degree() of R/I; and
 outside(e), the labels of basis(e) outside the ideal, in order, which
@@ -37,7 +36,6 @@ from .semigroup import (
     NumericalSemigroup,
     RelativeIdealSet,
     as_relset,
-    maximal_ideal_set,
     mpow_set,
     relset_colon,
     restrict_to_semigroup,
@@ -130,12 +128,6 @@ class QuotientRing:
 
     def depth_positive(self):
         return not self.socle()
-
-    def is_regular(self):
-        return self.defining.is_zero()
-
-    def is_artinian(self):
-        return self.top_degree() is not None
 
     def deg(self, label):
         return sum(label)
@@ -347,7 +339,7 @@ class SemigroupRing:
         return SgIdeal(self, (0,))
 
     def maximal_ideal(self):
-        return _sgideal(self, maximal_ideal_set(self.S))
+        return self.mpow(1)
 
     def mpow(self, s):
         return _sgideal(self, mpow_set(self.S, s))
@@ -355,12 +347,6 @@ class SemigroupRing:
     def depth_positive(self):
         # one-dimensional domain, depth 1
         return True
-
-    def is_regular(self):
-        return self.S.conductor == 0
-
-    def is_artinian(self):
-        return False
 
     def basis(self, d):
         # S holds every degree from its conductor on

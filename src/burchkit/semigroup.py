@@ -261,10 +261,6 @@ def restrict_to_semigroup(e: RelativeIdealSet) -> RelativeIdealSet:
     return _relset(e.ambient, tuple(map(max, e.thresholds, e.ambient._apery)))
 
 
-def maximal_ideal_set(S: NumericalSemigroup) -> RelativeIdealSet:
-    return mpow_set(S, 1)
-
-
 def mpow_set(S: NumericalSemigroup, s: int) -> RelativeIdealSet:
     """The set of valuations of m^s.  Its thresholds are kept on S once
     built, and not the set, which would point back at S."""

@@ -8,10 +8,10 @@ import pytest
 from burchkit import rings
 from burchkit.classify import (
     ClassificationReport,
+    ColonTable,
     burch_via_loewy,
     classification_report,
     cor214_classify,
-    depth_quotient_positive,
     is_burch,
     is_weakly_mfull,
     is_weakly_mfull_wrt,
@@ -64,7 +64,7 @@ def test_planar_staircase_ideal_is_burch_but_not_weakly_mfull():
     assert not is_weakly_mfull(i)
     assert is_weakly_mfull_wrt(i, ring.mpow(3))
     assert loewy_length(i) == 5
-    assert not depth_quotient_positive(i)
+    assert not ColonTable(i).depth_positive()
 
 
 def test_weakly_mfull_wrt_colon_ideal_when_i_is_m_times_j():
@@ -159,9 +159,9 @@ def test_depth_positive_iff_colon_fixed():
     ring = QuotientRing(2)
     i = ring.ideal([(2, 0)])
     # (x^2) : m = (x^2) in the polynomial ring
-    assert depth_quotient_positive(i)
+    assert ColonTable(i).depth_positive()
     art = QuotientRing(2, [(2, 0), (0, 2)])
-    assert not depth_quotient_positive(art.ideal([(1, 0)]))
+    assert not ColonTable(art.ideal([(1, 0)])).depth_positive()
 
 
 def test_weakly_mfull_implies_socle_inside_ideal():
@@ -263,7 +263,7 @@ def _report_from_predicates(i, named):
         wmf_wrt_mpow=pows,
         wmf_wrt_named={j.name: is_weakly_mfull_wrt(i, j) for j in named},
         is_integrally_closed=i.is_integrally_closed(),
-        depth_R_mod_I_positive=depth_quotient_positive(i),
+        depth_R_mod_I_positive=ColonTable(i).depth_positive(),
         cor214_class=cor214_classify(i) if primary else frozenset(),
         open_pd_question=ring.depth_positive() and primary and burch and not wmf,
     )

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,22 @@ def test_tor_ring_mismatch_exits_2(files, capsys, tmp_path):
     mixed = tmp_path / "mixed.prob"
     mixed.write_text(E41 + "ring s = semigroup(3, 4)\nideal v in s = [3]\n")
     rc, _, err = run(capsys, ["tor", str(mixed), "RmodI", "v"])
+    assert rc == 2 and "different rings" in err
+
+
+def test_tor_same_ring_declared_twice_exits_2(capsys, tmp_path):
+    # each declaration is its own ring, even when two are equal
+    twice = tmp_path / "twice.prob"
+    twice.write_text(
+        "ring r = poly(x, y) mod [x^2, y^2]\n"
+        "ring q = poly(x, y) mod [x^2, y^2]\n"
+        "module M in r = coker rows=1 cols=1 entries=[(1, 1, x)] shifts=[0]\n"
+        "ideal l in r = [y]\n"
+        "ideal lq in q = [y]\n"
+    )
+    rc, payload, _ = run(capsys, ["tor", str(twice), "M", "l"])
+    assert rc == 0 and payload["tor"]
+    rc, _, err = run(capsys, ["tor", str(twice), "M", "lq"])
     assert rc == 2 and "different rings" in err
 
 
@@ -422,3 +439,9 @@ def test_cli_reports_are_pinned(tmp_path, capsys):
         rc = main(argv)
         h.update(("%d\n%s" % (rc, capsys.readouterr().out)).encode())
     assert h.hexdigest() == PINNED_CLI_SHA256
+
+
+def test_readme_demo_is_the_pinned_demo():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```text\n# demo.prob\n", 1)[1].split("```", 1)[0]
+    assert block == DEMO

@@ -34,20 +34,20 @@ def test_good_file_resolves_every_declaration():
     assert prob.prime == 7
     assert isinstance(prob.rings["r"], QuotientRing)
     assert isinstance(prob.rings["s"], SemigroupRing)
-    assert prob.ring_vars["r"] == ("x", "y")
+    assert prob.rings["r"].nvars == 2
     assert set(prob.get_ideal("i").min_gens()) == {(1, 1), (0, 2)}
     assert set(prob.get_ideal("j").relset.gens) == {17, 19, 20}
-    assert prob.ideal_ring == {"i": "r", "j": "s"}
-    assert prob.module_ring == {"m": "r", "f": "s"}
+    assert prob.get_ideal("i").ring is prob.rings["r"]
+    assert prob.get_ideal("j").ring is prob.rings["s"]
     # column degree is inferred: shift 1 + entry degree 1
     pres = prob.get_module("m")
     assert pres.map.source.shifts == (2,)
     assert pres.map.target.shifts == (1, 1)
     free = prob.get_module("f")
     assert free.map.source.shifts == ()
-    # one shared algebra per ring
-    assert prob.algebra_for("r") is prob.algebra_for("r")
-    assert prob.algebra_for("r").p == 7
+    # each module is over its declared ring, with the file's field
+    assert pres.algebra.ring is prob.rings["r"] and pres.algebra.p == 7
+    assert free.algebra.ring is prob.rings["s"] and free.algebra.p == 7
 
 
 def test_lookup_of_missing_names_raises():
@@ -94,10 +94,13 @@ def test_field_line_rules():
 def test_field_moduli_are_tested_by_miller_rabin():
     # a 61-bit Mersenne prime: trial division would need ~1.5e9 divisions
     start = time.perf_counter()
-    prob = parse_problem("field GF(2305843009213693951)\nring s = semigroup(3, 4)\n")
+    prob = parse_problem(
+        "field GF(2305843009213693951)\nring s = semigroup(3, 4)\n"
+        "module f in s = coker rows=1 cols=0 entries=[] shifts=[0]\n"
+    )
     assert time.perf_counter() - start < 0.5
     assert prob.prime == 2**61 - 1
-    assert prob.algebra_for("s").p == 2**61 - 1
+    assert prob.get_module("f").algebra.p == 2**61 - 1
     assert "4 is not prime" in perr("field GF(4)\n").message
     # 2^89 - 1 is prime but above the bound where the test is exact
     e = perr("# c\nfield GF(618970019642690137449562111)\n")

@@ -9,7 +9,6 @@ from burchkit import semigroup
 from burchkit.semigroup import (
     NumericalSemigroup,
     RelativeIdealSet,
-    maximal_ideal_set,
     mpow_set,
     relset_colon,
     restrict_to_semigroup,
@@ -133,7 +132,7 @@ def test_shift_into_the_semigroup():
 
 def test_mpow_set_matches_generator_sums():
     s = NumericalSemigroup((4, 5, 6))
-    m = maximal_ideal_set(s)
+    m = mpow_set(s, 1)
     assert m.gens == (4, 5, 6)
     for power in range(5):
         e = mpow_set(s, power)

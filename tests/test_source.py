@@ -1,0 +1,38 @@
+"""Source hygiene: every module-level function in src/ has a reader there."""
+
+import ast
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+import burchkit
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "burchkit"
+
+
+def _name_counts(paths):
+    counts = Counter()
+    for path in paths:
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME:
+                    counts[tok.string] += 1
+    return counts
+
+
+def test_every_module_function_is_read_in_src_or_exported():
+    # a function that no other line of src/ names and the package does
+    # not export is read by the tests alone; decorated functions are
+    # skipped, since a decorator may register them
+    paths = sorted(SRC.glob("*.py"))
+    counts = _name_counts(paths)
+    exported = set(burchkit.__all__)
+    unread = []
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef) or node.decorator_list:
+                continue
+            # its own def line names it once
+            if counts[node.name] < 2 and node.name not in exported:
+                unread.append("%s.%s" % (path.stem, node.name))
+    assert unread == []
