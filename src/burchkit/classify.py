@@ -176,17 +176,6 @@ def l2_identities(i, j):
     )
 
 
-def burch_via_loewy(i):
-    """ll(R/mI) = ll(R/I) + 1?  A sufficient certificate for Burch.
-
-    Returns None when I is not m-primary.
-    """
-    if not i.is_m_primary():
-        return None
-    m = i.ring.maximal_ideal()
-    return (m * i).loewy_length() == i.loewy_length() + 1
-
-
 @dataclass(frozen=True)
 class LoewyStepRecord:
     """Three equivalent conditions for an m-primary ideal.
@@ -211,50 +200,6 @@ def l3_equivalence(i):
     cond_ii = t.wmf_mpow(ll - 1)
     witness = next((s for s in range(ll) if t.wmf_mpow(s)), None)
     return LoewyStepRecord(cond_i, cond_ii, witness is not None, witness)
-
-
-@dataclass(frozen=True)
-class SocleColonRecord:
-    """wmf w.r.t. (I:m) versus [Burch or depth(R/I) > 0]."""
-
-    wmf_wrt_colon: bool
-    burch_or_posdepth: bool
-
-
-def remark32_equivalence(i):
-    _require_proper(i)
-    t = ColonTable(i)
-    k = t.colon(1)
-    # the backend colon convention (I : 0) = R makes a zero k harmless
-    wmf_colon = i.colon(k) == t.mi.colon(t.m * k)
-    return SocleColonRecord(wmf_colon, t.burch() or t.depth_positive())
-
-
-@dataclass(frozen=True)
-class ScaledWmfRecord:
-    """For I = mJ and J <= K <= (I:m): wmf w.r.t. K, and (I:K) = m."""
-
-    applicable: bool
-    wmf_wrt_k: bool = None
-    colon_equals_m: bool = None
-
-    @property
-    def all_hold(self):
-        return bool(self.applicable and self.wmf_wrt_k and self.colon_equals_m)
-
-
-def lemma213_check(j, k):
-    _same_ring(j, k)
-    ring = j.ring
-    m = ring.maximal_ideal()
-    i = m * j
-    if i.is_zero() or not j.subset_of(k) or not k.subset_of(i.colon(m)):
-        return ScaledWmfRecord(False)
-    return ScaledWmfRecord(
-        True,
-        wmf_wrt_k=is_weakly_mfull_wrt(i, k),
-        colon_equals_m=(i.colon(k) == m),
-    )
 
 
 def cor214_classify(i):

@@ -61,10 +61,19 @@ def _parse_span(text, what):
     return a, b
 
 
+def _check_one_ring(first, second, what):
+    # by identity: each ring declaration is its own ring, even when two are equal
+    if first is not second:
+        raise ValueError("%s live in different rings" % what)
+
+
 def _cmd_classify(args):
     prob = load_problem(args.file)
     ideal = prob.get_ideal(args.ideal)
-    named = (prob.get_ideal(args.wrt),) if args.wrt else ()
+    named = ()
+    if args.wrt:
+        named = (prob.get_ideal(args.wrt),)
+        _check_one_ring(ideal.ring, named[0].ring, "ideal and --wrt ideal")
     report = classification_report(ideal, named=named)
     payload = _jsonable(report)
     if args.wrt_mpow_range:
@@ -79,9 +88,7 @@ def _cmd_tor(args):
     prob = load_problem(args.file)
     pres = prob.get_module(args.module)
     ideal = prob.get_ideal(args.ideal)
-    # by identity: each ring declaration is its own ring, even when two are equal
-    if pres.algebra.ring is not ideal.ring:
-        raise ValueError("module and ideal live in different rings")
+    _check_one_ring(pres.algebra.ring, ideal.ring, "module and ideal")
     t0, t1 = _parse_span(args.range, "range")
     results = tor_dims(pres, ideal, t0, t1)
     _emit({"module": args.module, "ideal": args.ideal, "tor": results})
@@ -94,8 +101,7 @@ def _cmd_hw(args):
     wrt = None
     if args.wrt:
         wrt = prob.get_ideal(args.wrt)
-        if wrt.ring != ideal.ring:
-            raise ValueError("ambient mismatch")
+        _check_one_ring(ideal.ring, wrt.ring, "ideal and --wrt ideal")
     payload = _jsonable(hw_report(ideal, wrt))
     payload["ideal"] = args.ideal
     _emit(payload)

@@ -5,7 +5,9 @@ hammers it with generated rings, ideals, and modules.  A failure is an
 engine bug by construction, so the suites double as end-to-end tests of
 the colon/Loewy arithmetic and the resolution kernels.
 
-A suite is a generator and a check.  The generator draws only from its
+A suite is one row of the SUITES table, naming a module-level generator
+and check; a statement helper with a single reader lives in its suite's
+check rather than in classify.  The generator draws only from its
 trial stream and returns an instance as plain JSON data (a dict), or
 None when the draw yields nothing to test.  The check takes an instance
 and returns None when it misses the statement's premises (a vacuous
@@ -25,14 +27,11 @@ from functools import lru_cache
 
 from .classify import (
     ColonTable,
-    burch_via_loewy,
     cor214_classify,
     is_burch,
     is_weakly_mfull_wrt,
     l2_identities,
     l3_equivalence,
-    lemma213_check,
-    remark32_equivalence,
 )
 from .homalg import (
     GradedAlgebra,
@@ -245,18 +244,6 @@ class Suite:
     tags: object = None
 
 
-SUITES = {}
-
-
-def _register(name, tags=None):
-    def deco(pair_factory):
-        gen, chk = pair_factory()
-        SUITES[name] = Suite(name, gen, chk, tags)
-        return pair_factory
-
-    return deco
-
-
 def _base_instance(stream):
     """A random monomial or semigroup ring, as plain data."""
     if stream.choice(("monomial", "semigroup")) == "monomial":
@@ -318,274 +305,243 @@ def _mj(ring, gens):
 # --- identity and classification suites ------------------------------------
 
 
-@_register("remark23")
-def _suite_remark23():
-    def gen(stream):
-        inst = _base_instance(stream)
+def _gen_ideal(stream):
+    inst = _base_instance(stream)
+    inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
+    return inst
+
+
+def _chk_remark23(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    m = ring.maximal_ideal()
+    mi = m * i
+    return m * mi.colon(m) == mi
+
+
+def _gen_remark22(stream):
+    inst = _base_instance(stream)
+    kind = stream.random()
+    if kind < 0.4:
+        inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
+    elif kind < 0.8:
+        inst["ideal"] = _mj_gens(inst, stream)
+    else:
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        m = ring.maximal_ideal()
-        mi = m * i
-        return m * mi.colon(m) == mi
-
-    return gen, chk
+    return inst
 
 
-@_register("remark22")
-def _suite_remark22():
-    def gen(stream):
-        inst = _base_instance(stream)
-        kind = stream.random()
-        if kind < 0.4:
-            inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
-        elif kind < 0.8:
-            inst["ideal"] = _mj_gens(inst, stream)
-        else:
-            inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit():
-            return None
-        m = ring.maximal_ideal()
-        mi = m * i
-        ll = i.loewy_length()
-        cap = int(ll) if ll != INFINITY else 6
-        hit = None
-        for s in range(cap + 1):
-            if i.colon(ring.mpow(s)) == mi.colon(ring.mpow(s + 1)):
-                hit = s
-                break
-        if hit is None:
-            return None
-        return all(
-            i.colon(ring.mpow(u)) == mi.colon(ring.mpow(u + 1))
-            for u in range(hit, hit + 4)
-        )
-
-    return gen, chk
+def _chk_remark22(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit():
+        return None
+    m = ring.maximal_ideal()
+    mi = m * i
+    ll = i.loewy_length()
+    cap = int(ll) if ll != INFINITY else 6
+    hit = None
+    for s in range(cap + 1):
+        if i.colon(ring.mpow(s)) == mi.colon(ring.mpow(s + 1)):
+            hit = s
+            break
+    if hit is None:
+        return None
+    return all(
+        i.colon(ring.mpow(u)) == mi.colon(ring.mpow(u + 1))
+        for u in range(hit, hit + 4)
+    )
 
 
-@_register("remark32")
-def _suite_remark32():
-    def gen(stream):
-        inst = _base_instance(stream)
-        inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit():
-            return None
-        rec = remark32_equivalence(i)
-        return rec.wmf_wrt_colon == rec.burch_or_posdepth
-
-    return gen, chk
+def _chk_remark32(inst):
+    """wmf w.r.t. (I : m) iff I is Burch or depth(R/I) > 0."""
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit():
+        return None
+    t = ColonTable(i)
+    k = t.colon(1)
+    # the backend colon convention (I : 0) = R makes a zero k harmless
+    wmf_colon = i.colon(k) == t.mi.colon(t.m * k)
+    return wmf_colon == (t.burch() or t.depth_positive())
 
 
-@_register("remark37")
-def _suite_remark37():
-    def gen(stream):
-        inst = _base_instance(stream)
-        kind = stream.random()
-        if inst["family"] == "monomial":
-            if kind < 0.5:
-                ideal = gen_mprimary_monomial(stream, inst["nvars"])
-                inst["ideal"] = [list(g) for g in ideal.gens]
-            else:
-                inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
-        else:
-            if kind < 0.5:
-                inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-            else:
-                inst["ideal"] = _mpow_gens(inst, stream.randint(1, 4))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit() or not i.is_m_primary():
-            return None
-        if burch_via_loewy(i) is not True:
-            return None
-        return is_burch(i)
-
-    return gen, chk
-
-
-@_register("lemma36")
-def _suite_lemma36():
-    def gen(stream):
-        inst = _base_instance(stream)
-        inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        j = ring.ideal(inst["j"])
-        if j.is_zero() or j.is_unit() or i.is_zero() or i.is_unit():
-            return None
-        rec = l2_identities(i, j)
-        ok = rec.all_hold
-        # third part: a unit Loewy jump for (mI : J) certifies Burch
-        c = i.colon(j)
-        if not j.subset_of(i) and c.is_proper() and c.is_m_primary():
-            lhs = (ring.maximal_ideal() * i).colon(j).loewy_length()
-            if lhs == c.loewy_length() + 1:
-                ok = ok and is_burch(i)
-        return ok
-
-    return gen, chk
-
-
-@_register("lemma310")
-def _suite_lemma310():
-    def gen(stream):
-        inst = _base_instance(stream)
-        if inst["family"] == "monomial":
+def _gen_remark37(stream):
+    inst = _base_instance(stream)
+    kind = stream.random()
+    if inst["family"] == "monomial":
+        if kind < 0.5:
             ideal = gen_mprimary_monomial(stream, inst["nvars"])
             inst["ideal"] = [list(g) for g in ideal.gens]
         else:
-            inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit() or not i.is_m_primary():
-            return None
-        rec = l3_equivalence(i)
-        ok = rec.cond_i == rec.cond_ii == rec.cond_iii
-        if rec.cond_iii and rec.witness_s is not None:
-            ok = ok and 0 <= rec.witness_s < i.loewy_length()
-        return ok
-
-    return gen, chk
-
-
-@_register("lemma213")
-def _suite_lemma213():
-    def gen(stream):
-        inst = _base_instance(stream)
-        inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        inst["kmode"] = stream.choice(["j", "colon", "mix"])
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        j, i = _mj(ring, inst["j"])
-        if i is None:
-            return None
-        top = i.colon(ring.maximal_ideal())
-        mode = inst["kmode"]
-        if mode == "j":
-            k = j
-        elif mode == "colon":
-            k = top
-        else:
-            k = j + ring.ideal([top.min_gens()[0]])
-        rec = lemma213_check(j, k)
-        if not rec.applicable:
-            return None
-        return rec.all_hold
-
-    return gen, chk
-
-
-@_register("prop24")
-def _suite_prop24():
-    def gen(stream):
-        n = stream.randint(2, _NVARS_MAX)
-        raw = gen_mprimary_monomial(stream, n)
-        closed = integral_closure(raw)
-        return {
-            "family": "monomial",
-            "nvars": n,
-            "defining": [],
-            "ideal": [list(g) for g in closed.gens],
-        }
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit():
-            return None
-        if i.is_integrally_closed() is not True:
-            return None
-        colons = ColonTable(i)
-        return colons.weakly_mfull() and all(colons.wmf_mpow(s) for s in range(4))
-
-    return gen, chk
-
-
-@_register("prop38")
-def _suite_prop38():
-    def gen(stream):
-        inst = _base_instance(stream)
-        inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        inst["constructed"] = stream.random() < 0.7
-        if not inst["constructed"]:
-            inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        # with m·J zero only I = 0 would lie in it
-        j, mj = _mj(ring, inst["j"])
-        if mj is None:
-            return None
-        i = mj if inst["constructed"] else ring.ideal(inst["ideal"])
-        if i.is_zero() or not i.subset_of(mj):
-            return None
-        c = i.colon(j)
-        if not (c.is_proper() and c.is_m_primary()):
-            return None
-        if not is_weakly_mfull_wrt(i, j):
-            return None
-        return is_burch(i)
-
-    return gen, chk
-
-
-@_register("prop39")
-def _suite_prop39():
-    def gen(stream):
-        inst = _base_instance(stream)
-        kind = stream.random()
-        if inst["family"] == "monomial" and kind < 0.4:
-            ideal = gen_mprimary_monomial(stream, inst["nvars"])
-            inst["ideal"] = [list(g) for g in ideal.gens]
-        elif kind < 0.7:
-            inst["ideal"] = _mj_gens(inst, stream)
-        else:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
-        return inst
+    else:
+        if kind < 0.5:
+            inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
+        else:
+            inst["ideal"] = _mpow_gens(inst, stream.randint(1, 4))
+    return inst
 
-    def chk(inst):
-        ring = _build_ring(inst)
-        i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit() or not i.is_m_primary():
-            return None
-        ll = int(i.loewy_length())
-        witness = None
-        for s in range(ll):
-            if is_weakly_mfull_wrt(i, ring.mpow(s)):
-                witness = s
-                break
-        if witness is None:
-            return None
-        return is_burch(i)
 
-    return gen, chk
+def _chk_remark37(inst):
+    """ll(R/mI) = ll(R/I) + 1 certifies that an m-primary I is Burch."""
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit() or not i.is_m_primary():
+        return None
+    if (ring.maximal_ideal() * i).loewy_length() != i.loewy_length() + 1:
+        return None
+    return is_burch(i)
+
+
+def _gen_lemma36(stream):
+    inst = _gen_ideal(stream)
+    inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    return inst
+
+
+def _chk_lemma36(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    j = ring.ideal(inst["j"])
+    if j.is_zero() or j.is_unit() or i.is_zero() or i.is_unit():
+        return None
+    rec = l2_identities(i, j)
+    ok = rec.all_hold
+    # third part: a unit Loewy jump for (mI : J) certifies Burch
+    c = i.colon(j)
+    if not j.subset_of(i) and c.is_proper() and c.is_m_primary():
+        lhs = (ring.maximal_ideal() * i).colon(j).loewy_length()
+        if lhs == c.loewy_length() + 1:
+            ok = ok and is_burch(i)
+    return ok
+
+
+def _gen_lemma310(stream):
+    inst = _base_instance(stream)
+    if inst["family"] == "monomial":
+        ideal = gen_mprimary_monomial(stream, inst["nvars"])
+        inst["ideal"] = [list(g) for g in ideal.gens]
+    else:
+        inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
+    return inst
+
+
+def _chk_lemma310(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit() or not i.is_m_primary():
+        return None
+    rec = l3_equivalence(i)
+    ok = rec.cond_i == rec.cond_ii == rec.cond_iii
+    if rec.cond_iii and rec.witness_s is not None:
+        ok = ok and 0 <= rec.witness_s < i.loewy_length()
+    return ok
+
+
+def _gen_lemma213(stream):
+    inst = _base_instance(stream)
+    inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    inst["kmode"] = stream.choice(["j", "colon", "mix"])
+    return inst
+
+
+def _chk_lemma213(inst):
+    """For I = mJ and J <= K <= (I : m): I is wmf w.r.t. K and (I : K) = m."""
+    ring = _build_ring(inst)
+    j, i = _mj(ring, inst["j"])
+    if i is None:
+        return None
+    m = ring.maximal_ideal()
+    top = i.colon(m)
+    mode = inst["kmode"]
+    if mode == "j":
+        k = j
+    elif mode == "colon":
+        k = top
+    else:
+        k = j + ring.ideal([top.min_gens()[0]])
+    if not (j.subset_of(k) and k.subset_of(top)):
+        return None
+    return is_weakly_mfull_wrt(i, k) and i.colon(k) == m
+
+
+def _gen_prop24(stream):
+    n = stream.randint(2, _NVARS_MAX)
+    raw = gen_mprimary_monomial(stream, n)
+    closed = integral_closure(raw)
+    return {
+        "family": "monomial",
+        "nvars": n,
+        "defining": [],
+        "ideal": [list(g) for g in closed.gens],
+    }
+
+
+def _chk_prop24(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit():
+        return None
+    if i.is_integrally_closed() is not True:
+        return None
+    colons = ColonTable(i)
+    return colons.weakly_mfull() and all(colons.wmf_mpow(s) for s in range(4))
+
+
+def _gen_prop38(stream):
+    inst = _base_instance(stream)
+    inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    inst["constructed"] = stream.random() < 0.7
+    if not inst["constructed"]:
+        inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
+    return inst
+
+
+def _chk_prop38(inst):
+    ring = _build_ring(inst)
+    # with m·J zero only I = 0 would lie in it
+    j, mj = _mj(ring, inst["j"])
+    if mj is None:
+        return None
+    i = mj if inst["constructed"] else ring.ideal(inst["ideal"])
+    if i.is_zero() or not i.subset_of(mj):
+        return None
+    c = i.colon(j)
+    if not (c.is_proper() and c.is_m_primary()):
+        return None
+    if not is_weakly_mfull_wrt(i, j):
+        return None
+    return is_burch(i)
+
+
+def _gen_prop39(stream):
+    inst = _base_instance(stream)
+    kind = stream.random()
+    if inst["family"] == "monomial" and kind < 0.4:
+        ideal = gen_mprimary_monomial(stream, inst["nvars"])
+        inst["ideal"] = [list(g) for g in ideal.gens]
+    elif kind < 0.7:
+        inst["ideal"] = _mj_gens(inst, stream)
+    else:
+        inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
+    return inst
+
+
+def _chk_prop39(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit() or not i.is_m_primary():
+        return None
+    ll = int(i.loewy_length())
+    witness = None
+    for s in range(ll):
+        if is_weakly_mfull_wrt(i, ring.mpow(s)):
+            witness = s
+            break
+    if witness is None:
+        return None
+    return is_burch(i)
 
 
 # --- homological suites -----------------------------------------------------
@@ -642,311 +598,312 @@ def _tor_killed_verdict(inst, ring, i, killer, hyp=True):
     return hyp and vanishes and annihilates(killer, pres, t)
 
 
-@_register("thm28")
-def _suite_thm28():
-    def gen(stream):
-        inst = _base_instance(stream)
+def _gen_thm28(stream):
+    inst = _base_instance(stream)
+    inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    ring = _build_ring(inst)
+    _, i = _mj(ring, inst["j"])
+    if i is None:
+        return None
+    _attach_premise_module(inst, stream, ring, i)
+    return inst
+
+
+def _chk_thm28(inst):
+    ring = _build_ring(inst)
+    j, i = _mj(ring, inst["j"])
+    if i is None:
+        return None
+    # hypotheses are guaranteed by the I = mJ construction, but the
+    # engine must agree with the arithmetic facts behind them
+    hyp = (
+        i.subset_of(ring.maximal_ideal() * j)
+        and i.colon(j).is_m_primary()
+        and is_weakly_mfull_wrt(i, j)
+    )
+    return _tor_killed_verdict(inst, ring, i, j, hyp)
+
+
+def _gen_cor215(stream):
+    inst = _base_instance(stream)
+    inst["part"] = stream.choice(["i", "ii"])
+    if inst["part"] == "ii":
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
         ring = _build_ring(inst)
         _, i = _mj(ring, inst["j"])
-        if i is None:
-            return None
-        _attach_premise_module(inst, stream, ring, i)
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        j, i = _mj(ring, inst["j"])
-        if i is None:
-            return None
-        # hypotheses are guaranteed by the I = mJ construction, but the
-        # engine must agree with the arithmetic facts behind them
-        hyp = (
-            i.subset_of(ring.maximal_ideal() * j)
-            and i.colon(j).is_m_primary()
-            and is_weakly_mfull_wrt(i, j)
-        )
-        return _tor_killed_verdict(inst, ring, i, j, hyp)
-
-    return gen, chk
-
-
-@_register("cor215")
-def _suite_cor215():
-    def gen(stream):
-        inst = _base_instance(stream)
-        inst["part"] = stream.choice(["i", "ii"])
-        if inst["part"] == "ii":
-            inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-            ring = _build_ring(inst)
-            _, i = _mj(ring, inst["j"])
-        else:
-            inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
-            ring = _build_ring(inst)
-            i = ring.ideal(inst["ideal"])
-        if i is None or i.is_zero() or i.is_unit():
-            return None
-        _attach_premise_module(inst, stream, ring, i)
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        if inst["part"] == "ii":
-            _, i = _mj(ring, inst["j"])
-            if i is None:
-                return None
-            killer = i.colon(ring.maximal_ideal())
-        else:
-            i = ring.ideal(inst["ideal"])
-            if i.is_zero() or i.is_unit() or not i.is_m_primary():
-                return None
-            witness = None
-            for s in range(int(i.loewy_length())):
-                if i.subset_of(ring.mpow(s + 1)) and is_weakly_mfull_wrt(i, ring.mpow(s)):
-                    witness = s
-                    break
-            if witness is None:
-                return None
-            killer = ring.mpow(witness)
-        return _tor_killed_verdict(inst, ring, i, killer)
-
-    return gen, chk
-
-
-@_register("thm25")
-def _suite_thm25():
-    def gen(stream):
-        inst = _monomial_instance(stream)
-        ring = _build_ring(inst)
-        ll = int(ring.zero_ideal().loewy_length())
-        if ll < 2:
-            return None
-        inst["jpow"] = stream.randint(max(1, ll - 2), ll - 1)
-        ring_m = ring.maximal_ideal()
-        u = ring_m * ring.mpow(inst["jpow"]).colon(ring_m)
-        soc = ring.ideal(list(ring.socle()))
-        if soc.is_zero() or not soc.subset_of(u):
-            return None
-        extras = [g for g in u.min_gens() if stream.random() < 0.5]
-        inst["ideal"] = [list(g) for g in soc.min_gens() + tuple(extras)]
-        _draw_module(inst, stream, "random" if stream.random() < 0.75 else "free", ring)
-        inst["t"] = stream.randint(1, 2)
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        j = ring.mpow(inst["jpow"])
-        if j.is_zero() or j.is_unit():
-            return None
-        i = ring.ideal(inst["ideal"])
-        ring_m = ring.maximal_ideal()
-        u = ring_m * j.colon(ring_m)
-        soc = ring.ideal(list(ring.socle()))
-        if not (soc.subset_of(i) and i.subset_of(u)) or i.is_unit():
-            return None
-        pres = _decode_premise_module(inst, ring)
-        t = inst["t"]
-        if not annihilates(j, pres, t):
-            return None
-        res = resolve(pres, t)
-        if res.rank(t) == 0:
-            # projective dimension below t: contrapositive says nothing
-            return None
-        tor = tor_dim(pres, i, t)
-        return tor.total_dim > 0
-
-    return gen, chk
-
-
-@_register("prop26")
-def _suite_prop26():
-    def gen(stream):
-        n = 3 if stream.random() < 0.2 else 2
-        inst = _pure_power_instance(stream, n)
-        bounds = inst["bounds"]
-        # cut a staircase corner so the socle needs two generators
-        cut = [0] * n
-        cut[0] = stream.randint(1, bounds[0] - 1)
-        cut[1] = stream.randint(1, bounds[1] - 1)
-        inst["defining"].append(cut)
-        ring = _build_ring(inst)
-        soc = sorted(ring.socle())
-        if len(soc) < 2:
-            return None
-        y = stream.choice(soc)
-        amb = MonomialIdeal(n, [tuple(g) for g in inst["defining"]])
-        pool = []
-        for g in _all_monomials(bounds):
-            if amb.member(g) or all(g[i] <= y[i] for i in range(n)):
-                continue
-            pool.append(g)
-        if not pool:
-            return None
-        gens = stream.sample(pool, min(stream.randint(1, 3), len(pool)))
-        inst["ideal"] = [list(g) for g in gens]
-        return inst
-
-    def chk(inst):
+    else:
+        inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
         ring = _build_ring(inst)
         i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit():
+    if i is None or i.is_zero() or i.is_unit():
+        return None
+    _attach_premise_module(inst, stream, ring, i)
+    return inst
+
+
+def _chk_cor215(inst):
+    ring = _build_ring(inst)
+    if inst["part"] == "ii":
+        _, i = _mj(ring, inst["j"])
+        if i is None:
             return None
-        options = [y for y in ring.socle() if not i.member(y)]
-        if not options:
+        killer = i.colon(ring.maximal_ideal())
+    else:
+        i = ring.ideal(inst["ideal"])
+        if i.is_zero() or i.is_unit() or not i.is_m_primary():
             return None
-        y = options[0]
-        algebra = GradedAlgebra(ring)
-        pres = cyclic_presentation(algebra, ring.ideal([y]))
-        tor1, tor2 = tor_dims(pres, i, 1, 2)
-        res = resolve(pres, 3)
-        never_free = res.rank(3) > 0
-        return tor1.total_dim == 0 and tor2.total_dim > 0 and never_free
-
-    return gen, chk
-
-
-@_register("btor33")
-def _suite_btor33():
-    def gen(stream):
-        inst = _monomial_instance(stream)
-        if stream.random() < 0.7:
-            inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        else:
-            inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        _draw_module(inst, stream, "free" if stream.random() < 0.25 else "random", _build_ring(inst))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        if "j" in inst:
-            _, i = _mj(ring, inst["j"])
-        else:
-            i = ring.ideal(inst["ideal"])
-        if i is None or i.is_zero() or i.is_unit() or not is_burch(i):
+        witness = None
+        for s in range(int(i.loewy_length())):
+            if i.subset_of(ring.mpow(s + 1)) and is_weakly_mfull_wrt(i, ring.mpow(s)):
+                witness = s
+                break
+        if witness is None:
             return None
-        pres = _decode_premise_module(inst, ring)
-        tor1, tor2 = (r.total_dim for r in tor_dims(pres, i, 1, 2))
-        if inst["mkind"] == "free" or is_free(pres):
-            return tor1 == 0 and tor2 == 0
-        # non-free over an Artinian ring: infinite projective dimension,
-        # so consecutive vanishing would contradict the bound pd <= t
-        return not (tor1 == 0 and tor2 == 0)
-
-    return gen, chk
+        killer = ring.mpow(witness)
+    return _tor_killed_verdict(inst, ring, i, killer)
 
 
-@_register("cor210")
-def _suite_cor210():
-    def gen(stream):
-        inst = _semigroup_instance(stream)
+def _gen_thm25(stream):
+    inst = _monomial_instance(stream)
+    ring = _build_ring(inst)
+    ll = int(ring.zero_ideal().loewy_length())
+    if ll < 2:
+        return None
+    inst["jpow"] = stream.randint(max(1, ll - 2), ll - 1)
+    ring_m = ring.maximal_ideal()
+    u = ring_m * ring.mpow(inst["jpow"]).colon(ring_m)
+    soc = ring.ideal(list(ring.socle()))
+    if soc.is_zero() or not soc.subset_of(u):
+        return None
+    extras = [g for g in u.min_gens() if stream.random() < 0.5]
+    inst["ideal"] = [list(g) for g in soc.min_gens() + tuple(extras)]
+    _draw_module(inst, stream, "random" if stream.random() < 0.75 else "free", ring)
+    inst["t"] = stream.randint(1, 2)
+    return inst
+
+
+def _chk_thm25(inst):
+    ring = _build_ring(inst)
+    j = ring.mpow(inst["jpow"])
+    if j.is_zero() or j.is_unit():
+        return None
+    i = ring.ideal(inst["ideal"])
+    ring_m = ring.maximal_ideal()
+    u = ring_m * j.colon(ring_m)
+    soc = ring.ideal(list(ring.socle()))
+    if not (soc.subset_of(i) and i.subset_of(u)) or i.is_unit():
+        return None
+    pres = _decode_premise_module(inst, ring)
+    t = inst["t"]
+    if not annihilates(j, pres, t):
+        return None
+    res = resolve(pres, t)
+    if res.rank(t) == 0:
+        # projective dimension below t: contrapositive says nothing
+        return None
+    tor = tor_dim(pres, i, t)
+    return tor.total_dim > 0
+
+
+def _gen_prop26(stream):
+    n = 3 if stream.random() < 0.2 else 2
+    inst = _pure_power_instance(stream, n)
+    bounds = inst["bounds"]
+    # cut a staircase corner so the socle needs two generators
+    cut = [0] * n
+    cut[0] = stream.randint(1, bounds[0] - 1)
+    cut[1] = stream.randint(1, bounds[1] - 1)
+    inst["defining"].append(cut)
+    ring = _build_ring(inst)
+    soc = sorted(ring.socle())
+    if len(soc) < 2:
+        return None
+    y = stream.choice(soc)
+    amb = MonomialIdeal(n, [tuple(g) for g in inst["defining"]])
+    pool = []
+    for g in _all_monomials(bounds):
+        if amb.member(g) or all(g[i] <= y[i] for i in range(n)):
+            continue
+        pool.append(g)
+    if not pool:
+        return None
+    gens = stream.sample(pool, min(stream.randint(1, 3), len(pool)))
+    inst["ideal"] = [list(g) for g in gens]
+    return inst
+
+
+def _chk_prop26(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit():
+        return None
+    options = [y for y in ring.socle() if not i.member(y)]
+    if not options:
+        return None
+    y = options[0]
+    algebra = GradedAlgebra(ring)
+    pres = cyclic_presentation(algebra, ring.ideal([y]))
+    tor1, tor2 = tor_dims(pres, i, 1, 2)
+    res = resolve(pres, 3)
+    never_free = res.rank(3) > 0
+    return tor1.total_dim == 0 and tor2.total_dim > 0 and never_free
+
+
+def _gen_btor33(stream):
+    inst = _monomial_instance(stream)
+    if stream.random() < 0.7:
         inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        s = _build_ring(inst).S
-        kind = stream.random()
-        if kind < 0.25:
-            _draw_module(inst, stream, "free")
-        elif kind < 0.6:
-            inst["mkind"] = "cyclic"
-            inst["mval"] = _rand_sg_vals(stream, s, 1)[0]
-        else:
-            inst["mkind"] = "ideal"
-            inst["mivals"] = _rand_sg_vals(stream, s, stream.randint(1, 3))
-        inst["t"] = stream.randint(1, 2)
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        j, i = _mj(ring, inst["j"])
-        if i is None or not is_weakly_mfull_wrt(i, j):
-            return None
-        pres = _decode_premise_module(inst, ring)
-        t = inst["t"]
-        tor = tor_dim(pres, i, t)
-        res = resolve(pres, t)
-        # vanishing at stage t forces the minimal resolution to stop
-        ok = tor.total_dim > 0 or res.rank(t) == 0
-        if inst["mkind"] == "free":
-            ok = ok and tor.total_dim == 0
-        elif inst["mkind"] == "cyclic":
-            # pd R/fR = 1 over a domain, and f is a zerodivisor on R/I
-            tor1, tor2 = tor_dims(pres, i, 1, 2)
-            ok = ok and tor1.total_dim > 0 and tor2.total_dim == 0
-        elif not is_free(pres):
-            # non-principal ideal module: infinite projective dimension,
-            # so the rigidity above forces nonzero Tor at every stage
-            ok = ok and tor.total_dim > 0
-        return ok
-
-    return gen, chk
+    else:
+        inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
+    _draw_module(inst, stream, "free" if stream.random() < 0.25 else "random", _build_ring(inst))
+    return inst
 
 
-@_register("cor214")
-def _suite_cor214():
-    def gen(stream):
-        inst = _semigroup_instance(stream)
-        kind = stream.random()
-        if kind < 0.4:
-            inst["ideal"] = _mpow_gens(inst, stream.randint(1, 4))
-        elif kind < 0.7:
-            inst["ideal"] = _mj_gens(inst, stream)
-        else:
-            inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
+def _chk_btor33(inst):
+    ring = _build_ring(inst)
+    if "j" in inst:
+        _, i = _mj(ring, inst["j"])
+    else:
         i = ring.ideal(inst["ideal"])
-        if i.is_zero() or i.is_unit():
-            return None
-        classes = cor214_classify(i)
-        if not classes:
-            return None
-        verdict = hw_has_torsion(i)
-        return verdict.has_torsion and verdict.certified
+    if i is None or i.is_zero() or i.is_unit() or not is_burch(i):
+        return None
+    pres = _decode_premise_module(inst, ring)
+    tor1, tor2 = (r.total_dim for r in tor_dims(pres, i, 1, 2))
+    if inst["mkind"] == "free" or is_free(pres):
+        return tor1 == 0 and tor2 == 0
+    # non-free over an Artinian ring: infinite projective dimension,
+    # so consecutive vanishing would contradict the bound pd <= t
+    return not (tor1 == 0 and tor2 == 0)
 
-    return gen, chk
+
+def _gen_cor210(stream):
+    inst = _semigroup_instance(stream)
+    inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    s = _build_ring(inst).S
+    kind = stream.random()
+    if kind < 0.25:
+        _draw_module(inst, stream, "free")
+    elif kind < 0.6:
+        inst["mkind"] = "cyclic"
+        inst["mval"] = _rand_sg_vals(stream, s, 1)[0]
+    else:
+        inst["mkind"] = "ideal"
+        inst["mivals"] = _rand_sg_vals(stream, s, stream.randint(1, 3))
+    inst["t"] = stream.randint(1, 2)
+    return inst
 
 
-def _hw12_tags(inst):
+def _chk_cor210(inst):
+    ring = _build_ring(inst)
+    j, i = _mj(ring, inst["j"])
+    if i is None or not is_weakly_mfull_wrt(i, j):
+        return None
+    pres = _decode_premise_module(inst, ring)
+    t = inst["t"]
+    tor = tor_dim(pres, i, t)
+    res = resolve(pres, t)
+    # vanishing at stage t forces the minimal resolution to stop
+    ok = tor.total_dim > 0 or res.rank(t) == 0
+    if inst["mkind"] == "free":
+        ok = ok and tor.total_dim == 0
+    elif inst["mkind"] == "cyclic":
+        # pd R/fR = 1 over a domain, and f is a zerodivisor on R/I
+        tor1, tor2 = tor_dims(pres, i, 1, 2)
+        ok = ok and tor1.total_dim > 0 and tor2.total_dim == 0
+    elif not is_free(pres):
+        # non-principal ideal module: infinite projective dimension,
+        # so the rigidity above forces nonzero Tor at every stage
+        ok = ok and tor.total_dim > 0
+    return ok
+
+
+def _gen_cor214(stream):
+    inst = _semigroup_instance(stream)
+    kind = stream.random()
+    if kind < 0.4:
+        inst["ideal"] = _mpow_gens(inst, stream.randint(1, 4))
+    elif kind < 0.7:
+        inst["ideal"] = _mj_gens(inst, stream)
+    else:
+        inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
+    return inst
+
+
+def _chk_cor214(inst):
+    ring = _build_ring(inst)
+    i = ring.ideal(inst["ideal"])
+    if i.is_zero() or i.is_unit():
+        return None
+    classes = cor214_classify(i)
+    if not classes:
+        return None
+    verdict = hw_has_torsion(i)
+    return verdict.has_torsion and verdict.certified
+
+
+def _gen_hw12(stream):
+    inst = _semigroup_instance(stream)
+    r = stream.random()
+    if r < 0.25:
+        inst["kind"] = "control"
+        inst["ideal"] = _rand_sg_vals(stream, _build_ring(inst).S, 1)
+    elif r < 0.8:
+        inst["kind"] = "constructed"
+        inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    else:
+        inst["kind"] = "sampled"
+        inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(2, 3))
+        inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
+    return inst
+
+
+def _chk_hw12(inst):
+    ring = _build_ring(inst)
+    if inst["kind"] == "control":
+        verdict = hw_has_torsion(ring.ideal(inst["ideal"]))
+        return not verdict.has_torsion and verdict.tor1_dim == 0 and verdict.certified
+    # k[S] is a domain: m·J is zero only when J is
+    j, mj = _mj(ring, inst["j"])
+    if mj is None:
+        return None
+    i = mj if inst["kind"] == "constructed" else ring.ideal(inst["ideal"])
+    if i.is_zero():
+        return None
+    rep = hw_report(i, j)
+    if not rep.hypotheses_hold:
+        return None
+    return rep.has_torsion and rep.certified
+
+
+def _tags_hw12(inst):
     if inst["kind"] == "control":
         return ("control",)
     return ("hypothesis", "hypring:%s" % ",".join(str(g) for g in inst["sgens"]))
 
 
-@_register("hw12", tags=_hw12_tags)
-def _suite_hw12():
-    def gen(stream):
-        inst = _semigroup_instance(stream)
-        r = stream.random()
-        if r < 0.25:
-            inst["kind"] = "control"
-            inst["ideal"] = _rand_sg_vals(stream, _build_ring(inst).S, 1)
-        elif r < 0.8:
-            inst["kind"] = "constructed"
-            inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        else:
-            inst["kind"] = "sampled"
-            inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(2, 3))
-            inst["j"] = _rand_ideal_gens(inst, stream, stream.randint(1, 2))
-        return inst
-
-    def chk(inst):
-        ring = _build_ring(inst)
-        if inst["kind"] == "control":
-            verdict = hw_has_torsion(ring.ideal(inst["ideal"]))
-            return not verdict.has_torsion and verdict.tor1_dim == 0 and verdict.certified
-        # k[S] is a domain: m·J is zero only when J is
-        j, mj = _mj(ring, inst["j"])
-        if mj is None:
-            return None
-        i = mj if inst["kind"] == "constructed" else ring.ideal(inst["ideal"])
-        if i.is_zero():
-            return None
-        rep = hw_report(i, j)
-        if not rep.hypotheses_hold:
-            return None
-        return rep.has_torsion and rep.certified
-
-    return gen, chk
+SUITES = {
+    suite.name: suite
+    for suite in (
+        Suite("remark23", _gen_ideal, _chk_remark23),
+        Suite("remark22", _gen_remark22, _chk_remark22),
+        Suite("remark32", _gen_ideal, _chk_remark32),
+        Suite("remark37", _gen_remark37, _chk_remark37),
+        Suite("lemma36", _gen_lemma36, _chk_lemma36),
+        Suite("lemma310", _gen_lemma310, _chk_lemma310),
+        Suite("lemma213", _gen_lemma213, _chk_lemma213),
+        Suite("prop24", _gen_prop24, _chk_prop24),
+        Suite("prop38", _gen_prop38, _chk_prop38),
+        Suite("prop39", _gen_prop39, _chk_prop39),
+        Suite("thm28", _gen_thm28, _chk_thm28),
+        Suite("cor215", _gen_cor215, _chk_cor215),
+        Suite("thm25", _gen_thm25, _chk_thm25),
+        Suite("prop26", _gen_prop26, _chk_prop26),
+        Suite("btor33", _gen_btor33, _chk_btor33),
+        Suite("cor210", _gen_cor210, _chk_cor210),
+        Suite("cor214", _gen_cor214, _chk_cor214),
+        Suite("hw12", _gen_hw12, _chk_hw12, _tags_hw12),
+    )
+}
 
 
 # ---------------------------------------------------------------------------

@@ -797,18 +797,14 @@ def annihilates(ideal, presentation, t):
         pmap = presentation.map
         for i, s in enumerate(presentation.generators.shifts):
             for g in jgens:
+                # g*e_i lies in the image iff, as one more column, it
+                # leaves the rank of the degree-d piece unchanged
                 d = s + algebra.deg(g)
-                rows, src, tgt = pmap.matrix(d)
-                index = {key: r for r, key in enumerate(tgt)}
-                # the image in degree d is the row space of the transpose
-                cols = [{} for _ in src]
-                for r, row in enumerate(rows):
-                    for c, x in row.items():
-                        cols[c][r] = x
-                span = linalg.EchelonSpan(algebra.p)
-                for col in cols:
-                    span.add(col)
-                if span.reduce({index[(i, g)]: 1}) is not None:
+                wider = HomogeneousMap(
+                    algebra, GradedFreeModule(pmap.source.shifts + (d,)),
+                    pmap.target, pmap.elts + ({(i, g): 1},),
+                )
+                if _rank_of(wider, d) != _rank_of(pmap, d):
                     return False
         return True
     res = resolve(presentation, t)

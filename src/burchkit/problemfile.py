@@ -74,7 +74,7 @@ def _split_items(text):
     return [s.strip() for s in items if s.strip()]
 
 
-def _parse_monomial(text, varindex, line):
+def _parse_monomial(text, varindex):
     text = text.strip()
     if text == "1":
         return (0,) * len(varindex)
@@ -82,17 +82,17 @@ def _parse_monomial(text, varindex, line):
     for factor in text.split("*"):
         m = _FACTOR_RE.match(factor.strip())
         if m is None:
-            raise ProblemFileError(line, "bad monomial factor: %r" % factor.strip())
+            raise ValueError("bad monomial factor: %r" % factor.strip())
         name, power = m.group(1), m.group(2)
         if name not in varindex:
-            raise ProblemFileError(line, "unknown variable: %s" % name)
+            raise ValueError("unknown variable: %s" % name)
         expo[varindex[name]] += int(power) if power is not None else 1
     return tuple(expo)
 
 
-def _parse_int(text, line, what):
+def _parse_int(text, what):
     if not re.fullmatch(r"-?\d+", text):
-        raise ProblemFileError(line, "%s must be an integer: %r" % (what, text))
+        raise ValueError("%s must be an integer: %r" % (what, text))
     return int(text)
 
 
@@ -117,7 +117,11 @@ class ParsedProblem:
 
 
 def parse_problem(text):
-    """Parse and resolve the whole file; raises ProblemFileError."""
+    """Parse and resolve the whole file; raises ProblemFileError.
+
+    The statement parsers raise plain ValueError; the line number is
+    attached here, once per statement.
+    """
     prob = ParsedProblem()
     labels = {}  # ring name -> label grammar
     field_line = None
@@ -127,33 +131,30 @@ def parse_problem(text):
         if not stmt:
             continue
         head = stmt.split(None, 1)[0]
-        if head == "field":
-            if field_line is not None:
-                raise ProblemFileError(lineno, "duplicate field declaration")
-            if saw_decl:
-                raise ProblemFileError(
-                    lineno, "field must be declared before any ring"
-                )
-            m = _FIELD_RE.match(stmt)
-            if m is None:
-                raise ProblemFileError(lineno, "bad field declaration")
-            p = int(m.group(1))
-            try:
-                check_prime(p)
-            except ValueError as exc:
-                raise ProblemFileError(lineno, str(exc)) from None
-            prob.prime = p
-            field_line = lineno
-            continue
-        saw_decl = True
-        if head == "ring":
-            _parse_ring(prob, labels, stmt, lineno)
-        elif head == "ideal":
-            _parse_ideal(prob, labels, stmt, lineno)
-        elif head == "module":
-            _parse_module(prob, labels, stmt, lineno)
-        else:
-            raise ProblemFileError(lineno, "unrecognized statement: %r" % head)
+        try:
+            if head == "field":
+                if field_line is not None:
+                    raise ValueError("duplicate field declaration")
+                if saw_decl:
+                    raise ValueError("field must be declared before any ring")
+                m = _FIELD_RE.match(stmt)
+                if m is None:
+                    raise ValueError("bad field declaration")
+                prob.prime = int(m.group(1))
+                check_prime(prob.prime)
+                field_line = lineno
+                continue
+            saw_decl = True
+            if head == "ring":
+                _parse_ring(prob, labels, stmt)
+            elif head == "ideal":
+                _parse_ideal(prob, labels, stmt)
+            elif head == "module":
+                _parse_module(prob, labels, stmt)
+            else:
+                raise ValueError("unrecognized statement: %r" % head)
+        except ValueError as exc:
+            raise ProblemFileError(lineno, str(exc)) from None
     return prob
 
 
@@ -162,34 +163,29 @@ def load_problem(path):
         return parse_problem(fh.read())
 
 
-def _parse_ring(prob, labels, stmt, lineno):
+def _parse_ring(prob, labels, stmt):
     m = _RING_POLY_RE.match(stmt)
     if m is not None:
         name, varpart, modpart = m.group(1), m.group(2), m.group(3)
         if name in prob.rings:
-            raise ProblemFileError(lineno, "duplicate ring name: %s" % name)
+            raise ValueError("duplicate ring name: %s" % name)
         varnames = _split_items(varpart)
         if not varnames:
-            raise ProblemFileError(lineno, "poly ring needs at least one variable")
+            raise ValueError("poly ring needs at least one variable")
         for v in varnames:
             if not re.fullmatch(_NAME, v):
-                raise ProblemFileError(lineno, "bad variable name: %r" % v)
+                raise ValueError("bad variable name: %r" % v)
         if len(set(varnames)) != len(varnames):
-            raise ProblemFileError(lineno, "repeated variable name")
+            raise ValueError("repeated variable name")
         varindex = {v: k for k, v in enumerate(varnames)}
         defining = []
         if modpart is not None:
             for item in _split_items(modpart):
-                expo = _parse_monomial(item, varindex, lineno)
+                expo = _parse_monomial(item, varindex)
                 if not any(expo):
-                    raise ProblemFileError(
-                        lineno, "defining monomial must not be a unit"
-                    )
+                    raise ValueError("defining monomial must not be a unit")
                 defining.append(expo)
-        try:
-            ring = QuotientRing(len(varnames), defining)
-        except ValueError as exc:
-            raise ProblemFileError(lineno, str(exc)) from exc
+        ring = QuotientRing(len(varnames), defining)
         prob.rings[name] = ring
         labels[name] = _MonomialLabels(ring, varindex)
         return
@@ -197,68 +193,63 @@ def _parse_ring(prob, labels, stmt, lineno):
     if m is not None:
         name, genpart = m.group(1), m.group(2)
         if name in prob.rings:
-            raise ProblemFileError(lineno, "duplicate ring name: %s" % name)
-        gens = [_parse_int(s, lineno, "semigroup generator") for s in _split_items(genpart)]
+            raise ValueError("duplicate ring name: %s" % name)
+        gens = [_parse_int(s, "semigroup generator") for s in _split_items(genpart)]
         if not gens:
-            raise ProblemFileError(lineno, "semigroup needs at least one generator")
+            raise ValueError("semigroup needs at least one generator")
         if any(g < 1 for g in gens):
-            raise ProblemFileError(lineno, "semigroup generators must be positive")
-        try:
-            ring = SemigroupRing(tuple(gens))
-        except ValueError as exc:
-            raise ProblemFileError(lineno, str(exc)) from exc
+            raise ValueError("semigroup generators must be positive")
+        ring = SemigroupRing(tuple(gens))
         prob.rings[name] = ring
         labels[name] = _ValuationLabels(ring)
         return
-    raise ProblemFileError(lineno, "bad ring declaration")
+    raise ValueError("bad ring declaration")
 
 
-def _parse_ideal(prob, labels, stmt, lineno):
+def _parse_ideal(prob, labels, stmt):
     m = _IDEAL_RE.match(stmt)
     if m is None:
-        raise ProblemFileError(lineno, "bad ideal declaration")
+        raise ValueError("bad ideal declaration")
     name, ring_name, body = m.group(1), m.group(2), m.group(3)
     if name in prob.ideals:
-        raise ProblemFileError(lineno, "duplicate ideal name: %s" % name)
+        raise ValueError("duplicate ideal name: %s" % name)
     grammar = labels.get(ring_name)
     if grammar is None:
-        raise ProblemFileError(lineno, "unknown ring: %s" % ring_name)
-    prob.ideals[name] = grammar.ideal(_split_items(body), name, lineno)
+        raise ValueError("unknown ring: %s" % ring_name)
+    prob.ideals[name] = grammar.ideal(_split_items(body), name)
 
 
-def _parse_module(prob, labels, stmt, lineno):
+def _parse_module(prob, labels, stmt):
     m = _MODULE_RE.match(stmt)
     if m is None:
-        raise ProblemFileError(lineno, "bad module declaration")
+        raise ValueError("bad module declaration")
     name, ring_name = m.group(1), m.group(2)
     rows, cols_n = int(m.group(3)), int(m.group(4))
     if name in prob.modules:
-        raise ProblemFileError(lineno, "duplicate module name: %s" % name)
+        raise ValueError("duplicate module name: %s" % name)
     grammar = labels.get(ring_name)
     if grammar is None:
-        raise ProblemFileError(lineno, "unknown ring: %s" % ring_name)
+        raise ValueError("unknown ring: %s" % ring_name)
     if rows < 1:
-        raise ProblemFileError(lineno, "rows must be at least 1")
-    shifts = [_parse_int(s, lineno, "shift") for s in _split_items(m.group(6))]
+        raise ValueError("rows must be at least 1")
+    shifts = [_parse_int(s, "shift") for s in _split_items(m.group(6))]
     if len(shifts) != rows:
-        raise ProblemFileError(
-            lineno, "expected %d shifts, got %d" % (rows, len(shifts))
-        )
+        raise ValueError("expected %d shifts, got %d" % (rows, len(shifts)))
     if any(s < 0 for s in shifts):
-        raise ProblemFileError(lineno, "shifts must be nonnegative")
+        raise ValueError("shifts must be nonnegative")
 
     algebra = GradedAlgebra(grammar.ring, prob.prime)
     entries = {}
     for item in _split_items(m.group(5)):
         em = _ENTRY_RE.match(item)
         if em is None:
-            raise ProblemFileError(lineno, "bad entry: %r" % item)
+            raise ValueError("bad entry: %r" % item)
         i, j = int(em.group(1)), int(em.group(2))
         if not (1 <= i <= rows and 1 <= j <= cols_n):
-            raise ProblemFileError(lineno, "entry (%d, %d) out of range" % (i, j))
+            raise ValueError("entry (%d, %d) out of range" % (i, j))
         if (i, j) in entries:
-            raise ProblemFileError(lineno, "duplicate entry (%d, %d)" % (i, j))
-        entries[(i, j)] = grammar.entry(em.group(3), lineno)
+            raise ValueError("duplicate entry (%d, %d)" % (i, j))
+        entries[(i, j)] = grammar.entry(em.group(3))
 
     if cols_n == 0:
         pres = free_presentation(algebra, tuple(shifts))
@@ -271,22 +262,19 @@ def _parse_module(prob, labels, stmt, lineno):
                 if jj == j
             }
             if not degs:
-                raise ProblemFileError(lineno, "column %d has no entries" % j)
+                raise ValueError("column %d has no entries" % j)
             if len(degs) != 1:
-                raise ProblemFileError(lineno, "column %d is not homogeneous" % j)
+                raise ValueError("column %d is not homogeneous" % j)
             sshifts.append(degs.pop())
         elts = [{} for _ in range(cols_n)]
         for (i, j), lab in sorted(entries.items()):
             elts[j - 1][(i - 1, lab)] = 1
-        try:
-            pmap = HomogeneousMap(
-                algebra,
-                GradedFreeModule(tuple(sshifts)),
-                GradedFreeModule(tuple(shifts)),
-                elts,
-            )
-        except ValueError as exc:
-            raise ProblemFileError(lineno, str(exc)) from exc
+        pmap = HomogeneousMap(
+            algebra,
+            GradedFreeModule(tuple(sshifts)),
+            GradedFreeModule(tuple(shifts)),
+            elts,
+        )
         pres = GradedPresentation(pmap)
     prob.modules[name] = pres
 
@@ -297,21 +285,18 @@ class _ValuationLabels:
 
     ring: SemigroupRing
 
-    def ideal(self, items, name, lineno):
-        vals = [_parse_int(s, lineno, "valuation") for s in items]
+    def ideal(self, items, name):
+        vals = [_parse_int(s, "valuation") for s in items]
         if any(v < 0 for v in vals):
-            raise ProblemFileError(lineno, "valuations must be nonnegative")
-        try:
-            return self.ring.ideal(vals, name=name)
-        except ValueError as exc:
-            raise ProblemFileError(lineno, str(exc)) from exc
+            raise ValueError("valuations must be nonnegative")
+        return self.ring.ideal(vals, name=name)
 
-    def entry(self, text, lineno):
-        v = _parse_int(text, lineno, "entry valuation")
+    def entry(self, text):
+        v = _parse_int(text, "entry valuation")
         if v <= 0:
-            raise ProblemFileError(lineno, "entry must have positive degree")
+            raise ValueError("entry must have positive degree")
         if v not in self.ring.S:
-            raise ProblemFileError(lineno, "valuation %d is not in the semigroup" % v)
+            raise ValueError("valuation %d is not in the semigroup" % v)
         return v
 
 
@@ -322,14 +307,14 @@ class _MonomialLabels:
     ring: QuotientRing
     varindex: dict
 
-    def ideal(self, items, name, lineno):
-        gens = [_parse_monomial(s, self.varindex, lineno) for s in items]
+    def ideal(self, items, name):
+        gens = [_parse_monomial(s, self.varindex) for s in items]
         return self.ring.ideal(gens, name=name)
 
-    def entry(self, text, lineno):
-        expo = _parse_monomial(text, self.varindex, lineno)
+    def entry(self, text):
+        expo = _parse_monomial(text, self.varindex)
         if not any(expo):
-            raise ProblemFileError(lineno, "entry must have positive degree")
+            raise ValueError("entry must have positive degree")
         if self.ring.defining.member(expo):
-            raise ProblemFileError(lineno, "entry is zero in the ring")
+            raise ValueError("entry is zero in the ring")
         return expo

@@ -4,16 +4,16 @@ QuotientRing is k[x_1..x_n]/A, graded by total degree, with exponent
 tuples as labels; SemigroupRing is k[[S]], graded by valuation, with
 integer labels.  Each answers the graded-algebra calls of `homalg`:
 basis(d), mult(a, b) (None when the product is zero), deg(label),
-top_degree() (None when unbounded), kernel_window(slack), the width
-past a free module's highest shift that holds its kernel generators,
-with a certified flag, and stop_modulus(), the m of `homalg.kernel_stop`
-(None when there is none).  Both answer depth_positive(); QuotientRing
-also answers socle(), the standard monomials that every variable kills,
-from which its depth_positive() follows.  Their ideals, QIdeal and SgIdeal, answer
-the predicate layer: colon, product, sum, comparison, subset,
-m-primariness, Loewy length, and quotient_top_degree() of R/I; and
-outside(e), the labels of basis(e) outside the ideal, in order, which
-`homalg` reads the degree pieces of R/I from.
+kernel_window(slack), the width past a free module's highest shift that
+holds its kernel generators, with a certified flag, and stop_modulus(),
+the m of `homalg.kernel_stop` (None when there is none).  Both answer
+depth_positive(); QuotientRing also answers socle(), the standard
+monomials that every variable kills, from which its depth_positive()
+follows.  Their ideals, QIdeal and SgIdeal, answer the predicate layer:
+colon, product, sum, comparison, subset, m-primariness, Loewy length,
+and quotient_top_degree() of R/I; and outside(e), the labels of
+basis(e) outside the ideal, in order, which `homalg` reads the degree
+pieces of R/I from.
 Everything is immutable and value-compared.
 
 Colon here is always the ring-level colon (I : J) = {x in R : xJ <= I}.
@@ -251,18 +251,15 @@ class QIdeal:
     def is_m_primary(self):
         # R/I is Artinian iff the representative traps a pure power of
         # every variable; unit ideals are excluded by convention.
-        return not self.is_unit() and None not in self._pure_power_bound()
-
-    def _pure_power_bound(self):
+        if self.is_unit():
+            return False
         n = self.ring.nvars
-        best = [None] * n
+        trapped = set()
         for g in self.rep.gens:
             support = [i for i in range(n) if g[i] > 0]
             if len(support) == 1:
-                i = support[0]
-                if best[i] is None or g[i] < best[i]:
-                    best[i] = g[i]
-        return best
+                trapped.add(support[0])
+        return len(trapped) == n
 
     def loewy_length(self):
         """min s with m^s <= I, or infinity when I is not m-primary: one
@@ -357,9 +354,6 @@ class SemigroupRing:
 
     def deg(self, label):
         return label
-
-    def top_degree(self):
-        return None
 
     def kernel_window(self, slack):
         return 2 * self.S.conductor + 1, True

@@ -9,7 +9,6 @@ from burchkit import rings
 from burchkit.classify import (
     ClassificationReport,
     ColonTable,
-    burch_via_loewy,
     classification_report,
     cor214_classify,
     is_burch,
@@ -17,35 +16,51 @@ from burchkit.classify import (
     is_weakly_mfull_wrt,
     l2_identities,
     l3_equivalence,
-    lemma213_check,
     loewy_length,
-    remark32_equivalence,
 )
-from burchkit.fuzz import _SG_POOL
+from burchkit.fuzz import _SG_POOL, SUITES, _build_ring
 from burchkit.rings import QuotientRing, SemigroupRing
 
 INFINITY = float("inf")
 
 
-def _random_artinian_ideal(rng):
+def _random_artinian_instance(rng):
+    """A random ideal of an Artinian monomial quotient, as a suite instance."""
     n = rng.randint(1, 2)
     defining = [
-        tuple(rng.randint(2, 4) if k == v else 0 for k in range(n)) for v in range(n)
+        [rng.randint(2, 4) if k == v else 0 for k in range(n)] for v in range(n)
     ]
-    ring = QuotientRing(n, defining)
     gens = []
     for _ in range(rng.randint(1, 3)):
-        mono = tuple(rng.randint(0, 3) for _ in range(n))
+        mono = [rng.randint(0, 3) for _ in range(n)]
         if any(mono):
             gens.append(mono)
-    return ring.ideal(gens or [defining[0]])
+    return {"family": "monomial", "nvars": n, "defining": defining, "ideal": gens or [defining[0]]}
+
+
+def _random_semigroup_instance(rng):
+    """A random ideal of a numerical semigroup ring, as a suite instance."""
+    sgens = rng.choice([(3, 4, 5), (4, 5, 6), (4, 5, 11), (2, 3)])
+    ring = SemigroupRing(sgens)
+    window = ring.S.conductor + 12
+    pool = [v for v in range(1, window) if v in ring.S]
+    vals = sorted(rng.sample(pool, rng.randint(1, 3)))
+    return {"family": "semigroup", "sgens": list(sgens), "ideal": vals}
+
+
+def _random_artinian_ideal(rng):
+    inst = _random_artinian_instance(rng)
+    return _build_ring(inst).ideal(inst["ideal"])
 
 
 def _random_semigroup_ideal(rng):
-    ring = SemigroupRing(rng.choice([(3, 4, 5), (4, 5, 6), (4, 5, 11), (2, 3)]))
-    window = ring.S.conductor + 12
-    pool = [v for v in range(1, window) if v in ring.S]
-    return ring.ideal(sorted(rng.sample(pool, rng.randint(1, 3))))
+    inst = _random_semigroup_instance(rng)
+    return _build_ring(inst).ideal(inst["ideal"])
+
+
+def _suite_verdicts(name, insts):
+    """Counter of a suite check's verdicts over the given instances."""
+    return Counter(SUITES[name].check(inst) for inst in insts)
 
 
 def test_square_of_max_ideal_not_weakly_mfull_over_4_5_11():
@@ -76,11 +91,16 @@ def test_weakly_mfull_wrt_colon_ideal_when_i_is_m_times_j():
     k = i.colon(m)
     assert is_weakly_mfull_wrt(i, j)
     assert is_weakly_mfull_wrt(i, k)
-    rec = lemma213_check(j, k)
-    assert rec.applicable
-    assert rec.wmf_wrt_k
-    assert rec.colon_equals_m
-    assert rec.all_hold
+    assert i.colon(k) == m
+    # the same statement as the lemma213 suite checks it, with K = (I : m)
+    inst = {
+        "family": "monomial",
+        "nvars": 2,
+        "defining": [[3, 0], [2, 1], [1, 2], [0, 3]],
+        "j": [[0, 1]],
+        "kmode": "colon",
+    }
+    assert SUITES["lemma213"].check(inst) is True
 
 
 def test_integrally_closed_ideals_are_weakly_mfull():
@@ -94,27 +114,14 @@ def test_integrally_closed_ideals_are_weakly_mfull():
 
 
 def test_burch_via_loewy_is_a_sound_certificate():
-    # the Loewy step is sufficient for Burch, not equivalent to it
+    # the Loewy step ll(R/mI) = ll(R/I) + 1 is sufficient for Burch, not
+    # equivalent to it; remark37 checks Burch wherever the step holds
     rng = random.Random(21)
-    seen = 0
-    for _ in range(60):
-        i = _random_artinian_ideal(rng)
-        if i.is_unit() or i.is_zero():
-            continue
-        got = burch_via_loewy(i)
-        if got:
-            assert is_burch(i)
-            seen += 1
-    for _ in range(60):
-        i = _random_semigroup_ideal(rng)
-        if i.is_unit():
-            continue
-        got = burch_via_loewy(i)
-        if got:
-            assert is_burch(i)
-            seen += 1
-    assert seen >= 10
-    assert burch_via_loewy(QuotientRing(2).ideal([(2, 0)])) is None
+    insts = [_random_artinian_instance(rng) for _ in range(60)]
+    insts += [_random_semigroup_instance(rng) for _ in range(60)]
+    verdicts = _suite_verdicts("remark37", insts)
+    assert set(verdicts) <= {True, None}
+    assert verdicts[True] >= 10
 
 
 def test_l2_identities_hold_on_random_instances():
@@ -146,13 +153,13 @@ def test_l3_equivalence_conditions_agree():
 
 
 def test_remark32_socle_colon_link():
+    # wmf w.r.t. (I : m) iff I is Burch or depth(R/I) > 0
     rng = random.Random(24)
-    for _ in range(60):
-        i = _random_artinian_ideal(rng)
-        if i.is_unit() or i.is_zero():
-            continue
-        rec = remark32_equivalence(i)
-        assert rec.wmf_wrt_colon == rec.burch_or_posdepth
+    insts = [_random_artinian_instance(rng) for _ in range(60)]
+    insts += [_random_semigroup_instance(rng) for _ in range(60)]
+    verdicts = _suite_verdicts("remark32", insts)
+    assert set(verdicts) <= {True, None}
+    assert verdicts[True] >= 10
 
 
 def test_depth_positive_iff_colon_fixed():

@@ -183,6 +183,23 @@ def test_tor_same_ring_declared_twice_exits_2(capsys, tmp_path):
     assert rc == 2 and "different rings" in err
 
 
+def test_wrt_in_same_ring_declared_twice_exits_2(capsys, tmp_path):
+    # classify and hw compare --wrt rings as tor does: by declaration
+    twice = tmp_path / "twice.prob"
+    twice.write_text(
+        "ring s = semigroup(4, 5, 6)\n"
+        "ring t = semigroup(4, 5, 6)\n"
+        "ideal i in s = [8, 9]\n"
+        "ideal i2 in s = [4, 5]\n"
+        "ideal j in t = [4, 5]\n"
+    )
+    for cmd in (["classify", str(twice), "i"], ["hw", str(twice), "i"]):
+        rc, _, _ = run(capsys, cmd + ["--wrt", "i2"])
+        assert rc == 0, cmd
+        rc, _, err = run(capsys, cmd + ["--wrt", "j"])
+        assert rc == 2 and "different rings" in err, cmd
+
+
 def test_hw_maximal_ideal_has_torsion(files, capsys):
     rc, payload, _ = run(capsys, ["hw", files["hw"], "m"])
     assert rc == 0

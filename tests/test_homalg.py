@@ -44,7 +44,6 @@ def test_algebra_basis_dimensions():
 
     sg = GradedAlgebra(SemigroupRing((4, 5, 6)))
     assert [len(sg.basis(d)) for d in range(9)] == [1, 0, 0, 0, 1, 1, 1, 0, 1]
-    assert sg.ring.top_degree() is None
 
 
 def test_residue_field_betti_numbers_over_cube_ring():
@@ -987,7 +986,7 @@ def test_kernel_window_and_top_degree_per_regime():
         assert (got.bound, got.certified) == window, ring
         empty = kernel_window(alg, GradedFreeModule(()))
         assert (empty.bound, empty.certified) == (-1, True)
-        assert alg.ring.top_degree() == top, ring
+        assert ring.zero_ideal().quotient_top_degree() == top, ring
 
 
 def test_quotient_top_degree_per_regime():

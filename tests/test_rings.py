@@ -99,7 +99,6 @@ def test_socle_matches_enumeration():
 def test_semigroup_ring_basics():
     ring = SemigroupRing((4, 5, 6))
     assert ring.S.conductor == 8
-    assert ring.top_degree() is None
     m = ring.maximal_ideal()
     assert set(m.min_gens()) == {4, 5, 6}
     assert set(ring.mpow(2).min_gens()) == {8, 9, 10, 11}

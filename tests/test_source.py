@@ -36,3 +36,20 @@ def test_every_module_function_is_read_in_src_or_exported():
             if counts[node.name] < 2 and node.name not in exported:
                 unread.append("%s.%s" % (path.stem, node.name))
     assert unread == []
+
+
+def test_every_suite_names_module_level_functions_of_fuzz():
+    # a suite is one row of fuzz.SUITES; its generator, check and tags
+    # are functions defined at the top level of burchkit.fuzz
+    from burchkit import fuzz
+
+    assert len(fuzz.SUITES) == 18
+    for name, suite in fuzz.SUITES.items():
+        assert suite.name == name
+        parts = [suite.generate, suite.check]
+        if suite.tags is not None:
+            parts.append(suite.tags)
+        for fn in parts:
+            assert fn.__module__ == fuzz.__name__, (name, fn)
+            assert "<locals>" not in fn.__qualname__, (name, fn.__qualname__)
+            assert getattr(fuzz, fn.__name__) is fn, (name, fn.__name__)
