@@ -229,20 +229,14 @@ class ClassificationReport:
     cor214_class: frozenset
     open_pd_question: bool
 
-    # the ColonTable the report was read from; not a field, so it stays
-    # out of equality, repr and the JSON output
-    _colons = None
 
-    def wmf_wrt_mpow_range(self, lo, hi):
-        """wmf w.r.t. m^s for lo <= s <= hi, from the report's colons."""
-        return {s: self._colons.wmf_mpow(s) for s in range(lo, hi + 1)}
-
-
-def classification_report(i, named=()):
+def classification_report(i, named=(), powers=None):
     """Aggregate every predicate for one ideal.
 
-    wmf_wrt_mpow covers 0 <= s <= ll(R/I) (capped at 8 past a
-    non-m-primary ideal's infinite Loewy length).  Integral closure is
+    wmf_wrt_mpow covers lo <= s <= hi for powers = (lo, hi), which is
+    how `burchkit classify --wrt-mpow-range` asks for its range; by
+    default 0 <= s <= ll(R/I) (capped at 8 past a non-m-primary ideal's
+    infinite Loewy length).  Integral closure is
     decided only over a polynomial ring; None elsewhere.
     open_pd_question flags the combination Burch + not weakly m-full +
     m-primary over a positive-depth ring, where Tor-rigidity of R/I is
@@ -257,15 +251,15 @@ def classification_report(i, named=()):
     burch = t.burch()
     wmf = t.weakly_mfull()
 
-    s_top = ll if ll != INFINITY else 8
-    wmf_pows = {s: t.wmf_mpow(s) for s in range(int(s_top) + 1)}
+    lo, hi = powers or (0, int(ll) if ll != INFINITY else 8)
+    wmf_pows = {s: t.wmf_mpow(s) for s in range(lo, hi + 1)}
 
     wmf_named = {}
     for idx, j in enumerate(named):
         label = j.name if j.name is not None else "J%d" % idx
         wmf_named[label] = t.wmf_wrt(j)
 
-    report = ClassificationReport(
+    return ClassificationReport(
         is_m_primary=primary,
         loewy_R_mod_I=ll,
         loewy_R_mod_mI=ll_mi,
@@ -280,5 +274,3 @@ def classification_report(i, named=()):
             ring.depth_positive() and primary and burch and not wmf
         ),
     )
-    object.__setattr__(report, "_colons", t)
-    return report

@@ -67,18 +67,24 @@ def _check_one_ring(first, second, what):
         raise ValueError("%s live in different rings" % what)
 
 
+def _wrt_ideal(prob, ideal, name):
+    """The --wrt ideal, checked to lie in the ring of ideal; None without --wrt."""
+    if not name:
+        return None
+    wrt = prob.get_ideal(name)
+    _check_one_ring(ideal.ring, wrt.ring, "ideal and --wrt ideal")
+    return wrt
+
+
 def _cmd_classify(args):
     prob = load_problem(args.file)
     ideal = prob.get_ideal(args.ideal)
-    named = ()
-    if args.wrt:
-        named = (prob.get_ideal(args.wrt),)
-        _check_one_ring(ideal.ring, named[0].ring, "ideal and --wrt ideal")
-    report = classification_report(ideal, named=named)
-    payload = _jsonable(report)
+    wrt = _wrt_ideal(prob, ideal, args.wrt)
+    powers = None
     if args.wrt_mpow_range:
-        lo, hi = _parse_span(args.wrt_mpow_range, "power range")
-        payload["wmf_wrt_mpow"] = _jsonable(report.wmf_wrt_mpow_range(lo, hi))
+        powers = _parse_span(args.wrt_mpow_range, "power range")
+    named = () if wrt is None else (wrt,)
+    payload = _jsonable(classification_report(ideal, named=named, powers=powers))
     payload["ideal"] = args.ideal
     _emit(payload)
     return 0
@@ -98,11 +104,7 @@ def _cmd_tor(args):
 def _cmd_hw(args):
     prob = load_problem(args.file)
     ideal = prob.get_ideal(args.ideal)
-    wrt = None
-    if args.wrt:
-        wrt = prob.get_ideal(args.wrt)
-        _check_one_ring(ideal.ring, wrt.ring, "ideal and --wrt ideal")
-    payload = _jsonable(hw_report(ideal, wrt))
+    payload = _jsonable(hw_report(ideal, _wrt_ideal(prob, ideal, args.wrt)))
     payload["ideal"] = args.ideal
     _emit(payload)
     return 0

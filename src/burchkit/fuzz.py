@@ -305,6 +305,11 @@ def _mj(ring, gens):
 # --- identity and classification suites ------------------------------------
 
 
+def _mprimary_gens(inst, stream):
+    """A gen_mprimary_monomial draw over the instance's variables, as plain data."""
+    return [list(g) for g in gen_mprimary_monomial(stream, inst["nvars"]).gens]
+
+
 def _gen_ideal(stream):
     inst = _base_instance(stream)
     inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
@@ -336,21 +341,13 @@ def _chk_remark22(inst):
     i = ring.ideal(inst["ideal"])
     if i.is_zero() or i.is_unit():
         return None
-    m = ring.maximal_ideal()
-    mi = m * i
+    t = ColonTable(i)
     ll = i.loewy_length()
     cap = int(ll) if ll != INFINITY else 6
-    hit = None
-    for s in range(cap + 1):
-        if i.colon(ring.mpow(s)) == mi.colon(ring.mpow(s + 1)):
-            hit = s
-            break
+    hit = next((s for s in range(cap + 1) if t.wmf_mpow(s)), None)
     if hit is None:
         return None
-    return all(
-        i.colon(ring.mpow(u)) == mi.colon(ring.mpow(u + 1))
-        for u in range(hit, hit + 4)
-    )
+    return all(t.wmf_mpow(u) for u in range(hit, hit + 4))
 
 
 def _chk_remark32(inst):
@@ -371,8 +368,7 @@ def _gen_remark37(stream):
     kind = stream.random()
     if inst["family"] == "monomial":
         if kind < 0.5:
-            ideal = gen_mprimary_monomial(stream, inst["nvars"])
-            inst["ideal"] = [list(g) for g in ideal.gens]
+            inst["ideal"] = _mprimary_gens(inst, stream)
         else:
             inst["ideal"] = _mpow_gens(inst, stream.randint(1, 3))
     else:
@@ -420,8 +416,7 @@ def _chk_lemma36(inst):
 def _gen_lemma310(stream):
     inst = _base_instance(stream)
     if inst["family"] == "monomial":
-        ideal = gen_mprimary_monomial(stream, inst["nvars"])
-        inst["ideal"] = [list(g) for g in ideal.gens]
+        inst["ideal"] = _mprimary_gens(inst, stream)
     else:
         inst["ideal"] = _rand_ideal_gens(inst, stream, stream.randint(1, 3))
     return inst
@@ -519,8 +514,7 @@ def _gen_prop39(stream):
     inst = _base_instance(stream)
     kind = stream.random()
     if inst["family"] == "monomial" and kind < 0.4:
-        ideal = gen_mprimary_monomial(stream, inst["nvars"])
-        inst["ideal"] = [list(g) for g in ideal.gens]
+        inst["ideal"] = _mprimary_gens(inst, stream)
     elif kind < 0.7:
         inst["ideal"] = _mj_gens(inst, stream)
     else:
@@ -533,15 +527,10 @@ def _chk_prop39(inst):
     i = ring.ideal(inst["ideal"])
     if i.is_zero() or i.is_unit() or not i.is_m_primary():
         return None
-    ll = int(i.loewy_length())
-    witness = None
-    for s in range(ll):
-        if is_weakly_mfull_wrt(i, ring.mpow(s)):
-            witness = s
-            break
-    if witness is None:
+    t = ColonTable(i)
+    if not any(t.wmf_mpow(s) for s in range(int(i.loewy_length()))):
         return None
-    return is_burch(i)
+    return t.burch()
 
 
 # --- homological suites -----------------------------------------------------
@@ -652,14 +641,13 @@ def _chk_cor215(inst):
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
             return None
-        witness = None
+        t = ColonTable(i)
         for s in range(int(i.loewy_length())):
-            if i.subset_of(ring.mpow(s + 1)) and is_weakly_mfull_wrt(i, ring.mpow(s)):
-                witness = s
+            if i.subset_of(ring.mpow(s + 1)) and t.wmf_mpow(s):
+                killer = ring.mpow(s)
                 break
-        if witness is None:
+        else:
             return None
-        killer = ring.mpow(witness)
     return _tor_killed_verdict(inst, ring, i, killer)
 
 

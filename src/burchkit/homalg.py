@@ -8,10 +8,11 @@ of its target, the same form syzygies and module elements take, so
 assembling a degree piece touches only the nonzero entries.
 The ring supplies the graded pieces and everything that differs between
 monomial quotients (graded by total degree) and semigroup rings (graded
-by valuation): basis, multiplication, degrees, the top degree, the
-kernel degree window with its certified flag, and the modulus of the
-early kernel stop.  The ring classes in `rings` document how each
-window is certified.
+by valuation): basis, multiplication, degrees, the kernel degree window
+with its certified flag, and the modulus of the early kernel stop.  An
+ideal I supplies the top degree of R/I (`quotient_top_degree`), which
+bounds each Tor window, and the basis of R/I (`outside`).  The ring
+classes in `rings` document how each window is certified.
 There is one algebra, R.  Over R/I, for a monomial ideal I, the
 degree-d piece of a map keeps the rows and columns (j, b) of R's with
 b outside I, in R's order.  A product label*b that lies in I has no row
@@ -196,11 +197,7 @@ class HomogeneousMap:
         p = algebra.p
         out = {}
         for (j, b), coeff in elt.items():
-            for (i, label), c in self.elts[j].items():
-                prod = algebra.mult(label, b)
-                if prod is None:
-                    continue
-                key = (i, prod)
+            for key, c in scale_module_elt(algebra, self.elts[j], b).items():
                 out[key] = (out.get(key, 0) + c * coeff) % p
         return {k: v for k, v in out.items() if v}
 
@@ -384,8 +381,6 @@ class _CoefficientPieces:
         ascending order of j."""
         src = self.f.source.basis(self.f.algebra, d)
         pos = {j: c for c, (j, _) in enumerate(src)}
-        if not src:
-            return src, pos, {}
         cols = tuple(pos)
         if cols != self._last[0]:
             seed, rest = [], []
@@ -449,10 +444,9 @@ def _full_walk(f, bound):
     prior = None  # (source basis, echelon rows of N_{d-1}) when N_{d-1} != 0
     for d in range(min(f.source.shifts), bound + 1):
         below, prior = prior, None
-        src = f.source.basis(algebra, d)
+        rows, src, _ = f.matrix(d)
         if not src:
             continue
-        rows, _, _ = f.matrix(d)
         null = linalg.nullspace([r for r in rows if r], len(src), p)
         if not null:
             continue
@@ -575,12 +569,10 @@ def cyclic_presentation(algebra, ideal):
 
 
 def module_from_ideal(algebra, ideal):
-    """Presentation of I itself: gens of I, relations = first syzygies."""
-    if ideal.ring != algebra.ring:
-        raise ValueError("ambient mismatch")
-    if ideal.is_zero():
-        zero = GradedFreeModule(())
-        return GradedPresentation(HomogeneousMap(algebra, zero, zero, ())), True
+    """Presentation of I itself: gens of I, relations = first syzygies.
+
+    The zero ideal has no generators and gives the certified zero module.
+    """
     pres = cyclic_presentation(algebra, ideal)
     syz, certified = kernel_minimal_gens(pres.map)
     return GradedPresentation(syz), certified
@@ -610,28 +602,29 @@ class Resolution:
 
     def module(self, t):
         """F_t, with F_0 = generators of the cokernel."""
+        _check_stage(t)
         if t == 0:
             return self.presentation.generators
         return self.maps[t - 1].source
 
     def rank(self, t):
         """Rank of F_t; 0 past the end of a complete resolution."""
-        if t == 0:
-            return self.presentation.generators.rank
-        if t - 1 < len(self.maps):
-            return self.maps[t - 1].source.rank
+        if t <= len(self.maps):
+            return self.module(t).rank
         if self.complete:
             return 0
         raise ValueError("resolution too shallow for stage %d" % t)
 
     def betti(self):
-        return tuple(
-            [self.presentation.generators.rank]
-            + [m.source.rank for m in self.maps]
-        )
+        return tuple(self.module(t).rank for t in range(len(self.maps) + 1))
 
     def certified_through(self, t):
         return all(self.stage_certified[:t])
+
+
+def _check_stage(t):
+    if t < 0:
+        raise ValueError("negative homological degree %d" % t)
 
 
 def resolve(presentation, t_max):
@@ -640,26 +633,20 @@ def resolve(presentation, t_max):
         raise ValueError("presentation is not minimal")
     maps = [presentation.map]
     certified = [True]  # the given presentation is stage 1 as-is
-    complete = False
-    while len(maps) < t_max:
-        prev = maps[-1]
-        if prev.source.rank == 0:
-            complete = True
-            break
-        nxt, cert = kernel_minimal_gens(prev)
+    while len(maps) < t_max and maps[-1].source.rank:
+        nxt, cert = kernel_minimal_gens(maps[-1])
         if not nxt.is_minimal:
             # a minimal presentation has all syzygies inside m*F, so a
             # unit entry here convicts the input of a redundant relation
             raise ValueError("presentation is not minimal")
         maps.append(nxt)
         certified.append(cert)
-    if maps and maps[-1].source.rank == 0:
-        complete = True
-    return Resolution(presentation, maps, certified, complete)
+    return Resolution(presentation, maps, certified, maps[-1].source.rank == 0)
 
 
 def syzygy(presentation, t):
     """Presentation of the image of the t-th differential."""
+    _check_stage(t)
     if t == 0:
         return presentation
     res = resolve(presentation, t + 1)
@@ -721,6 +708,7 @@ def tor_dims(presentation, ideal, t0, t1):
     """
     if ideal.ring != presentation.algebra.ring:
         raise ValueError("ambient mismatch")
+    _check_stage(t0)
     if ideal != ideal.ring.maximal_ideal():
         res = resolve(presentation, t1 + 1)
         ranks = {}  # (map index, degree) -> rank over R/I
@@ -737,21 +725,15 @@ def _tor_from(res, ideal, t, ranks):
     """Tor_t(M, R/I) off res.  ranks caches the ranks of the maps over
     R/I by (map index, degree); it is None over k = R/m, where every map
     of a minimal resolution becomes zero."""
-    if t > len(res.maps) and res.complete:
-        cert = res.certified_through(len(res.maps))
-        return TorResult(t, {}, 0, cert, (0, -1))
-    if t > len(res.maps):
-        raise ValueError("resolution not computed to depth %d" % t)
-
+    if res.rank(t) == 0:
+        # zero F_t, or past the end; certified_through reads the stages there are
+        return TorResult(t, {}, 0, res.certified_through(t), (0, -1))
     ft = res.module(t)
-    if ft.rank == 0:
-        cert = res.certified_through(min(t, len(res.maps)))
-        return TorResult(t, {}, 0, cert, (0, -1))
     top = ideal.quotient_top_degree()
     lo = min(ft.shifts)
     if top is not None:
         hi = max(ft.shifts) + top
-        certified = res.certified_through(min(t + 1, len(res.maps)))
+        certified = res.certified_through(t + 1)
     else:
         hi = max(ft.shifts) + HEURISTIC_WINDOW
         certified = False
@@ -792,6 +774,7 @@ def annihilates(ideal, presentation, t):
     algebra = presentation.algebra
     if ideal.ring != algebra.ring:
         raise ValueError("ambient mismatch")
+    _check_stage(t)
     jgens = ideal.min_gens()
     if t == 0:
         pmap = presentation.map

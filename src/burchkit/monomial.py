@@ -144,16 +144,26 @@ class MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def _compositions(nvars: int, total: int):
-    """All exponent vectors of the given total degree, lexicographically."""
-    if nvars == 0:
-        return ((),) if total == 0 else ()
-    if nvars == 1:
-        return ((total,),)
+    """All exponent vectors of the given total degree, lexicographically
+    descending.  Built without recursion, so a ring in hundreds of
+    variables stays within the stack: each step moves a unit from the
+    last nonzero entry before the final one to the entry after it, which
+    also takes over the final entry."""
+    if nvars == 0 or total < 0:
+        return ((),) if nvars == total == 0 else ()
+    cur = [total] + [0] * (nvars - 1)
     out = []
-    for head in range(total, -1, -1):
-        for tail in _compositions(nvars - 1, total - head):
-            out.append((head,) + tail)
-    return tuple(out)
+    while True:
+        out.append(tuple(cur))
+        i = nvars - 2
+        while i >= 0 and not cur[i]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        cur[i] -= 1
+        last = cur[-1]
+        cur[-1] = 0
+        cur[i + 1] = last + 1
 
 
 # bits held by the masks of one staircase box, sum(L_i + 1) * prod(L_i + 1):

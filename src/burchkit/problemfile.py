@@ -27,7 +27,6 @@ from .homalg import (
     GradedFreeModule,
     GradedPresentation,
     HomogeneousMap,
-    free_presentation,
 )
 from .linalg import check_prime
 from .rings import QuotientRing, SemigroupRing
@@ -123,7 +122,7 @@ def parse_problem(text):
     attached here, once per statement.
     """
     prob = ParsedProblem()
-    labels = {}  # ring name -> label grammar
+    labels = {}  # ring name -> (ring, ideal parser, entry parser)
     field_line = None
     saw_decl = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,14 +144,10 @@ def parse_problem(text):
                 field_line = lineno
                 continue
             saw_decl = True
-            if head == "ring":
-                _parse_ring(prob, labels, stmt)
-            elif head == "ideal":
-                _parse_ideal(prob, labels, stmt)
-            elif head == "module":
-                _parse_module(prob, labels, stmt)
-            else:
+            parse = _STATEMENTS.get(head)
+            if parse is None:
                 raise ValueError("unrecognized statement: %r" % head)
+            parse(prob, labels, stmt)
         except ValueError as exc:
             raise ProblemFileError(lineno, str(exc)) from None
     return prob
@@ -164,72 +159,98 @@ def load_problem(path):
 
 
 def _parse_ring(prob, labels, stmt):
-    m = _RING_POLY_RE.match(stmt)
-    if m is not None:
-        name, varpart, modpart = m.group(1), m.group(2), m.group(3)
-        if name in prob.rings:
-            raise ValueError("duplicate ring name: %s" % name)
-        varnames = _split_items(varpart)
-        if not varnames:
-            raise ValueError("poly ring needs at least one variable")
-        for v in varnames:
-            if not re.fullmatch(_NAME, v):
-                raise ValueError("bad variable name: %r" % v)
-        if len(set(varnames)) != len(varnames):
-            raise ValueError("repeated variable name")
-        varindex = {v: k for k, v in enumerate(varnames)}
-        defining = []
-        if modpart is not None:
-            for item in _split_items(modpart):
-                expo = _parse_monomial(item, varindex)
-                if not any(expo):
-                    raise ValueError("defining monomial must not be a unit")
-                defining.append(expo)
-        ring = QuotientRing(len(varnames), defining)
-        prob.rings[name] = ring
-        labels[name] = _MonomialLabels(ring, varindex)
-        return
-    m = _RING_SG_RE.match(stmt)
-    if m is not None:
-        name, genpart = m.group(1), m.group(2)
-        if name in prob.rings:
-            raise ValueError("duplicate ring name: %s" % name)
-        gens = [_parse_int(s, "semigroup generator") for s in _split_items(genpart)]
-        if not gens:
-            raise ValueError("semigroup needs at least one generator")
-        if any(g < 1 for g in gens):
-            raise ValueError("semigroup generators must be positive")
-        ring = SemigroupRing(tuple(gens))
-        prob.rings[name] = ring
-        labels[name] = _ValuationLabels(ring)
-        return
-    raise ValueError("bad ring declaration")
+    m = _RING_POLY_RE.match(stmt) or _RING_SG_RE.match(stmt)
+    if m is None:
+        raise ValueError("bad ring declaration")
+    name = m.group(1)
+    if name in prob.rings:
+        raise ValueError("duplicate ring name: %s" % name)
+    build = _poly_ring if m.re is _RING_POLY_RE else _semigroup_ring
+    labels[name] = build(*m.groups()[1:])
+    prob.rings[name] = labels[name][0]
+
+
+def _poly_ring(varpart, modpart):
+    """(ring, ideal parser, entry parser) over k[vars]/(mod)."""
+    varnames = _split_items(varpart)
+    if not varnames:
+        raise ValueError("poly ring needs at least one variable")
+    for v in varnames:
+        if not re.fullmatch(_NAME, v):
+            raise ValueError("bad variable name: %r" % v)
+    if len(set(varnames)) != len(varnames):
+        raise ValueError("repeated variable name")
+    varindex = {v: k for k, v in enumerate(varnames)}
+    defining = []
+    if modpart is not None:
+        for item in _split_items(modpart):
+            expo = _parse_monomial(item, varindex)
+            if not any(expo):
+                raise ValueError("defining monomial must not be a unit")
+            defining.append(expo)
+    ring = QuotientRing(len(varnames), defining)
+
+    def ideal(items, name):
+        return ring.ideal([_parse_monomial(s, varindex) for s in items], name=name)
+
+    def entry(text):
+        expo = _parse_monomial(text, varindex)
+        if not any(expo):
+            raise ValueError("entry must have positive degree")
+        if ring.defining.member(expo):
+            raise ValueError("entry is zero in the ring")
+        return expo
+
+    return ring, ideal, entry
+
+
+def _semigroup_ring(genpart):
+    """(ring, ideal parser, entry parser) over k[[S]]: labels are valuations."""
+    gens = [_parse_int(s, "semigroup generator") for s in _split_items(genpart)]
+    if not gens:
+        raise ValueError("semigroup needs at least one generator")
+    if any(g < 1 for g in gens):
+        raise ValueError("semigroup generators must be positive")
+    ring = SemigroupRing(tuple(gens))
+
+    def ideal(items, name):
+        vals = [_parse_int(s, "valuation") for s in items]
+        if any(v < 0 for v in vals):
+            raise ValueError("valuations must be nonnegative")
+        return ring.ideal(vals, name=name)
+
+    def entry(text):
+        v = _parse_int(text, "entry valuation")
+        if v <= 0:
+            raise ValueError("entry must have positive degree")
+        if v not in ring.S:
+            raise ValueError("valuation %d is not in the semigroup" % v)
+        return v
+
+    return ring, ideal, entry
+
+
+def _declaration(regex, kind, declared, labels, stmt):
+    """(match, parsers of its ring) for an ideal or module statement."""
+    m = regex.match(stmt)
+    if m is None:
+        raise ValueError("bad %s declaration" % kind)
+    if m.group(1) in declared:
+        raise ValueError("duplicate %s name: %s" % (kind, m.group(1)))
+    parsers = labels.get(m.group(2))
+    if parsers is None:
+        raise ValueError("unknown ring: %s" % m.group(2))
+    return m, parsers
 
 
 def _parse_ideal(prob, labels, stmt):
-    m = _IDEAL_RE.match(stmt)
-    if m is None:
-        raise ValueError("bad ideal declaration")
-    name, ring_name, body = m.group(1), m.group(2), m.group(3)
-    if name in prob.ideals:
-        raise ValueError("duplicate ideal name: %s" % name)
-    grammar = labels.get(ring_name)
-    if grammar is None:
-        raise ValueError("unknown ring: %s" % ring_name)
-    prob.ideals[name] = grammar.ideal(_split_items(body), name)
+    m, (_, ideal, _) = _declaration(_IDEAL_RE, "ideal", prob.ideals, labels, stmt)
+    prob.ideals[m.group(1)] = ideal(_split_items(m.group(3)), m.group(1))
 
 
 def _parse_module(prob, labels, stmt):
-    m = _MODULE_RE.match(stmt)
-    if m is None:
-        raise ValueError("bad module declaration")
-    name, ring_name = m.group(1), m.group(2)
+    m, (ring, _, entry) = _declaration(_MODULE_RE, "module", prob.modules, labels, stmt)
     rows, cols_n = int(m.group(3)), int(m.group(4))
-    if name in prob.modules:
-        raise ValueError("duplicate module name: %s" % name)
-    grammar = labels.get(ring_name)
-    if grammar is None:
-        raise ValueError("unknown ring: %s" % ring_name)
     if rows < 1:
         raise ValueError("rows must be at least 1")
     shifts = [_parse_int(s, "shift") for s in _split_items(m.group(6))]
@@ -238,7 +259,7 @@ def _parse_module(prob, labels, stmt):
     if any(s < 0 for s in shifts):
         raise ValueError("shifts must be nonnegative")
 
-    algebra = GradedAlgebra(grammar.ring, prob.prime)
+    algebra = GradedAlgebra(ring, prob.prime)
     entries = {}
     for item in _split_items(m.group(5)):
         em = _ENTRY_RE.match(item)
@@ -249,72 +270,26 @@ def _parse_module(prob, labels, stmt):
             raise ValueError("entry (%d, %d) out of range" % (i, j))
         if (i, j) in entries:
             raise ValueError("duplicate entry (%d, %d)" % (i, j))
-        entries[(i, j)] = grammar.entry(em.group(3))
+        entries[(i, j)] = entry(em.group(3))
 
-    if cols_n == 0:
-        pres = free_presentation(algebra, tuple(shifts))
-    else:
-        sshifts = []
-        for j in range(1, cols_n + 1):
-            degs = {
-                shifts[i - 1] + algebra.deg(lab)
-                for (i, jj), lab in entries.items()
-                if jj == j
-            }
-            if not degs:
-                raise ValueError("column %d has no entries" % j)
-            if len(degs) != 1:
-                raise ValueError("column %d is not homogeneous" % j)
-            sshifts.append(degs.pop())
-        elts = [{} for _ in range(cols_n)]
-        for (i, j), lab in sorted(entries.items()):
-            elts[j - 1][(i - 1, lab)] = 1
-        pmap = HomogeneousMap(
-            algebra,
-            GradedFreeModule(tuple(sshifts)),
-            GradedFreeModule(tuple(shifts)),
-            elts,
-        )
-        pres = GradedPresentation(pmap)
-    prob.modules[name] = pres
+    # each column's entries, in row order, and the one degree they give it
+    elts = [{} for _ in range(cols_n)]
+    degs = [set() for _ in range(cols_n)]
+    for (i, j), lab in sorted(entries.items()):
+        elts[j - 1][(i - 1, lab)] = 1
+        degs[j - 1].add(shifts[i - 1] + algebra.deg(lab))
+    for j, d in enumerate(degs, start=1):
+        if not d:
+            raise ValueError("column %d has no entries" % j)
+        if len(d) != 1:
+            raise ValueError("column %d is not homogeneous" % j)
+    pmap = HomogeneousMap(
+        algebra,
+        GradedFreeModule(tuple(d.pop() for d in degs)),
+        GradedFreeModule(tuple(shifts)),
+        elts,
+    )
+    prob.modules[m.group(1)] = GradedPresentation(pmap)
 
 
-@dataclass
-class _ValuationLabels:
-    """Labels over a semigroup ring: integer valuations."""
-
-    ring: SemigroupRing
-
-    def ideal(self, items, name):
-        vals = [_parse_int(s, "valuation") for s in items]
-        if any(v < 0 for v in vals):
-            raise ValueError("valuations must be nonnegative")
-        return self.ring.ideal(vals, name=name)
-
-    def entry(self, text):
-        v = _parse_int(text, "entry valuation")
-        if v <= 0:
-            raise ValueError("entry must have positive degree")
-        if v not in self.ring.S:
-            raise ValueError("valuation %d is not in the semigroup" % v)
-        return v
-
-
-@dataclass
-class _MonomialLabels:
-    """Labels over a monomial quotient: monomials in the declared variables."""
-
-    ring: QuotientRing
-    varindex: dict
-
-    def ideal(self, items, name):
-        gens = [_parse_monomial(s, self.varindex) for s in items]
-        return self.ring.ideal(gens, name=name)
-
-    def entry(self, text):
-        expo = _parse_monomial(text, self.varindex)
-        if not any(expo):
-            raise ValueError("entry must have positive degree")
-        if self.ring.defining.member(expo):
-            raise ValueError("entry is zero in the ring")
-        return expo
+_STATEMENTS = {"ring": _parse_ring, "ideal": _parse_ideal, "module": _parse_module}

@@ -181,8 +181,6 @@ class QIdeal:
 
     def __init__(self, ring, gens, name=None):
         self.ring = ring
-        if isinstance(gens, MonomialIdeal):
-            gens = gens.gens
         self.rep = MonomialIdeal(ring.nvars, tuple(gens) + ring.defining.gens)
         self.name = name
         self._outside = None

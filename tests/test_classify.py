@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -221,6 +222,23 @@ def test_classification_report_shape():
     rep2 = classification_report(poly.ideal([(2, 0)]))
     assert rep2.loewy_R_mod_I == INFINITY
     assert not rep2.is_m_primary
+
+
+def test_report_power_range_reads_the_colon_table():
+    # ranges that run past ll(R/I), where (I : m^s) is the unit ideal
+    sg = SemigroupRing((4, 5, 6))
+    poly = QuotientRing(2)
+    for i, powers in (
+        (sg.ideal([17, 19, 20]), (3, 9)),
+        (poly.ideal([(5, 0), (3, 1), (1, 3), (0, 5)]), (2, 9)),
+    ):
+        assert powers[1] > i.loewy_length()
+        rep = classification_report(i, powers=powers)
+        t = ColonTable(i)
+        want = {s: t.wmf_mpow(s) for s in range(powers[0], powers[1] + 1)}
+        assert rep.wmf_wrt_mpow == want
+        # the rest of the report does not depend on the range
+        assert rep == replace(classification_report(i), wmf_wrt_mpow=want)
 
 
 def _seeded_ideals(seed):

@@ -137,6 +137,21 @@ def test_classify_answers_within_the_staircase_limit(tmp_path, capsys):
     assert payload["is_burch"] is True and payload["loewy_R_mod_I"] == 300
 
 
+def test_tor_over_a_ring_in_600_variables(tmp_path, capsys):
+    # the degree-1 piece of a ring in 600 variables, built for m, must not
+    # take one stack frame per variable; R is free, so Tor_1 = Tor_2 = 0
+    path = tmp_path / "wide.prob"
+    names = ", ".join("x%d" % k for k in range(600))
+    path.write_text(
+        "ring r = poly(%s)\nideal i in r = [x0]\n"
+        "module f in r = coker rows=1 cols=0 entries=[] shifts=[0]\n" % names,
+        encoding="utf-8",
+    )
+    rc, payload, _ = run(capsys, ["tor", str(path), "f", "i"])
+    assert rc == 0
+    assert [(r["t"], r["total_dim"]) for r in payload["tor"]] == [(1, 0), (2, 0)]
+
+
 def test_tor_detects_nonfree_quotient(files, capsys):
     rc, payload, _ = run(capsys, ["tor", files["e41"], "RmodI", "l"])
     assert rc == 0

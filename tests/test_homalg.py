@@ -266,6 +266,25 @@ def test_annihilates_semantics():
     assert annihilates(ring.mpow(2), pres, 2)
 
 
+def test_negative_homological_degrees_are_rejected():
+    # k over k[[t^4, t^5, t^6]]: no stage -1 or -2 exists to read
+    ring = SemigroupRing((4, 5, 6))
+    m = ring.maximal_ideal()
+    pres = cyclic_presentation(GradedAlgebra(ring), m)
+    res = resolve(pres, 3)
+    calls = (
+        lambda: res.rank(-1),
+        lambda: res.module(-1),
+        lambda: homalg.tor_dims(pres, m, -1, 1),
+        lambda: syzygy(pres, -1),
+        lambda: tor_dim(pres, ring.ideal([8, 9]), -2),
+        lambda: annihilates(m, pres, -1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="negative homological degree"):
+            call()
+
+
 def test_tor_known_values():
     ring = _cube_ring()
     alg = GradedAlgebra(ring)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from burchkit.homalg import DEFAULT_PRIME
+from burchkit.homalg import DEFAULT_PRIME, GradedAlgebra, free_presentation
 from burchkit.problemfile import ProblemFileError, load_problem, parse_problem
 from burchkit.rings import QuotientRing, SemigroupRing
 
@@ -45,6 +45,10 @@ def test_good_file_resolves_every_declaration():
     assert pres.map.target.shifts == (1, 1)
     free = prob.get_module("f")
     assert free.map.source.shifts == ()
+    # cols=0 gives the zero relation map that free_presentation builds
+    want = free_presentation(GradedAlgebra(prob.rings["s"], 7), (0,)).map
+    assert (free.map.source, free.map.target, free.map.elts) == (want.source, want.target, want.elts)
+    assert free.algebra.p == want.algebra.p
     # each module is over its declared ring, with the file's field
     assert pres.algebra.ring is prob.rings["r"] and pres.algebra.p == 7
     assert free.algebra.ring is prob.rings["s"] and free.algebra.p == 7
