@@ -50,6 +50,7 @@ from .homalg import (
     tor_dims,
 )
 from .hw import hw_has_torsion, hw_report
+from .linalg import nullspace
 from .monomial import MonomialIdeal, integral_closure
 from .rings import QuotientRing, SemigroupRing
 
@@ -141,12 +142,30 @@ def gen_module(ring, stream: random.Random) -> GradedPresentation:
         pmap = HomogeneousMap(
             algebra, GradedFreeModule(tuple(sshifts)), GradedFreeModule(tshifts), elts
         )
-        syz, _ = kernel_minimal_gens(pmap)
-        if syz.is_minimal:
+        if _relations_minimal(pmap):
             return GradedPresentation(pmap)
         sshifts.pop()
         elts.pop()
     return free_presentation(algebra, tshifts)
+
+
+def _relations_minimal(pmap):
+    """Whether the columns of pmap minimally generate its image, as
+    kernel_minimal_gens(pmap)[0].is_minimal says, with no kernel walk.
+
+    They do not exactly when some syzygy has a unit entry, at a column
+    (j, 1) in degree s_j.  Decomposable syzygies have no unit entries,
+    so that happens iff some null vector of pmap.matrix(s_j) is nonzero
+    at a column (j, 1).
+    """
+    shifts = pmap.source.shifts
+    for d in set(shifts):
+        rows, src, _ = pmap.matrix(d)
+        units = {c for c, (j, _) in enumerate(src) if shifts[j] == d}
+        for v in nullspace([r for r in rows if r], len(src), pmap.algebra.p):
+            if not units.isdisjoint(v):
+                return False
+    return True
 
 
 def _pure_power_instance(stream, n):

@@ -65,7 +65,7 @@ class QuotientRing:
         self._powers = {}
         self._std = None  # standard monomials of an Artinian R; False if not
         # read by mpow, mult and every kernel window, so computed once
-        self._top = self.zero_ideal().quotient_top_degree()
+        self._top = _qideal(self, defining).quotient_top_degree()
 
     def basis(self, d):
         """The standard monomials of degree d: those outside A."""
@@ -89,7 +89,7 @@ class QuotientRing:
         return QIdeal(self, gens, name=name)
 
     def zero_ideal(self):
-        return QIdeal(self, ())
+        return _qideal(self, self.defining)
 
     def unit_ideal(self):
         return QIdeal(self, ((0,) * self.nvars,))
@@ -181,7 +181,8 @@ class QIdeal:
 
     def __init__(self, ring, gens, name=None):
         self.ring = ring
-        self.rep = MonomialIdeal(ring.nvars, tuple(gens) + ring.defining.gens)
+        # only the caller's generators need checking; A's are valid
+        self.rep = MonomialIdeal(ring.nvars, gens) + ring.defining
         self.name = name
         self._outside = None
 

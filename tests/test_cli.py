@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 import burchkit.cli as cli
+from burchkit.classify import classification_report
 from burchkit.cli import build_parser, main
-from burchkit.fuzz import SuiteReport
-from burchkit.homalg import tor_dim
+from burchkit.fuzz import FuzzConfig, SuiteReport, run_suite
+from burchkit.homalg import kernel_memo, tor_dim, tor_dims
+from burchkit.hw import hw_report
 from burchkit.problemfile import load_problem
 
 E45 = """\
@@ -477,3 +481,102 @@ def test_readme_demo_is_the_pinned_demo():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```text\n# demo.prob\n", 1)[1].split("```", 1)[0]
     assert block == DEMO
+
+
+def _random_payload(rng, depth=0):
+    kind = rng.randrange(12 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice((True, False, None))
+    if kind == 1:
+        return rng.randint(-(10**20), 10**20)
+    if kind == 2:
+        return rng.choice((0.5, -2.25, 1e300, float("inf"), float("-inf"), -0.0))
+    if kind in (3, 4):
+        return "".join(rng.choice('ab"\\\n\té∞⊗\U0001d504') for _ in range(rng.randint(0, 6)))
+    if kind == 5:
+        # one element type per set, so that the converted elements sort
+        draw = rng.choice((lambda: rng.randint(0, 9), lambda: (rng.randint(0, 3), 1), lambda: rng.choice("xyé")))
+        return frozenset(draw() for _ in range(rng.randint(0, 4)))
+    if kind in (6, 7):
+        items = [_random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return items if kind == 6 else tuple(items)
+    keys = (
+        lambda: rng.choice(("k", "é", "10", "2", "")),
+        lambda: rng.randint(-3, 12),
+        lambda: (rng.randint(0, 2), rng.randint(0, 2)),
+    )
+    return {rng.choice(keys)(): _random_payload(rng, depth + 1) for _ in range(rng.randint(0, 5))}
+
+
+def _report_payloads(files):
+    e45 = load_problem(files["e45"])
+    e41 = load_problem(files["e41"])
+    i, m4 = e45.get_ideal("i"), e45.get_ideal("m4")
+    yield classification_report(i, named=(m4,))
+    yield classification_report(e41.get_ideal("i"), powers=(0, 3))
+    yield hw_report(e45.get_ideal("imj"), e45.get_ideal("j45"))
+    yield hw_report(i)
+    yield run_suite("thm25", FuzzConfig(seed=3, trials=20))
+    yield tor_dims(e41.get_module("RmodI"), e41.get_ideal("l"), 0, 2)
+
+
+def test_writer_matches_json_dumps(files):
+    rng = random.Random(2411)
+    payloads = [_random_payload(rng) for _ in range(400)]
+    payloads += list(_report_payloads(files))
+    payloads.append({"report": payloads[-2], ("a", 1): payloads[-3], 7: []})
+    for obj in payloads:
+        want = json.dumps(cli._jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+        assert cli._dump(obj) == want
+    for obj in (float("nan"), {"x": [1, float("nan")]}, {float("nan")}):
+        with pytest.raises(ValueError):
+            cli._dump(obj)
+    with pytest.raises(TypeError):
+        cli._dump({"x": object()})
+
+
+def _nested_main(argv):
+    """main() as it was before it parsed with the subcommand's own parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        with kernel_memo():
+            return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+
+
+def _outcome(capsys, fn, argv):
+    try:
+        code = fn(argv)
+    except SystemExit as stop:
+        code = ("exit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_direct_subcommand_parse_matches_the_nested_parse(tmp_path, capsys):
+    demo = tmp_path / "demo.prob"
+    demo.write_text(DEMO, encoding="utf-8")
+    demo = str(demo)
+    cases = [
+        ["classify", demo, "i"],
+        ["classify", demo],
+        ["classify", demo, "i", "extra", "more"],
+        ["classify", demo, "i", "--bogus"],
+        ["classify", demo, "i", "--wrt-m", "0..2"],
+        ["classify", demo, "i", "--wrt", "m4", "--wrt-mpow-range", "0..2"],
+        ["classify", "--", demo, "i"],
+        ["classify", "-h"],
+        ["-h"],
+        [],
+        ["nosuch", demo],
+        ["tor", demo, "M", "l", "--range=1..3"],
+        ["hw", demo, "i", "--wrt", "m4"],
+        ["paper", "--example", "e4.2", "-x"],
+        ["fuzz", "--suite", "thm25", "--trials", "x"],
+        ["fuzz", "--suite", "thm25", "--trials", "5", "--seed", "-4"],
+    ]
+    for argv in cases:
+        got = _outcome(capsys, main, list(argv))
+        assert got == _outcome(capsys, _nested_main, list(argv)), argv

@@ -726,6 +726,40 @@ def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
     assert deficient >= 10 and injective >= 10
 
 
+def test_relations_minimal_matches_the_kernel_walk():
+    # gen_module's minimality test reads null vectors at the unit columns
+    # instead of walking the kernel; a column r * g appended to a drawn
+    # map, r of positive degree and g a column, is always redundant
+    rng = random.Random(4113)
+    rings = [SemigroupRing(g) for g in fuzz._SG_POOL] + [
+        _cube_ring(),
+        QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+        QuotientRing(2, [(4, 0), (1, 2), (0, 3)]),
+        QuotientRing(2, [(2, 2)]),
+        QuotientRing(2),
+    ]
+    seen = {True: 0, False: 0}
+    for k in range(120):
+        alg = GradedAlgebra(rings[k % len(rings)], rng.choice((2, 101)))
+        f = _draw_map(alg, rng)
+        got = fuzz._relations_minimal(f)
+        assert got == kernel_minimal_gens(f)[0].is_minimal
+        seen[got] += 1
+        j = rng.randrange(f.source.rank)
+        e = min(d for d in range(1, 9) if alg.basis(d))
+        r = rng.choice(alg.basis(e))
+        col = {(i, prod): c for (i, b), c in f.elts[j].items() if (prod := alg.mult(b, r)) is not None}
+        g = HomogeneousMap(
+            alg,
+            GradedFreeModule(f.source.shifts + (f.source.shifts[j] + e,)),
+            f.target,
+            f.elts + (col,),
+        )
+        assert fuzz._relations_minimal(g) is False
+        assert kernel_minimal_gens(g)[0].is_minimal is False
+    assert seen[True] >= 40 and seen[False] >= 40
+
+
 def test_kernel_walk_matches_full_product_walk_on_two_entry_columns():
     # gen_module's columns with an entry in each of two rows, and the
     # resolutions of their cokernels, over monomial quotients
