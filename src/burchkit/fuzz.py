@@ -153,10 +153,10 @@ def _relations_minimal(pmap):
     """Whether the columns of pmap minimally generate its image, as
     kernel_minimal_gens(pmap)[0].is_minimal says, with no kernel walk.
 
-    They do not exactly when some syzygy has a unit entry, at a column
-    (j, 1) in degree s_j.  Decomposable syzygies have no unit entries,
-    so that happens iff some null vector of pmap.matrix(s_j) is nonzero
-    at a column (j, 1).
+    Some column is redundant exactly when some syzygy has a unit entry,
+    at a column (j, 1) in degree s_j.  Decomposable syzygies have no
+    unit entries, so that happens iff some null vector of
+    pmap.matrix(s_j) is nonzero at a column (j, 1).
     """
     shifts = pmap.source.shifts
     for d in set(shifts):

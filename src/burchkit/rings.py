@@ -65,7 +65,7 @@ class QuotientRing:
         self._powers = {}
         self._std = None  # standard monomials of an Artinian R; False if not
         # read by mpow, mult and every kernel window, so computed once
-        self._top = _qideal(self, defining).quotient_top_degree()
+        self._top = self.zero_ideal().quotient_top_degree()
 
     def basis(self, d):
         """The standard monomials of degree d: those outside A."""
