@@ -81,19 +81,27 @@ class ColonTable:
         _require_proper(self.i)
         return self.colon(1) == self.i
 
+    def cor214_power(self, ll):
+        """The least s < ll = ll(R/I) with I <= m^{s+1} and I weakly
+        m-full w.r.t. m^s, which puts an m-primary I in class i of
+        Corollary 2.14; None when there is none."""
+        i, ring = self.i, self.ring
+        for s in range(ll):
+            # the powers of m decrease: once I leaves one, it leaves all
+            if not i.subset_of(ring.mpow(s + 1)):
+                return None
+            if self.wmf_mpow(s):
+                return s
+        return None
+
     def cor214(self):
         i, ring = self.i, self.ring
         if not i.is_m_primary():
             raise ValueError("requires an m-primary ideal")
         ll = i.loewy_length()
         classes = set()
-
-        for s in range(ll):
-            if not i.subset_of(ring.mpow(s + 1)):
-                break
-            if self.wmf_mpow(s):
-                classes.add("i")
-                break
+        if self.cor214_power(ll) is not None:
+            classes.add("i")
         if self.weakly_mfull():
             classes.add("ii")
         k = self.colon(1)
@@ -230,9 +238,11 @@ class ClassificationReport:
     open_pd_question: bool
 
 
-def classification_report(i, named=(), powers=None):
+def classification_report(i, named=None, powers=None):
     """Aggregate every predicate for one ideal.
 
+    wmf_wrt_named holds weak m-fullness w.r.t. each ideal J of named, a
+    map from labels to ideals, under its label.
     wmf_wrt_mpow covers lo <= s <= hi for powers = (lo, hi), which is
     how `burchkit classify --wrt-mpow-range` asks for its range; by
     default 0 <= s <= ll(R/I) (capped at 8 past a non-m-primary ideal's
@@ -254,10 +264,7 @@ def classification_report(i, named=(), powers=None):
     lo, hi = powers or (0, int(ll) if ll != INFINITY else 8)
     wmf_pows = {s: t.wmf_mpow(s) for s in range(lo, hi + 1)}
 
-    wmf_named = {}
-    for idx, j in enumerate(named):
-        label = j.name if j.name is not None else "J%d" % idx
-        wmf_named[label] = t.wmf_wrt(j)
+    wmf_named = {label: t.wmf_wrt(j) for label, j in (named or {}).items()}
 
     return ClassificationReport(
         is_m_primary=primary,

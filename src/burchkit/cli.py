@@ -136,7 +136,7 @@ def _cmd_classify(args):
     powers = None
     if args.wrt_mpow_range:
         powers = _parse_span(args.wrt_mpow_range, "power range")
-    named = () if wrt is None else (wrt,)
+    named = {} if wrt is None else {args.wrt: wrt}
     report = classification_report(ideal, named=named, powers=powers)
     _emit({**_fields(report), "ideal": args.ideal})
     return 0

@@ -43,7 +43,6 @@ from .homalg import (
     free_presentation,
     is_free,
     kernel_memo,
-    kernel_minimal_gens,
     module_from_ideal,
     resolve,
     tor_dim,
@@ -660,13 +659,10 @@ def _chk_cor215(inst):
         i = ring.ideal(inst["ideal"])
         if i.is_zero() or i.is_unit() or not i.is_m_primary():
             return None
-        t = ColonTable(i)
-        for s in range(int(i.loewy_length())):
-            if i.subset_of(ring.mpow(s + 1)) and t.wmf_mpow(s):
-                killer = ring.mpow(s)
-                break
-        else:
+        s = ColonTable(i).cor214_power(int(i.loewy_length()))
+        if s is None:
             return None
+        killer = ring.mpow(s)
     return _tor_killed_verdict(inst, ring, i, killer)
 
 

@@ -339,18 +339,6 @@ def kernel_minimal_gens(f):
     return got
 
 
-def _apery_degrees(algebra, m):
-    """The m - 1 nonzero degrees e of R with R_{e-m} = 0: the nonzero
-    elements of the Apery set Ap(S, m)."""
-    out = []
-    e = 0
-    while len(out) < m - 1:
-        e += 1
-        if algebra.basis(e) and (e < m or not algebra.basis(e - m)):
-            out.append(e)
-    return out
-
-
 class _CoefficientPieces:
     """The degree pieces of a map f over k[S], read off R = RREF(C).
 
@@ -484,7 +472,7 @@ def _semigroup_walk(f, bound, stop):
     supports = {}  # degree -> the columns j of each generator there, as bits 1 << j
     # residue classes mod m still below dim N_d = rank N
     open_classes = set(range(m)) if rank else set()
-    apery = _apery_degrees(algebra, m)
+    apery = algebra.ring.apery()
     pieces = _CoefficientPieces(f, red)
     # degree -> (position of each column j of J_d, echelon rows of N_d,
     # free columns j of f_d), for the last m degrees
@@ -652,11 +640,8 @@ def syzygy(presentation, t):
     res = resolve(presentation, t + 1)
     if t <= len(res.maps) - 1:
         return GradedPresentation(res.maps[t])
-    if res.complete:
-        # resolution ended: the syzygy is free (possibly zero)
-        shifts = res.maps[-1].source.shifts if t == len(res.maps) else ()
-        return free_presentation(presentation.algebra, shifts)
-    raise ValueError("resolution not computed to depth %d" % t)
+    # the resolution ended at a map from the zero module: the syzygy is zero
+    return free_presentation(presentation.algebra, ())
 
 
 def is_free(presentation):
@@ -792,9 +777,7 @@ def annihilates(ideal, presentation, t):
         return True
     res = resolve(presentation, t)
     if t > len(res.maps):
-        if res.complete:
-            return True  # zero syzygy
-        raise ValueError("resolution not computed to depth %d" % t)
+        return True  # the resolution ended: zero syzygy
     for col in res.maps[t - 1].elts:
         for g in jgens:
             if scale_module_elt(algebra, col, g):

@@ -82,7 +82,7 @@ def hw_has_torsion(i: SgIdeal) -> TorsionVerdict:
     s = i.ring.S
     if 1 in s:
         raise ValueError("ambient semigroup ring is regular")
-    dim = _tor1_dim(s, i.relset.gens, dual_ideal(i.relset).gens)
+    dim = _tor1_dim(s, i.rep.gens, dual_ideal(i.rep).gens)
     return TorsionVerdict(dim > 0, dim, True)
 
 

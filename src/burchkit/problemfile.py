@@ -190,8 +190,8 @@ def _poly_ring(varpart, modpart):
             defining.append(expo)
     ring = QuotientRing(len(varnames), defining)
 
-    def ideal(items, name):
-        return ring.ideal([_parse_monomial(s, varindex) for s in items], name=name)
+    def ideal(items):
+        return ring.ideal([_parse_monomial(s, varindex) for s in items])
 
     def entry(text):
         expo = _parse_monomial(text, varindex)
@@ -213,11 +213,11 @@ def _semigroup_ring(genpart):
         raise ValueError("semigroup generators must be positive")
     ring = SemigroupRing(tuple(gens))
 
-    def ideal(items, name):
+    def ideal(items):
         vals = [_parse_int(s, "valuation") for s in items]
         if any(v < 0 for v in vals):
             raise ValueError("valuations must be nonnegative")
-        return ring.ideal(vals, name=name)
+        return ring.ideal(vals)
 
     def entry(text):
         v = _parse_int(text, "entry valuation")
@@ -245,7 +245,7 @@ def _declaration(regex, kind, declared, labels, stmt):
 
 def _parse_ideal(prob, labels, stmt):
     m, (_, ideal, _) = _declaration(_IDEAL_RE, "ideal", prob.ideals, labels, stmt)
-    prob.ideals[m.group(1)] = ideal(_split_items(m.group(3)), m.group(1))
+    prob.ideals[m.group(1)] = ideal(_split_items(m.group(3)))
 
 
 def _parse_module(prob, labels, stmt):

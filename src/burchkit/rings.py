@@ -6,14 +6,22 @@ integer labels.  Each answers the graded-algebra calls of `homalg`:
 basis(d), mult(a, b) (None when the product is zero), deg(label),
 kernel_window(slack), the width past a free module's highest shift that
 holds its kernel generators, with a certified flag, and stop_modulus(),
-the m of `homalg.kernel_stop` (None when there is none).  Both answer
+the m of `homalg.kernel_stop` (None when there is none).  SemigroupRing
+also answers apery(), the nonzero elements of Ap(S, m) in ascending
+order, whose products seed `homalg`'s kernel walk.  Both answer
 depth_positive(); QuotientRing also answers socle(), the standard
 monomials that every variable kills, from which its depth_positive()
-follows.  Their ideals, QIdeal and SgIdeal, answer the predicate layer:
-colon, product, sum, comparison, subset, m-primariness, Loewy length,
-and quotient_top_degree() of R/I; and outside(e), the labels of
-basis(e) outside the ideal, in order, which `homalg` reads the degree
-pieces of R/I from.
+follows.
+
+An ideal of either family is its ring and a representative set, rep:
+for a QIdeal a MonomialIdeal that contains A, for an SgIdeal its
+integral value set, a RelativeIdealSet over S.  Their common base holds what does not depend on the family:
+is_proper, subset_of, intersect, equality, hashing and repr, all read
+off rep, and outside(e), the labels of basis(e) outside the ideal, in
+order, kept per degree, which `homalg` reads the degree pieces of R/I
+from.  Each family says the rest: membership, zero and unit tests, sum,
+product, colon, minimal generators, m-primariness, Loewy length,
+quotient_top_degree() of R/I and integral closedness.
 Everything is immutable and value-compared.
 
 Colon here is always the ring-level colon (I : J) = {x in R : xJ <= I}.
@@ -35,7 +43,6 @@ from .monomial import (
 from .semigroup import (
     NumericalSemigroup,
     RelativeIdealSet,
-    as_relset,
     mpow_set,
     relset_colon,
     restrict_to_semigroup,
@@ -85,11 +92,11 @@ class QuotientRing:
             self._socle = tuple(sorted(_corners(gens), key=_deglex)) if gens else ()
         return self._socle
 
-    def ideal(self, gens, name=None):
-        return QIdeal(self, gens, name=name)
+    def ideal(self, gens):
+        return QIdeal(self, gens)
 
     def zero_ideal(self):
-        return _qideal(self, self.defining)
+        return _trusted(QIdeal, self, self.defining)
 
     def unit_ideal(self):
         return QIdeal(self, ((0,) * self.nvars,))
@@ -124,7 +131,7 @@ class QuotientRing:
                 # low is in deglex order already, below every degree-s monomial
                 rep = _from_gens(self.nvars, low + tuple(sorted(top)))
             self._powers[s] = rep
-        return _qideal(self, rep)
+        return _trusted(QIdeal, self, rep)
 
     def depth_positive(self):
         return not self.socle()
@@ -170,38 +177,78 @@ class QuotientRing:
         return "QuotientRing(%d, %r)" % (self.nvars, list(self.defining.gens))
 
 
-class QIdeal:
+class _Ideal:
+    """An ideal as its ring and its representative set rep, compared by
+    value; each family's class says what rep means."""
+
+    __slots__ = ("ring", "rep", "_outside")
+
+    def outside(self, e):
+        """The labels of degree e outside I, in basis order; kept per
+        degree, as every Tor over R/I asks for each several times."""
+        kept = self._outside
+        if kept is None:
+            kept = self._outside = {}
+        got = kept.get(e)
+        if got is None:
+            member = self.member
+            got = kept[e] = tuple(u for u in self.ring.basis(e) if not member(u))
+        return got
+
+    def is_proper(self):
+        return not self.is_unit()
+
+    def subset_of(self, other):
+        self._check(other)
+        return self.rep.subset_of(other.rep)
+
+    def intersect(self, other):
+        self._check(other)
+        return _trusted(type(self), self.ring, self.rep.intersect(other.rep))
+
+    def _check(self, other):
+        if type(other) is not type(self) or (other.ring is not self.ring and other.ring != self.ring):
+            raise ValueError("ambient mismatch")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.rep == other.rep
+
+    def __hash__(self):
+        return hash((self.ring, self.rep))
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, list(self.min_gens()))
+
+
+def _trusted(cls, ring, rep):
+    """An ideal of class cls on a rep already valid over ring, unchecked."""
+    out = object.__new__(cls)
+    out.ring = ring
+    out.rep = rep
+    out._outside = None
+    return out
+
+
+class QIdeal(_Ideal):
     """Ideal of a QuotientRing, stored as a polynomial-ring representative.
 
     The representative always contains the defining ideal; two handles
     are equal iff the representatives have the same minimal generators.
     """
 
-    __slots__ = ("ring", "rep", "name", "_outside")
+    __slots__ = ()
 
-    def __init__(self, ring, gens, name=None):
+    def __init__(self, ring, gens):
         self.ring = ring
         # only the caller's generators need checking; A's are valid
         self.rep = MonomialIdeal(ring.nvars, gens) + ring.defining
-        self.name = name
         self._outside = None
 
     # containment of a monomial, as an element of R
     def member(self, v):
         return self.rep.member(v)
-
-    def outside(self, e):
-        """The standard monomials of degree e outside I, in basis order;
-        kept per degree, as every Tor over R/I asks for each several
-        times."""
-        kept = self._outside
-        if kept is None:
-            kept = self._outside = {}
-        got = kept.get(e)
-        if got is None:
-            member = self.rep.member
-            got = kept[e] = tuple(u for u in self.ring.basis(e) if not member(u))
-        return got
 
     def is_zero(self):
         return self.rep == self.ring.defining
@@ -209,34 +256,23 @@ class QIdeal:
     def is_unit(self):
         return self.rep.is_unit()
 
-    def is_proper(self):
-        return not self.rep.is_unit()
-
-    def subset_of(self, other):
-        self._check(other)
-        return self.rep.subset_of(other.rep)
-
     # Sums, intersections and colons of representatives already contain
     # the defining ideal; only the product needs it added back.
 
     def __add__(self, other):
         self._check(other)
-        return _qideal(self.ring, self.rep + other.rep)
+        return _trusted(QIdeal, self.ring, self.rep + other.rep)
 
     def __mul__(self, other):
         self._check(other)
         prod = self.rep * other.rep
-        return _qideal(self.ring, _ideal(self.ring.nvars, prod.gens + self.ring.defining.gens))
-
-    def intersect(self, other):
-        self._check(other)
-        return _qideal(self.ring, self.rep.intersect(other.rep))
+        return _trusted(QIdeal, self.ring, _ideal(self.ring.nvars, prod.gens + self.ring.defining.gens))
 
     def colon(self, other):
         self._check(other)
         if other.rep.is_zero():
             return self.ring.unit_ideal()
-        return _qideal(self.ring, self.rep.colon(other.rep))
+        return _trusted(QIdeal, self.ring, self.rep.colon(other.rep))
 
     def min_gens(self):
         """Minimal generators of the ideal inside R.
@@ -282,31 +318,6 @@ class QIdeal:
             return None
         return integral_closure(self.rep) == self.rep
 
-    def _check(self, other):
-        if not isinstance(other, QIdeal) or (other.ring is not self.ring and other.ring != self.ring):
-            raise ValueError("ambient mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, QIdeal):
-            return NotImplemented
-        return self.ring == other.ring and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((self.ring, self.rep))
-
-    def __repr__(self):
-        return "QIdeal(%r)" % (list(self.min_gens()),)
-
-
-def _qideal(ring, rep):
-    """QIdeal whose representative already contains the defining ideal."""
-    out = QIdeal.__new__(QIdeal)
-    out.ring = ring
-    out.rep = rep
-    out.name = None
-    out._outside = None
-    return out
-
 
 class SemigroupRing:
     """Numerical semigroup ring k[[t^a : a in S]] for S = <generators>.
@@ -325,8 +336,8 @@ class SemigroupRing:
     def __init__(self, generators):
         self.S = NumericalSemigroup(generators)
 
-    def ideal(self, vals, name=None):
-        return SgIdeal(self, vals, name=name)
+    def ideal(self, vals):
+        return SgIdeal(self, vals)
 
     def zero_ideal(self):
         return SgIdeal(self, ())
@@ -338,7 +349,7 @@ class SemigroupRing:
         return self.mpow(1)
 
     def mpow(self, s):
-        return _sgideal(self, mpow_set(self.S, s))
+        return _trusted(SgIdeal, self, mpow_set(self.S, s))
 
     def depth_positive(self):
         # one-dimensional domain, depth 1
@@ -367,6 +378,11 @@ class SemigroupRing:
         """
         return self.S.generators[0]
 
+    def apery(self):
+        """The nonzero elements of Ap(S, m), m = stop_modulus(), ascending:
+        the least element of S in each nonzero class mod m."""
+        return sorted(self.S._apery[1:])
+
     def __eq__(self, other):
         if not isinstance(other, SemigroupRing):
             return NotImplemented
@@ -379,69 +395,52 @@ class SemigroupRing:
         return "SemigroupRing(%r)" % (list(self.S.generators),)
 
 
-class SgIdeal:
+class SgIdeal(_Ideal):
     """Monomial ideal of a semigroup ring, stored by its value set.
 
-    Takes valuations or a RelativeIdealSet over the ring's semigroup;
-    either way every value must lie in the semigroup.
+    Takes valuations, each of which must lie in the semigroup.
     """
 
-    __slots__ = ("ring", "relset", "name")
+    __slots__ = ()
 
-    def __init__(self, ring, vals, name=None):
+    def __init__(self, ring, vals):
         self.ring = ring
-        self.relset = as_relset(ring.S, vals)
+        self.rep = RelativeIdealSet(ring.S, vals)
         # integral exactly when no threshold lies below S's Apery tuple
-        if not self.relset.is_integral():
-            vals = vals.gens if isinstance(vals, RelativeIdealSet) else vals
+        if not self.rep.is_integral():
             bad = next(v for v in vals if v not in ring.S)
             raise ValueError("value %d is not in the semigroup" % bad)
-        self.name = name
+        self._outside = None
 
     def member(self, v):
-        return v in self.relset
-
-    def outside(self, e):
-        """(e,) when t^e lies in R but not in I, else ()."""
-        return () if e in self.relset else self.ring.basis(e)
+        return v in self.rep
 
     def is_zero(self):
-        return self.relset.is_zero()
+        return self.rep.is_zero()
 
     def is_unit(self):
-        return self.relset.is_ring()
-
-    def is_proper(self):
-        return not self.is_unit()
-
-    def subset_of(self, other):
-        self._check(other)
-        return self.relset.subset_of(other.relset)
+        return self.rep.is_ring()
 
     # Sums, products and intersections of integral sets are integral,
     # and the colon is cut down to the semigroup: no result is checked.
 
     def __add__(self, other):
         self._check(other)
-        return _sgideal(self.ring, self.relset.union(other.relset))
+        return _trusted(SgIdeal, self.ring, self.rep.union(other.rep))
 
     def __mul__(self, other):
         self._check(other)
-        return _sgideal(self.ring, self.relset + other.relset)
-
-    def intersect(self, other):
-        self._check(other)
-        return _sgideal(self.ring, self.relset.intersect(other.relset))
+        return _trusted(SgIdeal, self.ring, self.rep + other.rep)
 
     def colon(self, other):
         self._check(other)
         if other.is_zero():
             return self.ring.unit_ideal()
-        frac = relset_colon(self.relset, other.relset)
-        return _sgideal(self.ring, restrict_to_semigroup(frac))
+        frac = relset_colon(self.rep, other.rep)
+        return _trusted(SgIdeal, self.ring, restrict_to_semigroup(frac))
 
     def min_gens(self):
-        return self.relset.gens
+        return self.rep.gens
 
     def is_m_primary(self):
         # every nonzero proper ideal of a one-dimensional local domain
@@ -459,40 +458,16 @@ class SgIdeal:
         if self.is_zero():
             return INFINITY
         S = self.ring.S
-        bound = max(self.relset.thresholds) // S.generators[0] + 1
+        bound = max(self.rep.thresholds) // S.generators[0] + 1
         for s in range(bound + 1):
-            if mpow_set(S, s).subset_of(self.relset):
+            if mpow_set(S, s).subset_of(self.rep):
                 return s
         raise AssertionError("certified Loewy bound failed")
 
     def quotient_top_degree(self):
         """Largest d with (R/I)_d != 0, -1 for the unit ideal; None when
         I is zero."""
-        return None if self.is_zero() else self.relset.top_outside()
+        return None if self.is_zero() else self.rep.top_outside()
 
     def is_integrally_closed(self):
         return None
-
-    def _check(self, other):
-        if not isinstance(other, SgIdeal) or (other.ring is not self.ring and other.ring != self.ring):
-            raise ValueError("ambient mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, SgIdeal):
-            return NotImplemented
-        return self.ring == other.ring and self.relset == other.relset
-
-    def __hash__(self):
-        return hash((self.ring, self.relset))
-
-    def __repr__(self):
-        return "SgIdeal(%r)" % (list(self.relset.gens),)
-
-
-def _sgideal(ring, relset):
-    """SgIdeal on an integral RelativeIdealSet over ring.S, unchecked."""
-    out = SgIdeal.__new__(SgIdeal)
-    out.ring = ring
-    out.relset = relset
-    out.name = None
-    return out

@@ -175,16 +175,6 @@ class RelativeIdealSet:
         return "RelativeIdealSet(%r, %s)" % (self.ambient, list(self.gens))
 
 
-def as_relset(S: NumericalSemigroup, vals) -> RelativeIdealSet:
-    """vals itself if it is a RelativeIdealSet over S, else the set over S
-    generated by its values (or by its generators)."""
-    if isinstance(vals, RelativeIdealSet):
-        if vals.ambient == S:
-            return vals
-        vals = vals.gens
-    return RelativeIdealSet(S, vals)
-
-
 def _relset(ambient, thresholds):
     """A RelativeIdealSet from thresholds already computed."""
     out = RelativeIdealSet.__new__(RelativeIdealSet)

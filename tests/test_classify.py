@@ -207,10 +207,8 @@ def test_cor214_classification_is_stable():
 
 def test_classification_report_shape():
     ring = SemigroupRing((4, 5, 6))
-    i = ring.ideal([17, 19, 20], name="I")
-    m4 = ring.mpow(4)
-    m4.name = "m4"
-    rep = classification_report(i, named=(m4,))
+    i = ring.ideal([17, 19, 20])
+    rep = classification_report(i, named={"m4": ring.mpow(4)})
     assert rep.is_burch
     assert not rep.is_weakly_mfull
     assert rep.loewy_R_mod_I == 5
@@ -242,7 +240,7 @@ def test_report_power_range_reads_the_colon_table():
 
 
 def _seeded_ideals(seed):
-    """Nonzero proper ideals, each with a named J of the same ring."""
+    """Nonzero proper ideals, each with an ideal J of the same ring."""
     rng = random.Random(seed)
 
     def monomials(n, count, top):
@@ -259,10 +257,10 @@ def _seeded_ideals(seed):
             if isinstance(ring, SemigroupRing):
                 pool = [v for v in range(1, ring.S.conductor + 12) if v in ring.S]
                 i = ring.ideal(rng.sample(pool, rng.randint(1, 3)))
-                j = ring.ideal(rng.sample(pool, rng.randint(1, 2)), name="J")
+                j = ring.ideal(rng.sample(pool, rng.randint(1, 2)))
             else:
                 i = ring.ideal(monomials(ring.nvars, rng.randint(1, 3), 4))
-                j = ring.ideal(monomials(ring.nvars, rng.randint(1, 2), 3), name="J")
+                j = ring.ideal(monomials(ring.nvars, rng.randint(1, 2), 3))
             if not (i.is_zero() or i.is_unit() or j.is_zero()):
                 yield i, j
 
@@ -286,7 +284,7 @@ def _report_from_predicates(i, named):
         is_burch=burch,
         is_weakly_mfull=wmf,
         wmf_wrt_mpow=pows,
-        wmf_wrt_named={j.name: is_weakly_mfull_wrt(i, j) for j in named},
+        wmf_wrt_named={label: is_weakly_mfull_wrt(i, j) for label, j in named.items()},
         is_integrally_closed=i.is_integrally_closed(),
         depth_R_mod_I_positive=ColonTable(i).depth_positive(),
         cor214_class=cor214_classify(i) if primary else frozenset(),
@@ -297,7 +295,7 @@ def _report_from_predicates(i, named):
 def test_report_equals_the_public_predicates():
     seen = Counter()
     for i, j in _seeded_ideals(31):
-        assert classification_report(i, named=(j,)) == _report_from_predicates(i, (j,)), i
+        assert classification_report(i, named={"J": j}) == _report_from_predicates(i, {"J": j}), i
         seen[type(i.ring).__name__, i.is_m_primary()] += 1
     assert set(seen) == {
         ("SemigroupRing", True), ("QuotientRing", True), ("QuotientRing", False)
@@ -325,12 +323,12 @@ def test_report_forms_each_product_and_colon_once(ideal_ops):
     art = QuotientRing(2, [(6, 0), (0, 6)])
     sg = SemigroupRing((4, 5, 6))
     for i, j in (
-        (sg.ideal([17, 19, 20]), sg.ideal([5], name="J")),
-        (art.ideal([(2, 1), (0, 3)]), art.ideal([(1, 0)], name="J")),
-        (QuotientRing(2).ideal([(2, 0), (1, 2)]), QuotientRing(2).ideal([(0, 1)], name="J")),
+        (sg.ideal([17, 19, 20]), sg.ideal([5])),
+        (art.ideal([(2, 1), (0, 3)]), art.ideal([(1, 0)])),
+        (QuotientRing(2).ideal([(2, 0), (1, 2)]), QuotientRing(2).ideal([(0, 1)])),
     ):
         ideal_ops.clear()
-        report = classification_report(i, named=(j,))
+        report = classification_report(i, named={"J": j})
         ops = Counter(ideal_ops)
         assert max(ops.values()) == 1, ops.most_common(3)
         m = i.ring.maximal_ideal()

@@ -512,7 +512,7 @@ def _report_payloads(files):
     e45 = load_problem(files["e45"])
     e41 = load_problem(files["e41"])
     i, m4 = e45.get_ideal("i"), e45.get_ideal("m4")
-    yield classification_report(i, named=(m4,))
+    yield classification_report(i, named={"m4": m4})
     yield classification_report(e41.get_ideal("i"), powers=(0, 3))
     yield hw_report(e45.get_ideal("imj"), e45.get_ideal("j45"))
     yield hw_report(i)

@@ -324,7 +324,6 @@ def test_suite_run_computes_fewer_kernels_than_asked(monkeypatch):
         return private(*args)
 
     monkeypatch.setattr(homalg, "kernel_minimal_gens", asking)
-    monkeypatch.setattr(fuzz, "kernel_minimal_gens", asking)
     monkeypatch.setattr(homalg, "_kernel_minimal_gens", computing)
     report = run_suite("prop26", FuzzConfig(seed=7, trials=40))
     assert report.passed

@@ -111,8 +111,8 @@ def test_hw_needs_a_semigroup_ideal():
 
 def _engine_tor1(i, p):
     """dim Tor_1(R/I, I*) over GF(p) by resolving I* moved into R."""
-    dual = dual_ideal(i.relset)
-    j = SgIdeal(i.ring, dual.shift(i.ring.S.conductor - dual.gens[0]))
+    dual = dual_ideal(i.rep)
+    j = SgIdeal(i.ring, dual.shift(i.ring.S.conductor - dual.gens[0]).gens)
     pres, pres_certified = module_from_ideal(GradedAlgebra(i.ring, p), j)
     res = tor_dim(pres, i, 1)
     assert pres_certified and res.bound_certified

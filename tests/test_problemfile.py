@@ -36,7 +36,7 @@ def test_good_file_resolves_every_declaration():
     assert isinstance(prob.rings["s"], SemigroupRing)
     assert prob.rings["r"].nvars == 2
     assert set(prob.get_ideal("i").min_gens()) == {(1, 1), (0, 2)}
-    assert set(prob.get_ideal("j").relset.gens) == {17, 19, 20}
+    assert set(prob.get_ideal("j").rep.gens) == {17, 19, 20}
     assert prob.get_ideal("i").ring is prob.rings["r"]
     assert prob.get_ideal("j").ring is prob.rings["s"]
     # column degree is inferred: shift 1 + entry degree 1

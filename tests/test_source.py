@@ -1,4 +1,6 @@
-"""Source hygiene: every module-level function in src/ has a reader there."""
+"""Source hygiene: every module-level function in src/ has a reader
+there, and every function the benchmark's traced runs must reach is
+defined where its name says."""
 
 import ast
 import tokenize
@@ -7,7 +9,8 @@ from pathlib import Path
 
 import burchkit
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "burchkit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "burchkit"
 
 
 def _name_counts(paths):
@@ -53,3 +56,28 @@ def test_every_suite_names_module_level_functions_of_fuzz():
             assert fn.__module__ == fuzz.__name__, (name, fn)
             assert "<locals>" not in fn.__qualname__, (name, fn.__qualname__)
             assert getattr(fuzz, fn.__name__) is fn, (name, fn.__name__)
+
+
+def test_every_traced_pin_is_defined_where_it_is_named():
+    # the traced runs wrap the functions of a module and those in a
+    # class's own body, so a pin "mod.f" or "mod.Class.f" is reached
+    # only while f is defined there, not inherited
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    pins = [
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "reached" for t in node.targets)
+        for elt in node.value.elts
+    ]
+    assert len(pins) > 20
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    missing = []
+    for pin in pins:
+        module, *owner, name = pin.split(".")
+        body = ast.parse((SRC / (module + ".py")).read_text(encoding="utf-8")).body
+        for part in owner:
+            body = next((n.body for n in body if isinstance(n, ast.ClassDef) and n.name == part), [])
+        if not any(isinstance(n, functions) and n.name == name for n in body):
+            missing.append(pin)
+    assert missing == []
