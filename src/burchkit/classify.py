@@ -94,11 +94,15 @@ class ColonTable:
                 return s
         return None
 
-    def cor214(self):
+    def cor214(self, ll=None):
+        """The classes of Corollary 2.14 that I is in.  ll, when given, is
+        ll(R/I) of an m-primary I, which the caller has already;
+        without it I is checked and ll computed here."""
         i, ring = self.i, self.ring
-        if not i.is_m_primary():
-            raise ValueError("requires an m-primary ideal")
-        ll = i.loewy_length()
+        if ll is None:
+            if not i.is_m_primary():
+                raise ValueError("requires an m-primary ideal")
+            ll = i.loewy_length()
         classes = set()
         if self.cor214_power(ll) is not None:
             classes.add("i")
@@ -276,7 +280,7 @@ def classification_report(i, named=None, powers=None):
         wmf_wrt_named=wmf_named,
         is_integrally_closed=i.is_integrally_closed(),
         depth_R_mod_I_positive=t.depth_positive(),
-        cor214_class=t.cor214() if primary else frozenset(),
+        cor214_class=t.cor214(ll) if primary else frozenset(),
         open_pd_question=bool(
             ring.depth_positive() and primary and burch and not wmf
         ),

@@ -24,24 +24,28 @@ A kernel walk spans the decomposable syzygies of each degree from
 products of lower generators.  A monomial quotient is generated in
 degree 1, so that span is R_1 N_(d-1), the variables times the echelon
 rows of the kernel one degree down, which the walk holds already.  Over
-k[S] with multiplicity m it seeds that span with t^m times the kernel m
-degrees down, whose echelon rows relabel with no elimination, and forms
-only the products t^e g with e in the Apery set Ap(S, m); see
-`kernel_minimal_gens`.  There every
-entry of a map is c_ij t^(s_j - t_i), so its degree-d piece is the
-scalar coefficient matrix C on the columns j with d - s_j in S.  The
+k[S] every entry of a map is c_ij t^(s_j - t_i), so its degree-d piece
+is the scalar coefficient matrix C on the columns J_d = {j : d - s_j
+in S}, and the walk keys every vector by its source column j: column j
+of degree d is the basis element (j, t^(d - s_j)).  Multiplying by t^e
+then changes no key, so t^m times the kernel m degrees down, with m the
+multiplicity, is that kernel's own echelon span: each residue class mod
+m carries its span from degree d - m into degree d, and only the
+products t^e g with e in the Apery set Ap(S, m) are added to it; see
+`kernel_minimal_gens`.  The
 walk row-reduces C once per map and reads each degree's kernel off
-that RREF: its rows with a pivot among those columns are already
+that RREF: its rows with a pivot in J_d, restricted to J_d, are already
 reduced there and seed the elimination, and only the others are
-eliminated on top.  The RREF is unique, so kernels, generators and
-differentials are the ones a degree-by-degree elimination gives.
+eliminated on top.  The RREF is unique and keying by j keeps the
+column order, so kernels, generators and differentials are the ones a
+degree-by-degree elimination gives.
 Three rules skip elimination whose result is known.  A column free in
 degree d - m stays free in degree d, and its null vector lies in the
-seed plus the vectors of columns that became free, so the walk reduces
+carried span plus the vectors of columns that became free, so the walk reduces
 only the latter.  A product t^e g whose columns j all lie in
 J_(d-m) = {j : d - m - s_j in S} is t^m h for some h in F_(d-m), and
-f(h) = 0 as t^m acts injectively, so it lies in the seed and is not
-formed.  Tor against the residue field k = R/m is F_t (x) k,
+f(h) = 0 as t^m acts injectively, so it lies in the carried span and
+is not formed.  Tor against the residue field k = R/m is F_t (x) k,
 since every entry of a minimal differential lies in m: `tor_dims` reads
 it off the shifts of F_t and ranks nothing.
 """
@@ -292,20 +296,25 @@ def kernel_minimal_gens(f):
     the echelon rows of N_{d-1} from the degree below, and x_i takes
     each to degree d through one column map (j, b) -> (j, b x_i),
     dropping the columns where b x_i lies in A.
-    Over a semigroup ring, with m its multiplicity, t^m N_{d-m} lies in
-    D_d and its echelon rows relabel into those of degree d; they seed
-    D_d, and only the products t^e g with e in the Apery set
-    Ap(S, m) = {e in S : e - m not in S} are formed, as every other
+    Over a semigroup ring, with m its multiplicity, every vector is
+    keyed by its source column j, column j of degree d standing for
+    (j, t^(d - s_j)).  t^e takes (j, t^b) to (j, t^(b+e)), so a product
+    t^e g has the entries of g, and t^m N_{d-m}, which lies in D_d, has
+    the echelon rows of N_{d-m}: each residue class mod m keeps the
+    span it ended degree d - m with and goes on adding to it in degree
+    d, or starts an empty one where N_{d-m} was zero.  Only the
+    products t^e g with e in the Apery set
+    Ap(S, m) = {e in S : e - m not in S} are added, as every other
     product is t^m times one in N_{d-m}.  Of those, a product whose
     columns j all lie in J_(d-m) is t^m h with h in F_{d-m} and
-    f(h) = 0, so it lies in the seed and is skipped too.  A product
-    relabels the columns of g, as t^e takes (j, t^b) to (j, t^(b+e)).
+    f(h) = 0, so it lies in the span and is skipped too.  A generator is
+    written as {(j, t^(d - s_j)): x} once, when the walk ends.
     No matrix is assembled
     there: f_d is the coefficient matrix C of `kernel_stop` on the
-    columns j with d - s_j in S, and N_d comes from the RREF of C, whose
-    rows with a pivot among those columns seed the nullspace while only
-    the others are eliminated (`_CoefficientPieces`); the RREF is
-    unique, so N_d is the nullspace of f.matrix(d).  Only the null
+    columns J_d = {j : d - s_j in S}, and N_d comes from the RREF of C,
+    whose rows with a pivot in J_d seed the nullspace while only the
+    others are eliminated (`_CoefficientPieces`); the RREF is unique,
+    so N_d is the nullspace of f.matrix(d), keyed by j.  Only the null
     vectors whose free column was not free in degree d - m are reduced:
     J_(d-m) lies in J_d, so a column free in C[:, J_(d-m)] stays free in
     C[:, J_d]; a null vector is 1 at its free column f, its highest, with
@@ -343,66 +352,75 @@ class _CoefficientPieces:
     """The degree pieces of a map f over k[S], read off R = RREF(C).
 
     Every entry of f is c_ij t^(s_j - t_i), so f_d is the coefficient
-    matrix C on the columns J_d = {j : d - s_j in S}, one per basis
-    element (j, t^(d - s_j)) of the source, with its zero rows dropped.
-    The rows of R[:, J_d] span the row space of C[:, J_d].  Those whose
-    pivot lies in J_d, restricted and relabeled in order, are already
-    reduced echelon rows with a leading 1, and seed the elimination; the
-    other rows are eliminated on top.  The RREF is unique, so each
-    nullspace equals the one of f.matrix(d).  Past max s_j + conductor
-    J_d holds every column, so consecutive degrees with the same J_d
-    share one nullspace.
+    matrix C on the columns J_d = {j : d - s_j in S}, column j standing
+    for the basis element (j, t^(d - s_j)) of the source, with its zero
+    rows dropped.  Vectors are keyed by j itself in every degree, so J_d
+    keeps C's column order.  The rows of R[:, J_d] span the row space of
+    C[:, J_d].  Those whose pivot lies in J_d, restricted to J_d, are
+    already reduced echelon rows with a leading 1, and seed the
+    elimination; the other rows are eliminated on top.  The RREF is
+    unique, so each nullspace is the one of f.matrix(d) with column j
+    in place of the position of (j, t^(d - s_j)).  Columns with one
+    shift are decided together, one run of consecutive j at a time.
+    Past max s_j + conductor J_d holds every column, so consecutive
+    degrees with the same J_d share one nullspace.
     """
 
-    __slots__ = ("f", "p", "rows", "_last")
+    __slots__ = ("f", "p", "rows", "runs", "_last")
 
     def __init__(self, f, red):
         self.f = f
         self.p = f.algebra.p
         self.rows = [(min(row), row) for row in red]
-        self._last = (None, None)  # (J_d, {free column: null vector}) last read
+        runs = []  # (s, first j, last j + 1) for each run of equal shifts
+        for j, s in enumerate(f.source.shifts):
+            if runs and runs[-1][0] == s:
+                runs[-1][2] = j + 1
+            else:
+                runs.append([s, j, j + 1])
+        self.runs = runs
+        self._last = (None, None)  # (J_d as bits 1 << j, null) last read
 
     def kernel(self, d):
-        """(src, pos, null): the source basis in degree d, the position of
-        each column j of J_d in it, and the nullspace basis of f_d as a
-        dict from the free column j of each vector to the vector, in
-        ascending order of j."""
-        src = self.f.source.basis(self.f.algebra, d)
-        pos = {j: c for c, (j, _) in enumerate(src)}
-        cols = tuple(pos)
-        if cols != self._last[0]:
+        """(bits, null): J_d as the bits 1 << j, and the nullspace basis
+        of f_d as a dict from the free column j of each vector to the
+        vector, in ascending order of j, each vector keyed by j."""
+        basis = self.f.algebra.basis
+        on = [(lo, hi) for s, lo, hi in self.runs if basis(d - s)]
+        bits = sum((1 << hi) - (1 << lo) for lo, hi in on)
+        if bits != self._last[0]:
+            cols = [j for lo, hi in on for j in range(lo, hi)]
+            inside = set(cols)
             seed, rest = [], []
             for pc, row in self.rows:
-                out = {pos[j]: x for j, x in row.items() if j in pos}
-                if pc in pos:
+                if row.keys() <= inside:
+                    out = dict(row)
+                elif row.keys().isdisjoint(inside):
+                    continue
+                else:
+                    out = {j: x for j, x in row.items() if j in inside}
+                if pc in inside:
                     seed.append(out)
-                elif out:
+                else:
                     rest.append(out)
-            null = linalg.nullspace(rest, len(src), self.p, seed)
+            null = linalg.nullspace(rest, len(cols), self.p, seed, cols)
             # a nullspace vector's free column is its highest column
-            self._last = cols, {cols[max(v)]: v for v in null}
-        return src, pos, self._last[1]
+            self._last = bits, {max(v): v for v in null}
+        return self._last
 
 
-def _relabel(elt, pos):
-    """t^e elt in the columns of degree d, for elt of degree d - e: over
-    k[S] the column (j, t^b) goes to (j, t^(b+e)), at position pos[j]."""
-    return {pos[j]: x for (j, _), x in elt.items()}
-
-
-def _new_generators(span, vecs, src, dim):
-    """Residuals of the vectors vecs of N_d against the span, as sparse
-    elements over the basis src, each added to the span once found;
-    none once the span has rank dim = dim N_d."""
+def _new_generators(span, vecs, dim):
+    """Residuals of the vectors vecs of N_d against the span, each added
+    to the span once found; none once the span has rank dim = dim N_d."""
     out = []
     for vec in vecs:
         if span.rank == dim:
             break
         resid = span.reduce(vec)
         if resid is not None:
-            # entries in basis order, not in the order elimination left
-            out.append({src[c]: resid[c] for c in sorted(resid)})
-            span.insert(resid)
+            out.append(resid)
+            # the span edits the rows it takes over
+            span.insert(dict(resid))
     return out
 
 
@@ -454,55 +472,57 @@ def _full_walk(f, bound):
                     vec = {k: x for c, x in row.items() if (k := col[c]) is not None}
                     if vec:
                         span.add(vec)
-        found = _new_generators(span, null, src, dim)
+        found = _new_generators(span, null, dim)
         if found:
-            gens[d] = found
+            # entries in basis order, not in the order elimination left
+            gens[d] = [{src[c]: g[c] for c in sorted(g)} for g in found]
         prior = (src, span.rows)
     return gens
 
 
 def _semigroup_walk(f, bound, stop):
-    """Generators by degree over k[S]: pieces from R = RREF(C), D_d
-    seeded with t^m N_{d-m}, only the Apery products with a column
-    outside J_(d-m), and the early stop."""
-    algebra = f.algebra
-    p = algebra.p
+    """Generators by degree over k[S]: pieces from R = RREF(C), each
+    residue class mod m carrying its span of N_{d-m} into degree d, only
+    the Apery products with a column outside J_(d-m), and the early
+    stop.  Every vector is keyed by its source column j."""
+    p = f.algebra.p
     m, rank, red = stop
-    gens = {}
+    shifts = f.source.shifts
+    gens = {}  # degree -> the generators found there, keyed by j
     supports = {}  # degree -> the columns j of each generator there, as bits 1 << j
     # residue classes mod m still below dim N_d = rank N
     open_classes = set(range(m)) if rank else set()
-    apery = algebra.ring.apery()
+    apery = f.algebra.ring.apery()
     pieces = _CoefficientPieces(f, red)
-    # degree -> (position of each column j of J_d, echelon rows of N_d,
-    # free columns j of f_d), for the last m degrees
-    kept = {}
-    for d in range(min(f.source.shifts), bound + 1):
+    # residue class mod m -> (J_(d-m) as bits, echelon span of N_(d-m),
+    # free columns j of f_(d-m)), when degree d - m had N_(d-m) != 0
+    carried = {}
+    for d in range(min(shifts), bound + 1):
         if not open_classes:
             break
-        prior = kept.pop(d - m, None)
-        src, pos, null = pieces.kernel(d)
-        if not src:
+        prior = carried.pop(d % m, None)
+        bits, null = pieces.kernel(d)
+        if not bits:
             continue
         dim = len(null)
         if dim == rank:
             open_classes.discard(d % m)
         if not dim:
             continue
-        seed = ()
-        fresh = null.values()
-        new = -1  # every column, as bits
-        if prior is not None:
-            # t^m relabels N_{d-m} into degree d in order: no elimination
-            col = [pos[j] for j in prior[0]]
-            seed = [{col[c]: x for c, x in row.items()} for row in prior[1]]
+        if prior is None:
+            span = linalg.EchelonSpan(p)
+            fresh = null.values()
+            new = bits  # every column of J_d
+        else:
+            # keyed by j, the rows of N_(d-m) already are those of t^m N_(d-m)
+            below, span, free = prior
             # only vectors whose free column became free can leave the span
-            fresh = [v for j, v in null.items() if j not in prior[2]]
+            fresh = [v for j, v in null.items() if j not in free]
             # columns outside J_(d-m)
-            new = sum(1 << j for j in pos.keys() - prior[0].keys())
-        span = linalg.EchelonSpan(p, seed)
+            new = bits & ~below
         # a product with every column in J_(d-m) is t^m times an element
-        # of N_(d-m), so it lies in the seed already
+        # of N_(d-m), so it lies in the span already; t^e g of degree d
+        # has the entries of g, keyed by j
         products = (
             g
             for e in apery
@@ -512,14 +532,14 @@ def _semigroup_walk(f, bound, stop):
         for g in products:
             if span.rank == dim:
                 break
-            span.add(_relabel(g, pos))
-        found = _new_generators(span, fresh, src, dim)
+            span.add(g)
+        found = _new_generators(span, fresh, dim)
         if found:
             gens[d] = found
-            # one entry per column j: pieces of k[S] are <= 1-dim
-            supports[d] = [sum(1 << j for j, _ in g) for g in found]
-        kept[d] = (pos, span.rows, set(null))
-    return gens
+            supports[d] = [sum(1 << j for j in g) for g in found]
+        carried[d % m] = (bits, span, null)
+    # entries in column order, each at its basis element (j, t^(d - s_j))
+    return {d: [{(j, d - shifts[j]): g[j] for j in sorted(g)} for g in at] for d, at in gens.items()}
 
 
 class GradedPresentation:

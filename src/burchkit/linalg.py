@@ -121,31 +121,27 @@ def _insert(red, pivots, occ, res, p):
     red.append(res)
 
 
-def _seeded(seed):
-    """(red, pivots, occ) holding the seed rows as they are.
+def _echelon(rows, p, seed=()):
+    """Reduced echelon rows of the span of seed and rows: the seed rows
+    first, then new ones in the order they were found.
 
     seed is a list of rows already in reduced echelon form, each with
     entry 1 at its lowest column, its pivot.  The rows are taken over,
-    not copied: later insertions edit them in place.
+    not copied: inserting rows edits them in place.
     """
     red = list(seed)
     pivots = {min(row): at for at, row in enumerate(red)}
-    occ = defaultdict(list)
-    for at, row in enumerate(red):
-        for k in row:
-            if k not in pivots:
-                occ[k].append(at)
-    return red, pivots, occ
-
-
-def _echelon(rows, p, seed=()):
-    """Reduced echelon rows of the span of seed and rows: the seed rows
-    first (see `_seeded`), then new ones in the order they were found."""
-    red, pivots, occ = _seeded(seed)
-    for row in rows:
-        out = _residual(row, red, pivots, p)
-        if out:
-            _insert(red, pivots, occ, out, p)
+    if rows:
+        # the occurrence index is needed only once a row is inserted
+        occ = defaultdict(list)
+        for at, row in enumerate(red):
+            for k in row:
+                if k not in pivots:
+                    occ[k].append(at)
+        for row in rows:
+            out = _residual(row, red, pivots, p)
+            if out:
+                _insert(red, pivots, occ, out, p)
     return red, pivots
 
 
@@ -162,18 +158,21 @@ def rref(rows, ncols, p):
     return [red[pivots[c]] for c in order], {c: i for i, c in enumerate(order)}
 
 
-def nullspace(rows, ncols, p, seed=()):
+def nullspace(rows, ncols, p, seed=(), cols=None):
     """Basis of the right kernel {v : A v = 0}, one vector per free column.
 
     The vector for free column f has a 1 at f and -red[r][f] at the
-    pivot of every row r; vectors come in ascending order of f.  seed,
-    as in `EchelonSpan`, holds further rows of A already in reduced
-    echelon form; only rows are eliminated on top of them.  The RREF of
+    pivot of every row r; vectors come in ascending order of f.  seed
+    holds further rows of A already in reduced echelon form, each with
+    entry 1 at its lowest column; they are taken over and edited in
+    place, and only rows are eliminated on top of them.  The RREF of
     the row space is unique, so the basis does not depend on how its
-    rows were split between seed and rows.
+    rows were split between seed and rows.  cols, when given, names the
+    ncols columns of A in ascending order, in place of 0..ncols-1: the
+    rows and the vectors are keyed by those names.
     """
     red, pivots = _echelon(rows, p, seed)
-    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    basis = {f: {f: 1} for f in (range(ncols) if cols is None else cols) if f not in pivots}
     for pc, at in pivots.items():
         for c, x in red[at].items():
             if c != pc:
@@ -194,16 +193,15 @@ class EchelonSpan:
     """Incrementally maintained row space in reduced echelon form.
 
     rows are kept in the order they were added; pivots maps each pivot
-    column to the index of its row, as `reduce_row` expects.  seed, if
-    given, is a list of rows already in reduced echelon form, each with
-    entry 1 at its lowest column; they are taken over as they are, with
-    no elimination.  Add rows only through `add` or `insert`, which keep
-    the occurrence index.
+    column to the index of its row, as `reduce_row` expects.  Add rows
+    only through `add` or `insert`, which keep the occurrence index.
     """
 
-    def __init__(self, p: int, seed=()):
+    def __init__(self, p: int):
         self.p = p
-        self.rows, self.pivots, self._occ = _seeded(seed)
+        self.rows = []
+        self.pivots = {}
+        self._occ = defaultdict(list)
 
     def reduce(self, vec):
         """Residual of vec modulo the span, or None if it lies inside."""

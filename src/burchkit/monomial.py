@@ -13,7 +13,7 @@ found once per ideal by integer Fourier-Motzkin elimination.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import gcd
 from operator import add, le, mul
 
@@ -23,9 +23,17 @@ def _deglex(t):
 
 
 def _minimalize(gens):
+    """Minimal generators in deglex order.  Two distinct monomials of one
+    total degree never divide each other, so each candidate is tested
+    only against the kept generators of lower degree."""
     out = []
+    lower = 0  # out[:lower] has lower degree than the current candidate
+    deg = -1
     for u in sorted(set(gens), key=_deglex):
-        if not any(all(map(le, w, u)) for w in out):
+        d = sum(u)
+        if d != deg:
+            deg, lower = d, len(out)
+        if not any(all(map(le, w, u)) for w in islice(out, lower)):
             out.append(u)
     return tuple(out)
 

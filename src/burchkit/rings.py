@@ -329,6 +329,9 @@ class SemigroupRing:
     mod the multiplicity m has met a degree where dim ker_d is the rank
     of the kernel, since t^m acts injectively (`homalg.kernel_stop`);
     the reported window and `homalg.audit_resolution` keep the bound.
+    k[S] is a free k[t^m]-module on its Apery set, so multiplying by t^m
+    or by t^e, e in `apery()`, only moves a basis element (j, t^b) of a
+    free module to (j, t^(b+e)): the walk keys its vectors by j alone.
     """
 
     __slots__ = ("S",)
@@ -372,9 +375,10 @@ class SemigroupRing:
         """The multiplicity m: t^m acts injectively on free modules.
 
         It takes the basis label t^b of each degree piece to t^(b+m),
-        which is injective and keeps the order of labels, so the degree-d
-        basis of a free module relabels, in order, into that of degree
-        d + m (`homalg` seeds each kernel degree from the one m below).
+        which is injective, so the degree-d basis of a free module, one
+        element (j, t^(d - s_j)) per column j, maps into that of degree
+        d + m column by column (`homalg` carries each kernel degree's
+        span to the one m above).
         """
         return self.S.generators[0]
 
@@ -404,6 +408,7 @@ class SgIdeal(_Ideal):
     __slots__ = ()
 
     def __init__(self, ring, vals):
+        vals = tuple(vals)  # read twice: an iterator would be spent
         self.ring = ring
         self.rep = RelativeIdealSet(ring.S, vals)
         # integral exactly when no threshold lies below S's Apery tuple

@@ -205,6 +205,31 @@ def test_cor214_classification_is_stable():
     assert cor214_classify(ring.mpow(2)) == cor214_classify(ring.mpow(2))
 
 
+def test_report_computes_each_loewy_length_once(monkeypatch):
+    # cor214 reads the report's ll(R/I) instead of computing it again,
+    # and cor214_classify still refuses an ideal that is not m-primary
+    calls = Counter()
+    for cls in (rings.QIdeal, rings.SgIdeal):
+        real = cls.loewy_length
+
+        def counting(self, real=real):
+            calls[id(self)] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "loewy_length", counting)
+    cube = QuotientRing(2, [(3, 0), (0, 3)])
+    sg = SemigroupRing((4, 5, 6))
+    for i in (cube.ideal([(2, 0), (1, 1), (0, 2)]), sg.ideal([8, 9]), sg.ideal([17, 19, 20])):
+        calls.clear()
+        report = classification_report(i)
+        assert calls[id(i)] == 1
+        assert report.cor214_class == cor214_classify(i)
+    with pytest.raises(ValueError, match="m-primary"):
+        cor214_classify(QuotientRing(2).ideal([(1, 0)]))
+    with pytest.raises(ValueError, match="m-primary"):
+        cor214_classify(sg.unit_ideal())
+
+
 def test_classification_report_shape():
     ring = SemigroupRing((4, 5, 6))
     i = ring.ideal([17, 19, 20])

@@ -156,6 +156,16 @@ def test_tor_over_a_ring_in_600_variables(tmp_path, capsys):
     assert [(r["t"], r["total_dim"]) for r in payload["tor"]] == [(1, 0), (2, 0)]
 
 
+def test_classify_over_a_ring_in_600_variables_exits_2(tmp_path, capsys):
+    # m*I holds 1200 generators of degree 2, which minimalizing compares
+    # with no other; the staircase box of its 600 variables is too large
+    path = tmp_path / "wide.prob"
+    names = ", ".join("x%d" % k for k in range(600))
+    path.write_text("ring r = poly(%s)\nideal i in r = [x0, x1]\n" % names, encoding="utf-8")
+    rc, payload, err = run(capsys, ["classify", str(path), "i"])
+    assert rc == 2 and payload is None and "staircase box too large" in err
+
+
 def test_tor_detects_nonfree_quotient(files, capsys):
     rc, payload, _ = run(capsys, ["tor", files["e41"], "RmodI", "l"])
     assert rc == 0

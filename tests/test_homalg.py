@@ -668,12 +668,12 @@ def test_kernel_walk_matches_full_product_walk_on_residue_fields(ring, p):
         _assert_same_kernel(f, early_stop=True)
 
 
-def _draw_map(alg, rng):
-    """A homogeneous map with entries of positive degree; with some
-    columns t^e times earlier ones up to a scalar, so that over k[S] the
-    coefficient matrix often loses rank."""
+def _draw_map(alg, rng, top=8):
+    """A homogeneous map with entries of positive degree at most top; with
+    some columns t^e times earlier ones up to a scalar, so that over k[S]
+    the coefficient matrix often loses rank."""
     tshifts = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
-    degrees = [e for e in range(1, 9) if alg.basis(e)]
+    degrees = [e for e in range(1, top + 1) if alg.basis(e)]
     sshifts, elts = [], []
     for _ in range(rng.randint(1, 3)):
         if elts and rng.random() < 0.5:
@@ -724,6 +724,33 @@ def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
         if syz.source.rank:
             _assert_same_kernel(syz, early_stop=True)
     assert deficient >= 10 and injective >= 10
+
+
+def test_kernel_walk_matches_full_product_walk_over_multiplicity_8():
+    # over <8,9,11,13,15> each of the 8 residue classes carries its own
+    # span; where N_(d-8) = 0 but N_d != 0 the class starts afresh with
+    # an empty span, which the drawn maps must reach
+    ring = SemigroupRing((8, 9, 11, 13, 15))
+    rng = random.Random(2608)
+    restarts = grown = 0
+    for k in range(40):
+        alg = GradedAlgebra(ring, rng.choice((2, 101, 2**31 - 1)))
+        g = _draw_map(alg, rng, top=20)
+        # the map, its kernel and the kernel of that
+        for _ in range(3):
+            if not g.source.rank:
+                break
+            _assert_same_kernel(g, early_stop=True)
+            dims = {}
+            for d in range(min(g.source.shifts), kernel_window(alg, g.source).bound + 1):
+                rows, src, _ = g.matrix(d)
+                if src:
+                    dims[d] = len(linalg.nullspace([r for r in rows if r], len(src), alg.p))
+            restarts += any(dims.get(d - 8) == 0 and n for d, n in dims.items())
+            # a carried span that the degree enlarges
+            grown += any(0 < dims.get(d - 8, 0) < n for d, n in dims.items())
+            g = kernel_minimal_gens(g)[0]
+    assert restarts >= 20 and grown >= 10
 
 
 def test_relations_minimal_matches_the_kernel_walk():
@@ -815,14 +842,15 @@ def test_coefficient_pieces_give_the_nullspace_of_each_degree():
         deficient += f.source.rank - rank_n < min(f.source.rank, f.target.rank)
         pieces = homalg._CoefficientPieces(f, red)
         for d in range(min(f.source.shifts), kernel_window(alg, f.source).bound + 1):
-            src, pos, null = pieces.kernel(d)
-            rows, want_src, _ = f.matrix(d)
-            assert src == want_src
-            assert pos == {j: c for c, (j, _) in enumerate(src)}
+            bits, null = pieces.kernel(d)
+            rows, src, _ = f.matrix(d)
+            # J_d as bits: one column j per basis element (j, t^(d - s_j))
+            assert bits == sum(1 << j for j, _ in src)
+            assert all(b == d - f.source.shifts[j] for j, b in src)
             if src:
                 want = linalg.nullspace([r for r in rows if r], len(src), alg.p)
-                assert list(null.values()) == want
-                # each vector is keyed by the column j of its free column
+                # each vector is keyed by the column j of each of its entries
+                assert list(null.values()) == [{src[c][0]: x for c, x in v.items()} for v in want]
                 assert list(null) == [src[max(v)][0] for v in want]
             else:
                 assert null == {}
@@ -837,13 +865,14 @@ def test_semigroup_walk_forms_only_apery_products(monkeypatch):
     # t^m times an element of N_(d-m) and lies in the seed (2961 products
     # without that rule, 726 of which enlarge the span)
     calls = {"n": 0}
-    real = homalg._relabel
+    real = linalg.EchelonSpan.add
 
-    def counting(*args):
+    def counting(self, vec):
         calls["n"] += 1
-        return real(*args)
+        return real(self, vec)
 
-    monkeypatch.setattr(homalg, "_relabel", counting)
+    # over k[S] the walk adds to a span only the products it forms
+    monkeypatch.setattr(linalg.EchelonSpan, "add", counting)
     ring = SemigroupRing((6, 7, 9, 11))
     resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
     assert calls["n"] == 1202

@@ -171,16 +171,18 @@ def test_indexed_elimination_matches_row_scanning_reference(p):
                 {c: i for i, c in enumerate(order)},
             )
             assert linalg.nullspace(rows, ncols, p) == _scan_nullspace(rows, ncols, p)
-            # unseeded and seeded spans keep the reference's rows, in order
+            # a span keeps the reference's rows, in order, and so does the
+            # elimination on top of seed rows taken over as they are
             more = [_sparse(_rand_row(rng, p, ncols, density)) for _ in range(rng.randint(0, 8))]
-            for seed in ((), red):
-                span = EchelonSpan(p, [dict(r) for r in seed])
-                grew = [span.add(r) for r in more]
-                want, want_pivots = scan_echelon(more, p, red=seed)
-                assert span.rows == want and span.pivots == want_pivots
-                assert grew.count(True) == len(want) - len(seed)
-                probe = _sparse(_rand_row(rng, p, ncols, density))
-                assert span.reduce(probe) == (scan_residual(probe, want, want_pivots, p) or None)
+            span = EchelonSpan(p)
+            grew = [span.add(r) for r in more]
+            want, want_pivots = scan_echelon(more, p)
+            assert span.rows == want and span.pivots == want_pivots
+            assert grew.count(True) == len(want)
+            probe = _sparse(_rand_row(rng, p, ncols, density))
+            assert span.reduce(probe) == (scan_residual(probe, want, want_pivots, p) or None)
+            seeded = linalg._echelon(more, p, [dict(r) for r in red])
+            assert seeded == scan_echelon(more, p, red=red)
 
 
 @pytest.mark.parametrize("p", (2, 101, 2**31 - 1))
@@ -223,11 +225,12 @@ def test_a_row_that_loses_and_regains_a_column_is_cleared():
         if n == 3:
             assert span.rows[0] == {0: 1, 3: p - 1}  # and came back
     assert span.rows == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
-    # the same rows through a seeded span and through rref
-    seeded = EchelonSpan(p, [{0: 1, 2: 1}, {1: 1, 3: 1}])
-    assert seeded.add({2: 1, 3: 1}) and seeded.rows[0] == {0: 1, 3: p - 1}
-    assert seeded.add({3: 1})
-    assert sorted(seeded.rows, key=min) == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
+    # the same rows eliminated on top of seed rows and through rref
+    seed = [{0: 1, 2: 1}, {1: 1, 3: 1}]
+    red, _ = linalg._echelon([{2: 1, 3: 1}], p, [dict(r) for r in seed])
+    assert red[0] == {0: 1, 3: p - 1}
+    red, _ = linalg._echelon([{2: 1, 3: 1}, {3: 1}], p, [dict(r) for r in seed])
+    assert sorted(red, key=min) == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
     assert linalg.rref(added, 4, p)[0] == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
 

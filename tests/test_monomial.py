@@ -1,6 +1,7 @@
 """Monomial ideal arithmetic, colons and integral closure."""
 
 import random
+from operator import le
 
 import oracles
 from burchkit import monomial
@@ -18,6 +19,41 @@ def test_minimal_generators_drop_multiples():
     assert i.gens == ((2, 0),)
     assert MonomialIdeal(2, []).is_zero()
     assert MonomialIdeal(2, [(0, 0), (1, 0)]).is_unit()
+
+
+def test_minimalize_compares_only_across_degrees(monkeypatch):
+    # two distinct monomials of one degree never divide each other: the
+    # 21 quadrics in 6 variables need no divisibility test, and with x0
+    # kept below them each is tested against x0 alone, 6 comparisons
+    # for the 6 multiples of x0 and 1 for the 15 others
+    calls = {"n": 0}
+
+    def counting(a, b):
+        calls["n"] += 1
+        return a <= b
+
+    monkeypatch.setattr(monomial, "le", counting)
+    quads = [
+        tuple(int(k == a) + int(k == b) for k in range(6)) for a in range(6) for b in range(a, 6)
+    ]
+    assert monomial._minimalize(quads) == tuple(sorted(quads, key=lambda t: (sum(t), t)))
+    assert calls["n"] == 0
+    x0 = (1, 0, 0, 0, 0, 0)
+    got = monomial._minimalize(quads + [x0])
+    assert got == (x0,) + tuple(sorted((q for q in quads if not q[0]), key=lambda t: (sum(t), t)))
+    assert calls["n"] == 6 * 6 + 15
+
+
+def test_minimalize_matches_pairwise_divisibility():
+    rng = random.Random(2606)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 12))]
+        want = sorted(
+            {u for u in gens if not any(w != u and all(map(le, w, u)) for w in gens)},
+            key=lambda t: (sum(t), t),
+        )
+        assert monomial._minimalize(gens) == tuple(want)
 
 
 def test_membership_matches_divisibility():

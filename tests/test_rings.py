@@ -258,3 +258,12 @@ def test_semigroup_ideal_from_value_set_checks_integrality():
         with pytest.raises(ValueError, match="value %d is not in the semigroup" % bad):
             ring.ideal(vals)
     assert SgIdeal(ring, frac.shift(10).gens) == ring.ideal([8, 11])
+
+
+def test_semigroup_ideal_from_an_iterator():
+    # the values are read twice, to build the set and to name a bad one
+    ring = SemigroupRing((4, 5, 6))
+    with pytest.raises(ValueError, match="value 3 is not in the semigroup"):
+        ring.ideal(v for v in [3, 8])
+    assert ring.ideal(v for v in [8, 9, 15]) == ring.ideal([8, 9, 15])
+    assert ring.ideal(iter(())) == ring.zero_ideal()
