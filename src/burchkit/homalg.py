@@ -34,9 +34,10 @@ m carries its span from degree d - m into degree d, and only the
 products t^e g with e in the Apery set Ap(S, m) are added to it; see
 `kernel_minimal_gens`.  The
 walk row-reduces C once per map and reads each degree's kernel off
-that RREF: its rows with a pivot in J_d, restricted to J_d, are already
-reduced there and seed the elimination, and only the others are
-eliminated on top.  The RREF is unique and keying by j keeps the
+that RREF R: a null vector is fixed by its entries on C's free columns
+in J_d, which range over the kernel of the small matrix E_d made of
+R's rows with a pivot outside J_d, and the rows with a pivot in J_d
+give its other entries.  The RREF is unique and keying by j keeps the
 column order, so kernels, generators and differentials are the ones a
 degree-by-degree elimination gives.
 Three rules skip elimination whose result is known.  A column free in
@@ -206,6 +207,17 @@ class HomogeneousMap:
         return {k: v for k, v in out.items() if v}
 
 
+def _trusted_map(algebra, source, target, elts):
+    """A map on columns already reduced mod p, with no zero entry and
+    homogeneous over source and target, unchecked."""
+    out = object.__new__(HomogeneousMap)
+    out.algebra = algebra
+    out.source = source
+    out.target = target
+    out.elts = tuple(elts)
+    return out
+
+
 def scale_module_elt(algebra, elt, rlabel):
     """rlabel * elt for a sparse free-module element."""
     out = {}
@@ -311,10 +323,12 @@ def kernel_minimal_gens(f):
     written as {(j, t^(d - s_j)): x} once, when the walk ends.
     No matrix is assembled
     there: f_d is the coefficient matrix C of `kernel_stop` on the
-    columns J_d = {j : d - s_j in S}, and N_d comes from the RREF of C,
-    whose rows with a pivot in J_d seed the nullspace while only the
-    others are eliminated (`_CoefficientPieces`); the RREF is unique,
-    so N_d is the nullspace of f.matrix(d), keyed by j.  Only the null
+    columns J_d = {j : d - s_j in S}, and N_d comes from the RREF of C:
+    one elimination of the small matrix E_d on C's free columns per new
+    J_d gives dim N_d and the free columns of f_d, and each null vector
+    of f_d is lifted from one of E_d only when the walk reduces it
+    (`_CoefficientPieces`); the RREF is unique, so each is the null
+    vector of f.matrix(d), keyed by j.  Only the null
     vectors whose free column was not free in degree d - m are reduced:
     J_(d-m) lies in J_d, so a column free in C[:, J_(d-m)] stays free in
     C[:, J_d]; a null vector is 1 at its free column f, its highest, with
@@ -352,26 +366,44 @@ class _CoefficientPieces:
     """The degree pieces of a map f over k[S], read off R = RREF(C).
 
     Every entry of f is c_ij t^(s_j - t_i), so f_d is the coefficient
-    matrix C on the columns J_d = {j : d - s_j in S}, column j standing
-    for the basis element (j, t^(d - s_j)) of the source, with its zero
-    rows dropped.  Vectors are keyed by j itself in every degree, so J_d
-    keeps C's column order.  The rows of R[:, J_d] span the row space of
-    C[:, J_d].  Those whose pivot lies in J_d, restricted to J_d, are
-    already reduced echelon rows with a leading 1, and seed the
-    elimination; the other rows are eliminated on top.  The RREF is
-    unique, so each nullspace is the one of f.matrix(d) with column j
-    in place of the position of (j, t^(d - s_j)).  Columns with one
-    shift are decided together, one run of consecutive j at a time.
-    Past max s_j + conductor J_d holds every column, so consecutive
-    degrees with the same J_d share one nullspace.
+    matrix C on the columns J = J_d = {j : d - s_j in S}, column j
+    standing for the basis element (j, t^(d - s_j)) of the source, with
+    its zero rows dropped.  Vectors are keyed by j itself in every
+    degree, so J_d keeps C's column order.  A vector x on J lies in
+    ker C exactly when R x = 0.  Each row of R is 1 at its pivot pc and
+    otherwise lives on C's free columns F_C, so x is fixed by its part w
+    on F_C and J:
+    - a row with pc outside J forces sum_c R_pc[c] w_c = 0; these rows,
+      restricted to F_C and J, form the small matrix E_d, and w ranges
+      over ker E_d;
+    - a row with pc in J gives x_pc = -sum_c R_pc[c] w_c (`lift`).
+    So dim N_d = |F_C and J| - rank E_d.  R's row for a pivot pc in J
+    has its other entries above pc, so no null vector of f_d has pc as
+    its highest column: the free columns of f_d are those of E_d.  The
+    lift of E_d's null vector for a free column g is 1 at g and 0 at
+    the other free columns, so it is f_d's own null vector for g.  Each
+    new J_d costs one elimination of E_d, and no null vector of f_d is
+    built until the walk asks for it.  Columns
+    with one shift are decided together, one run of consecutive j at a
+    time.  Past max s_j + conductor J_d holds every column, so
+    consecutive degrees with the same J_d share one E_d.
     """
 
-    __slots__ = ("f", "p", "rows", "runs", "_last")
+    __slots__ = ("f", "p", "rows", "above", "runs", "_inside", "_last")
 
     def __init__(self, f, red):
         self.f = f
         self.p = f.algebra.p
         self.rows = [(min(row), row) for row in red]
+        pivots = {pc for pc, _ in self.rows}
+        # each free column c of C, ascending -> (pc, R_pc[c]) for each row
+        # with an entry there
+        above = {c: [] for c in range(f.source.rank) if c not in pivots}
+        for pc, row in self.rows:
+            for c, x in row.items():
+                if c != pc:
+                    above[c].append((pc, x))
+        self.above = above
         runs = []  # (s, first j, last j + 1) for each run of equal shifts
         for j, s in enumerate(f.source.shifts):
             if runs and runs[-1][0] == s:
@@ -379,42 +411,60 @@ class _CoefficientPieces:
             else:
                 runs.append([s, j, j + 1])
         self.runs = runs
+        self._inside = frozenset()  # J_d of the last read, as a set
         self._last = (None, None)  # (J_d as bits 1 << j, null) last read
 
     def kernel(self, d):
-        """(bits, null): J_d as the bits 1 << j, and the nullspace basis
-        of f_d as a dict from the free column j of each vector to the
-        vector, in ascending order of j, each vector keyed by j."""
+        """(bits, null): J_d as the bits 1 << j, and a dict from each free
+        column g of f_d, ascending, to the null vector of E_d for g, keyed
+        by j; `lift` turns it into the null vector of f_d for g."""
         basis = self.f.algebra.basis
         on = [(lo, hi) for s, lo, hi in self.runs if basis(d - s)]
         bits = sum((1 << hi) - (1 << lo) for lo, hi in on)
         if bits != self._last[0]:
-            cols = [j for lo, hi in on for j in range(lo, hi)]
-            inside = set(cols)
-            seed, rest = [], []
+            inside = self._inside = {j for lo, hi in on for j in range(lo, hi)}
+            cols = [j for j in self.above if j in inside]
+            # the rows with a pivot outside J_d, on F_C and J_d
+            rows = []
             for pc, row in self.rows:
-                if row.keys() <= inside:
-                    out = dict(row)
-                elif row.keys().isdisjoint(inside):
-                    continue
-                else:
-                    out = {j: x for j, x in row.items() if j in inside}
-                if pc in inside:
-                    seed.append(out)
-                else:
-                    rest.append(out)
-            null = linalg.nullspace(rest, len(cols), self.p, seed, cols)
+                if pc not in inside:
+                    out = {c: x for c, x in row.items() if c in inside}
+                    if out:
+                        rows.append(out)
+            null = linalg.nullspace(rows, len(cols), self.p, cols)
             # a nullspace vector's free column is its highest column
-            self._last = bits, {max(v): v for v in null}
+            self._last = bits, {max(w): w for w in null}
         return self._last
+
+    def lift(self, w):
+        """The null vector of f_d whose part on F_C is w, a null vector of
+        E_d, for the degree d last passed to `kernel`."""
+        p = self.p
+        inside = self._inside
+        vec = dict(w)
+        for c, y in w.items():
+            for pc, x in self.above[c]:
+                if pc in inside:
+                    z = vec.get(pc)
+                    if z is None:
+                        # nonzero: p is prime and x, y are units
+                        vec[pc] = -x * y % p
+                    elif z := (z - x * y) % p:
+                        vec[pc] = z
+                    else:
+                        del vec[pc]
+        return vec
 
 
 def _new_generators(span, vecs, dim):
     """Residuals of the vectors vecs of N_d against the span, each added
-    to the span once found; none once the span has rank dim = dim N_d."""
+    to the span once found; none once the span has rank dim = dim N_d,
+    and no further vector is drawn from vecs then."""
     out = []
-    for vec in vecs:
-        if span.rank == dim:
+    vecs = iter(vecs)
+    while span.rank < dim:
+        vec = next(vecs, None)
+        if vec is None:
             break
         resid = span.reduce(vec)
         if resid is not None:
@@ -433,7 +483,8 @@ def _kernel_minimal_gens(f):
         hi = window.bound
         gens = _full_walk(f, hi) if stop is None else _semigroup_walk(f, hi, stop)
     shifts = tuple(d for d, at in gens.items() for _ in at)
-    out = HomogeneousMap(
+    # the walk's generators are reduced, nonzero and homogeneous already
+    out = _trusted_map(
         algebra, GradedFreeModule(shifts), f.source, [g for at in gens.values() for g in at]
     )
     return out, window.certified
@@ -517,7 +568,7 @@ def _semigroup_walk(f, bound, stop):
             # keyed by j, the rows of N_(d-m) already are those of t^m N_(d-m)
             below, span, free = prior
             # only vectors whose free column became free can leave the span
-            fresh = [v for j, v in null.items() if j not in free]
+            fresh = [w for j, w in null.items() if j not in free]
             # columns outside J_(d-m)
             new = bits & ~below
         # a product with every column in J_(d-m) is t^m times an element
@@ -533,7 +584,8 @@ def _semigroup_walk(f, bound, stop):
             if span.rank == dim:
                 break
             span.add(g)
-        found = _new_generators(span, fresh, dim)
+        # each null vector is built only when the walk reduces it
+        found = _new_generators(span, map(pieces.lift, fresh), dim)
         if found:
             gens[d] = found
             supports[d] = [sum(1 << j for j in g) for g in found]

@@ -121,27 +121,15 @@ def _insert(red, pivots, occ, res, p):
     red.append(res)
 
 
-def _echelon(rows, p, seed=()):
-    """Reduced echelon rows of the span of seed and rows: the seed rows
-    first, then new ones in the order they were found.
-
-    seed is a list of rows already in reduced echelon form, each with
-    entry 1 at its lowest column, its pivot.  The rows are taken over,
-    not copied: inserting rows edits them in place.
-    """
-    red = list(seed)
-    pivots = {min(row): at for at, row in enumerate(red)}
-    if rows:
-        # the occurrence index is needed only once a row is inserted
-        occ = defaultdict(list)
-        for at, row in enumerate(red):
-            for k in row:
-                if k not in pivots:
-                    occ[k].append(at)
-        for row in rows:
-            out = _residual(row, red, pivots, p)
-            if out:
-                _insert(red, pivots, occ, out, p)
+def _echelon(rows, p):
+    """Reduced echelon rows of the span of rows, in the order their
+    pivots were found, and the dict from each pivot column to its row."""
+    red, pivots = [], {}
+    occ = defaultdict(list)
+    for row in rows:
+        out = _residual(row, red, pivots, p)
+        if out:
+            _insert(red, pivots, occ, out, p)
     return red, pivots
 
 
@@ -158,20 +146,16 @@ def rref(rows, ncols, p):
     return [red[pivots[c]] for c in order], {c: i for i, c in enumerate(order)}
 
 
-def nullspace(rows, ncols, p, seed=(), cols=None):
+def nullspace(rows, ncols, p, cols=None):
     """Basis of the right kernel {v : A v = 0}, one vector per free column.
 
     The vector for free column f has a 1 at f and -red[r][f] at the
-    pivot of every row r; vectors come in ascending order of f.  seed
-    holds further rows of A already in reduced echelon form, each with
-    entry 1 at its lowest column; they are taken over and edited in
-    place, and only rows are eliminated on top of them.  The RREF of
-    the row space is unique, so the basis does not depend on how its
-    rows were split between seed and rows.  cols, when given, names the
-    ncols columns of A in ascending order, in place of 0..ncols-1: the
-    rows and the vectors are keyed by those names.
+    pivot of every row r; vectors come in ascending order of f.  cols,
+    when given, names the ncols columns of A in ascending order, in
+    place of 0..ncols-1: the rows and the vectors are keyed by those
+    names.
     """
-    red, pivots = _echelon(rows, p, seed)
+    red, pivots = _echelon(rows, p)
     basis = {f: {f: 1} for f in (range(ncols) if cols is None else cols) if f not in pivots}
     for pc, at in pivots.items():
         for c, x in red[at].items():

@@ -412,10 +412,9 @@ def scan_insert(red, pivots, res, p):
     red.append(res)
 
 
-def scan_echelon(rows, p, red=None):
-    """(red, pivots) after adding rows in order to the RREF rows red."""
-    red = [] if red is None else [dict(r) for r in red]
-    pivots = {min(r): at for at, r in enumerate(red)}
+def scan_echelon(rows, p):
+    """(red, pivots) after adding rows in order to an empty span."""
+    red, pivots = [], {}
     for row in rows:
         out = scan_residual(row, red, pivots, p)
         if out:

@@ -831,7 +831,8 @@ def test_monomial_walk_forms_no_generator_products(monkeypatch):
 
 def test_coefficient_pieces_give_the_nullspace_of_each_degree():
     # over k[S] the walk reads N_d off the RREF of the coefficient
-    # matrix; it must equal the nullspace of the assembled f_d exactly
+    # matrix, through E_d on C's free columns; each lifted vector must
+    # equal the nullspace of the assembled f_d exactly
     rng = random.Random(4112)
     rings = [SemigroupRing(g) for g in fuzz._SG_POOL]
     deficient = 0
@@ -850,11 +851,57 @@ def test_coefficient_pieces_give_the_nullspace_of_each_degree():
             if src:
                 want = linalg.nullspace([r for r in rows if r], len(src), alg.p)
                 # each vector is keyed by the column j of each of its entries
-                assert list(null.values()) == [{src[c][0]: x for c, x in v.items()} for v in want]
+                assert [pieces.lift(w) for w in null.values()] == [
+                    {src[c][0]: x for c, x in v.items()} for v in want
+                ]
                 assert list(null) == [src[max(v)][0] for v in want]
             else:
                 assert null == {}
     assert deficient >= 10
+
+
+def test_semigroup_walk_lifts_only_the_vectors_it_reduces(monkeypatch):
+    # k over k[[t^6,t^7,t^9,t^11]] to depth 6: building every null vector
+    # of each J_d took 3640 vectors; the walk lifts one only when it is
+    # about to reduce it, and draws none once D_d fills N_d, so it lifts
+    # exactly its 2071 reductions
+    calls = {"n": 0}
+    real = homalg._CoefficientPieces.lift
+
+    def counting(self, w):
+        calls["n"] += 1
+        return real(self, w)
+
+    monkeypatch.setattr(homalg._CoefficientPieces, "lift", counting)
+    ring = SemigroupRing((6, 7, 9, 11))
+    resolve(cyclic_presentation(GradedAlgebra(ring), ring.maximal_ideal()), 6)
+    assert calls["n"] == 2071
+
+
+def test_kernel_maps_pass_the_map_constructor_unchanged():
+    # the walk builds its kernel map without re-validating it; the
+    # checking constructor must accept each one and keep its columns
+    rng = random.Random(4114)
+    rings = [SemigroupRing(g) for g in fuzz._SG_POOL] + [
+        _cube_ring(),
+        QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+        QuotientRing(2, [(4, 0), (1, 2), (0, 3)]),
+        QuotientRing(2),
+    ]
+    seen = {False: 0, True: 0}
+    for k in range(64):
+        ring = rings[k % len(rings)]
+        alg = GradedAlgebra(ring, rng.choice((2, 101, 2**31 - 1)))
+        f = _draw_map(alg, rng)
+        for _ in range(2):
+            g = kernel_minimal_gens(f)[0]
+            again = HomogeneousMap(alg, g.source, g.target, g.elts)
+            assert again.elts == g.elts
+            seen[kernel_stop(f) is not None] += g.source.rank > 0
+            if not g.source.rank:
+                break
+            f = g
+    assert seen[False] >= 20 and seen[True] >= 20
 
 
 def test_semigroup_walk_forms_only_apery_products(monkeypatch):

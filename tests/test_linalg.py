@@ -171,8 +171,7 @@ def test_indexed_elimination_matches_row_scanning_reference(p):
                 {c: i for i, c in enumerate(order)},
             )
             assert linalg.nullspace(rows, ncols, p) == _scan_nullspace(rows, ncols, p)
-            # a span keeps the reference's rows, in order, and so does the
-            # elimination on top of seed rows taken over as they are
+            # a span keeps the reference's rows, in order
             more = [_sparse(_rand_row(rng, p, ncols, density)) for _ in range(rng.randint(0, 8))]
             span = EchelonSpan(p)
             grew = [span.add(r) for r in more]
@@ -181,35 +180,22 @@ def test_indexed_elimination_matches_row_scanning_reference(p):
             assert grew.count(True) == len(want)
             probe = _sparse(_rand_row(rng, p, ncols, density))
             assert span.reduce(probe) == (scan_residual(probe, want, want_pivots, p) or None)
-            seeded = linalg._echelon(more, p, [dict(r) for r in red])
-            assert seeded == scan_echelon(more, p, red=red)
 
 
 @pytest.mark.parametrize("p", (2, 101, 2**31 - 1))
-def test_seeded_nullspace_equals_unseeded(p):
-    # any set of RREF rows of the row space is a valid seed; the rows
-    # eliminated on top of it may be the matrix's own or the other RREF
-    # rows, and the nullspace does not change
+def test_nullspace_vectors_end_at_their_free_columns(p):
     rng = random.Random(3 * p + 2)
     for density in (0.2, 0.5, 0.9):
         for _ in range(40):
             ncols = rng.randint(1, 12)
             rows = [_sparse(_rand_row(rng, p, ncols, density)) for _ in range(rng.randint(0, 10))]
             want = linalg.nullspace(rows, ncols, p)
-            red, pivots = linalg.rref(rows, ncols, p)
+            _, pivots = linalg.rref(rows, ncols, p)
             # one vector per free column, in ascending order; the free
             # column is the vector's highest, with entry 1 there
             free = [c for c in range(ncols) if c not in pivots]
             assert [max(v) for v in want] == free
             assert all(v[max(v)] == 1 for v in want)
-            keep = [rng.random() < 0.5 for _ in red]
-            # nullspace takes its seed rows over, so each call gets copies
-            seed = [dict(r) for r, k in zip(red, keep) if k]
-            assert linalg.nullspace(rows, ncols, p, seed) == want
-            seed = [dict(r) for r, k in zip(red, keep) if k]
-            rest = [dict(r) for r, k in zip(red, keep) if not k]
-            assert linalg.nullspace(rest, ncols, p, seed) == want
-            assert linalg.nullspace([], ncols, p, [dict(r) for r in red]) == want
 
 
 def test_a_row_that_loses_and_regains_a_column_is_cleared():
@@ -225,12 +211,7 @@ def test_a_row_that_loses_and_regains_a_column_is_cleared():
         if n == 3:
             assert span.rows[0] == {0: 1, 3: p - 1}  # and came back
     assert span.rows == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
-    # the same rows eliminated on top of seed rows and through rref
-    seed = [{0: 1, 2: 1}, {1: 1, 3: 1}]
-    red, _ = linalg._echelon([{2: 1, 3: 1}], p, [dict(r) for r in seed])
-    assert red[0] == {0: 1, 3: p - 1}
-    red, _ = linalg._echelon([{2: 1, 3: 1}, {3: 1}], p, [dict(r) for r in seed])
-    assert sorted(red, key=min) == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
+    # the same rows through rref
     assert linalg.rref(added, 4, p)[0] == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
 
