@@ -67,11 +67,13 @@ _kernel_memo = None
 class GradedAlgebra:
     """R with coefficients mod p.
 
-    basis(d), mult(a, b) and deg(label) are the ring's own methods,
-    bound here once, so each product or basis lookup is a single call.
+    basis(d), mult(a, b), times(a) and deg(label) are the ring's own
+    methods, bound here once, so each basis lookup is a single call.
+    Products are read from the ring's tables, times(a)[b], which outlive
+    the algebra.
     """
 
-    __slots__ = ("ring", "p", "basis", "mult", "deg")
+    __slots__ = ("ring", "p", "basis", "mult", "times", "deg")
 
     def __init__(self, ring, p=DEFAULT_PRIME):
         linalg.check_prime(p)
@@ -79,6 +81,7 @@ class GradedAlgebra:
         self.p = p
         self.basis = ring.basis
         self.mult = ring.mult
+        self.times = ring.times
         self.deg = ring.deg
 
 
@@ -98,6 +101,11 @@ class GradedFreeModule:
         ideal I is given: the (j, b) with b outside I, in the same order."""
         piece = algebra.basis if ideal is None else ideal.outside
         return [(j, b) for j, s in enumerate(self.shifts) for b in piece(d - s)]
+
+    def dim(self, algebra, d, ideal=None):
+        """The length of basis(algebra, d, ideal), counted piece by piece."""
+        piece = algebra.basis if ideal is None else ideal.outside
+        return sum(len(piece(d - s)) for s in self.shifts)
 
 
 class HomogeneousMap:
@@ -170,30 +178,28 @@ class HomogeneousMap:
         Rows follow target.basis(algebra, d, ideal), columns
         source.basis(algebra, d, ideal); each row is a {column: coeff}
         dict of its nonzero entries.  A product that is zero in R, or
-        that lies in I, has no row and is dropped.
+        that lies in I, has no row and is dropped.  Both families'
+        monoids are cancellative, so the entries of one column land on
+        distinct rows and each cell is one entry of the map.
         """
         algebra = self.algebra
-        p = algebra.p
-        mult = algebra.mult
+        times = algebra.times
         elts = self.elts
         src = self.source.basis(algebra, d, ideal)
         tgt = self.target.basis(algebra, d, ideal)
         index = {key: r for r, key in enumerate(tgt)}
         rows = [{} for _ in tgt]
+        last = None
         for c, (j, b) in enumerate(src):
-            for (i, label), coeff in elts[j].items():
-                prod = mult(label, b)
-                if prod is None:
-                    continue
-                r = index.get((i, prod))
-                if r is None:
-                    continue
-                row = rows[r]
-                x = (row.get(c, 0) + coeff) % p
-                if x:
-                    row[c] = x
-                else:
-                    row.pop(c, None)
+            if j != last:
+                # the columns of one source element are consecutive
+                last = j
+                entries = [(i, times(label), coeff) for (i, label), coeff in elts[j].items()]
+            for i, prods, coeff in entries:
+                # a product zero in R is None, which has no row either
+                r = index.get((i, prods[b]))
+                if r is not None:
+                    rows[r][c] = coeff
         return rows, src, tgt
 
     def apply_sparse(self, elt):
@@ -220,9 +226,10 @@ def _trusted_map(algebra, source, target, elts):
 
 def scale_module_elt(algebra, elt, rlabel):
     """rlabel * elt for a sparse free-module element."""
+    prods = algebra.times(rlabel)
     out = {}
     for (j, b), coeff in elt.items():
-        prod = algebra.mult(b, rlabel)
+        prod = prods[b]
         if prod is None:
             continue
         key = (j, prod)
@@ -496,7 +503,6 @@ def _full_walk(f, bound):
     rows of N_{d-1}."""
     algebra = f.algebra
     p = algebra.p
-    mult = algebra.mult
     gens = {}
     prior = None  # (source basis, echelon rows of N_{d-1}) when N_{d-1} != 0
     for d in range(min(f.source.shifts), bound + 1):
@@ -516,7 +522,8 @@ def _full_walk(f, bound):
                     break
                 # x_v takes column (j, b) of degree d - 1 to (j, b x_v), or
                 # to None when b x_v lies in A
-                col = [index.get((j, mult(b, v))) for j, b in below[0]]
+                prods = algebra.times(v)
+                col = [index.get((j, prods[b])) for j, b in below[0]]
                 for row in below[1]:
                     if span.rank == dim:
                         break
@@ -805,7 +812,7 @@ def _tor_from(res, ideal, t, ranks):
     dims = {}
     total = 0
     for d in range(lo, hi + 1):
-        nsrc = len(ft.basis(res.algebra, d, ideal))
+        nsrc = ft.dim(res.algebra, d, ideal)
         if nsrc == 0:
             continue
         k = nsrc
@@ -881,7 +888,7 @@ def audit_resolution(res):
         lo = min(outer.source.shifts)
         hi = kernel_window(algebra, outer.source).bound
         for d in range(lo, hi + 1):
-            nsrc = len(outer.source.basis(algebra, d))
+            nsrc = outer.source.dim(algebra, d)
             if nsrc == 0:
                 continue
             dim_ker = nsrc - _rank_of(outer, d)
@@ -911,7 +918,7 @@ def euler_holds(res):
         hi = kernel_window(algebra, res.module(n - 1)).bound
     modules = [res.module(i) for i in range(n + 1)]
     for d in range(min(f0.shifts), hi + 1):
-        alt = sum((-1) ** i * len(f.basis(algebra, d)) for i, f in enumerate(modules))
-        if alt != len(f0.basis(algebra, d)) - _rank_of(res.maps[0], d):
+        alt = sum((-1) ** i * f.dim(algebra, d) for i, f in enumerate(modules))
+        if alt != f0.dim(algebra, d) - _rank_of(res.maps[0], d):
             return False
     return True

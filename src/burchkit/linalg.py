@@ -16,7 +16,11 @@ a column's list is dropped once the column becomes a pivot.  `_echelon`
 and `EchelonSpan` own their index; nothing else appends rows.
 
 The modulus must be prime (`check_prime`): inverses are taken as
-pow(x, -1, p).
+pow(x, -1, p).  Entries are reduced: every row handed to `rref`,
+`nullspace` or an `EchelonSpan` holds only coefficients in 1..p-1, and
+every row they return does too, so no kernel normalises its input.
+Only `reduce_row`, the public entry for arbitrary rows, reduces
+coefficients mod p first.
 """
 
 from __future__ import annotations
@@ -64,18 +68,17 @@ def _is_prime(n):
 
 
 def _residual(row, red, pivots, p):
-    """Residual of row modulo the RREF rows red, as a new dict.
+    """Residual of the reduced row modulo the RREF rows red, as a new dict.
 
     The multiple of the pivot row for column c is row[c] itself, so only
     the pivot columns in the support of row are visited.
     """
-    out = {c: x % p for c, x in row.items() if x % p}
+    out = dict(row)
     if pivots:
         for c, f in row.items():
             at = pivots.get(c)
-            if at is None or not f % p:
+            if at is None:
                 continue
-            f %= p
             for k, y in red[at].items():
                 x = (out.get(k, 0) - f * y) % p
                 if x:
@@ -137,9 +140,9 @@ def rref(rows, ncols, p):
     """Reduced row echelon form of the row space.
 
     rows holds the nonzero entries of each row of a matrix with ncols
-    columns.  Returns (red, pivots): the nonzero RREF rows ordered by
-    pivot column, and a dict mapping each pivot column, ascending, to
-    the index of its row in red.
+    columns, reduced mod p.  Returns (red, pivots): the nonzero RREF
+    rows ordered by pivot column, and a dict mapping each pivot column,
+    ascending, to the index of its row in red.
     """
     red, pivots = _echelon(rows, p)
     order = sorted(pivots)
@@ -149,11 +152,11 @@ def rref(rows, ncols, p):
 def nullspace(rows, ncols, p, cols=None):
     """Basis of the right kernel {v : A v = 0}, one vector per free column.
 
-    The vector for free column f has a 1 at f and -red[r][f] at the
-    pivot of every row r; vectors come in ascending order of f.  cols,
-    when given, names the ncols columns of A in ascending order, in
-    place of 0..ncols-1: the rows and the vectors are keyed by those
-    names.
+    rows are A's, with entries reduced mod p, as for `rref`.  The vector
+    for free column f has a 1 at f and -red[r][f] at the pivot of every
+    row r; vectors come in ascending order of f.  cols, when given,
+    names the ncols columns of A in ascending order, in place of
+    0..ncols-1: the rows and the vectors are keyed by those names.
     """
     red, pivots = _echelon(rows, p)
     basis = {f: {f: 1} for f in (range(ncols) if cols is None else cols) if f not in pivots}
@@ -168,16 +171,22 @@ def reduce_row(row, red, pivots, p):
     """Residual of row modulo the span of RREF rows; None if it is zero.
 
     pivots maps each pivot column to the index of its row in red, as
-    `rref` returns it.
+    `rref` returns it.  The coefficients of row may be any integers:
+    they are taken mod p, and zero entries ignored, with row left as it
+    was.
     """
+    if row and not (0 < min(row.values()) and max(row.values()) < p):
+        row = {c: r for c, x in row.items() if (r := x % p)}
     return _residual(row, red, pivots, p) or None
 
 
 class EchelonSpan:
     """Incrementally maintained row space in reduced echelon form.
 
-    rows are kept in the order they were added; pivots maps each pivot
-    column to the index of its row, as `reduce_row` expects.  Add rows
+    Vectors passed to `add` have entries reduced mod p, as for `rref`;
+    `reduce` takes any integers, as `reduce_row` does.  rows are kept in
+    the order they were added; pivots maps each pivot column to the
+    index of its row, as `reduce_row` expects.  Add rows
     only through `add` or `insert`, which keep the occurrence index.
     """
 

@@ -3,7 +3,8 @@
 QuotientRing is k[x_1..x_n]/A, graded by total degree, with exponent
 tuples as labels; SemigroupRing is k[[S]], graded by valuation, with
 integer labels.  Each answers the graded-algebra calls of `homalg`:
-basis(d), mult(a, b) (None when the product is zero), deg(label),
+basis(d), mult(a, b) (None when the product is zero), times(a), the
+table {b: a*b} that `homalg` reads products from, deg(label),
 kernel_window(slack), the width past a free module's highest shift that
 holds its kernel generators, with a certified flag, and stop_modulus(),
 the m of `homalg.kernel_stop` (None when there is none).  SemigroupRing
@@ -29,6 +30,7 @@ Colon by the zero ideal returns the unit ideal.
 """
 
 import math
+from functools import partial
 from operator import add, le
 
 from .monomial import (
@@ -51,7 +53,37 @@ from .semigroup import (
 INFINITY = math.inf
 
 
-class QuotientRing:
+class _Products(dict):
+    """{b: a*b} for one label a, each entry filled from mult on first read."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, b):
+        prod = self[b] = self.fill(b)
+        return prod
+
+
+class _Ring:
+    """What both families share: the product tables, one per label, kept
+    in _times.  They live on the ring, not on an algebra over it, so every
+    prime, resolution stage and fuzz trial over one ring shares them."""
+
+    __slots__ = ()
+
+    def times(self, a):
+        """The products of the label a, as a dict {b: a*b} holding None
+        where a*b is zero, filled from mult on first read."""
+        got = self._times.get(a)
+        if got is None:
+            got = self._times[a] = _Products(partial(self.mult, a))
+        return got
+
+
+class QuotientRing(_Ring):
     """k[x_1..x_n] / A for a proper monomial ideal A (A may be zero).
 
     Windows: an Artinian R vanishes past its top degree, so every window
@@ -59,7 +91,7 @@ class QuotientRing:
     a heuristic slack, flagged certified=False.
     """
 
-    __slots__ = ("nvars", "defining", "_basis", "_socle", "_powers", "_std", "_top")
+    __slots__ = ("nvars", "defining", "_basis", "_socle", "_powers", "_std", "_top", "_times")
 
     def __init__(self, nvars, defining_gens=()):
         defining = MonomialIdeal(nvars, defining_gens)
@@ -71,6 +103,7 @@ class QuotientRing:
         self._socle = None
         self._powers = {}
         self._std = None  # standard monomials of an Artinian R; False if not
+        self._times = {}
         # read by mpow, mult and every kernel window, so computed once
         self._top = self.zero_ideal().quotient_top_degree()
 
@@ -319,7 +352,7 @@ class QIdeal(_Ideal):
         return integral_closure(self.rep) == self.rep
 
 
-class SemigroupRing:
+class SemigroupRing(_Ring):
     """Numerical semigroup ring k[[t^a : a in S]] for S = <generators>.
 
     Windows: pieces have dimension <= 1, so differentials are scalar
@@ -334,10 +367,11 @@ class SemigroupRing:
     free module to (j, t^(b+e)): the walk keys its vectors by j alone.
     """
 
-    __slots__ = ("S",)
+    __slots__ = ("S", "_times")
 
     def __init__(self, generators):
         self.S = NumericalSemigroup(generators)
+        self._times = {}
 
     def ideal(self, vals):
         return SgIdeal(self, vals)

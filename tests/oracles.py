@@ -593,6 +593,40 @@ def rand_semigroup_instance(rng):
     return gens, ivals, jvals
 
 
+def draw_map(alg, rng, top=8):
+    """A homogeneous map with entries of positive degree at most top; with
+    some columns t^e times earlier ones up to a scalar, so that over k[S]
+    the coefficient matrix often loses rank."""
+    from burchkit.homalg import GradedFreeModule, HomogeneousMap
+
+    tshifts = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
+    degrees = [e for e in range(1, top + 1) if alg.basis(e)]
+    sshifts, elts = [], []
+    for _ in range(rng.randint(1, 3)):
+        if elts and rng.random() < 0.5:
+            k = rng.randrange(len(elts))
+            e = rng.choice(degrees[:3])
+            r = rng.choice(alg.basis(e))
+            c = rng.randint(1, alg.p - 1)
+            elt = {
+                (i, prod): c * x
+                for (i, label), x in elts[k].items()
+                if (prod := alg.mult(label, r)) is not None
+            }
+            sshifts.append(sshifts[k] + e)
+        else:
+            first = rng.randrange(len(tshifts))
+            s = tshifts[first] + rng.choice(degrees)
+            elt = {}
+            for i, t in enumerate(tshifts):
+                labels = alg.basis(s - t) if s > t else ()
+                if labels and (i == first or rng.random() < 0.5):
+                    elt[(i, rng.choice(labels))] = rng.randint(1, alg.p - 1)
+            sshifts.append(s)
+        elts.append(elt)
+    return HomogeneousMap(alg, GradedFreeModule(sshifts), GradedFreeModule(tshifts), elts)
+
+
 # ----------------------------------------------------- handle parity checks
 
 INFINITY = float("inf")

@@ -30,7 +30,7 @@ from burchkit.homalg import (
 from burchkit.fuzz import FuzzConfig, gen_module, trial_rng
 from burchkit.rings import QuotientRing, SemigroupRing
 
-from oracles import dense_matrix, reference_kernel_gens
+from oracles import dense_matrix, draw_map, reference_kernel_gens
 
 
 def _cube_ring():
@@ -393,7 +393,7 @@ def test_tor_against_k_reads_the_resolution_off_f_t():
         alg = GradedAlgebra(ring)
         m = ring.maximal_ideal()
         cases = [cyclic_presentation(alg, m)]
-        cases += [GradedPresentation(_draw_map(alg, rng)) for _ in range(12)]
+        cases += [GradedPresentation(draw_map(alg, rng)) for _ in range(12)]
         for pres in cases:
             try:
                 want = _tor_by_ranks(pres, m, 4)
@@ -668,38 +668,6 @@ def test_kernel_walk_matches_full_product_walk_on_residue_fields(ring, p):
         _assert_same_kernel(f, early_stop=True)
 
 
-def _draw_map(alg, rng, top=8):
-    """A homogeneous map with entries of positive degree at most top; with
-    some columns t^e times earlier ones up to a scalar, so that over k[S]
-    the coefficient matrix often loses rank."""
-    tshifts = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
-    degrees = [e for e in range(1, top + 1) if alg.basis(e)]
-    sshifts, elts = [], []
-    for _ in range(rng.randint(1, 3)):
-        if elts and rng.random() < 0.5:
-            k = rng.randrange(len(elts))
-            e = rng.choice(degrees[:3])
-            r = rng.choice(alg.basis(e))
-            c = rng.randint(1, alg.p - 1)
-            elt = {
-                (i, prod): c * x
-                for (i, label), x in elts[k].items()
-                if (prod := alg.mult(label, r)) is not None
-            }
-            sshifts.append(sshifts[k] + e)
-        else:
-            first = rng.randrange(len(tshifts))
-            s = tshifts[first] + rng.choice(degrees)
-            elt = {}
-            for i, t in enumerate(tshifts):
-                labels = alg.basis(s - t) if s > t else ()
-                if labels and (i == first or rng.random() < 0.5):
-                    elt[(i, rng.choice(labels))] = rng.randint(1, alg.p - 1)
-            sshifts.append(s)
-        elts.append(elt)
-    return HomogeneousMap(alg, GradedFreeModule(sshifts), GradedFreeModule(tshifts), elts)
-
-
 def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
     rng = random.Random(4111)
     rings = [SemigroupRing(g) for g in fuzz._SG_POOL] + [
@@ -712,7 +680,7 @@ def test_kernel_walk_matches_full_product_walk_on_drawn_maps():
     deficient = injective = 0
     for k in range(72):
         alg = GradedAlgebra(rings[k % len(rings)], rng.choice((2, 101)))
-        f = _draw_map(alg, rng)
+        f = draw_map(alg, rng)
         stop = kernel_stop(f)
         if stop is not None:
             rank_n = stop[1]
@@ -735,7 +703,7 @@ def test_kernel_walk_matches_full_product_walk_over_multiplicity_8():
     restarts = grown = 0
     for k in range(40):
         alg = GradedAlgebra(ring, rng.choice((2, 101, 2**31 - 1)))
-        g = _draw_map(alg, rng, top=20)
+        g = draw_map(alg, rng, top=20)
         # the map, its kernel and the kernel of that
         for _ in range(3):
             if not g.source.rank:
@@ -768,7 +736,7 @@ def test_relations_minimal_matches_the_kernel_walk():
     seen = {True: 0, False: 0}
     for k in range(120):
         alg = GradedAlgebra(rings[k % len(rings)], rng.choice((2, 101)))
-        f = _draw_map(alg, rng)
+        f = draw_map(alg, rng)
         got = fuzz._relations_minimal(f)
         assert got == kernel_minimal_gens(f)[0].is_minimal
         seen[got] += 1
@@ -838,7 +806,7 @@ def test_coefficient_pieces_give_the_nullspace_of_each_degree():
     deficient = 0
     for k in range(60):
         alg = GradedAlgebra(rings[k % len(rings)], rng.choice((2, 101, 2147483647)))
-        f = _draw_map(alg, rng)
+        f = draw_map(alg, rng)
         _, rank_n, red = kernel_stop(f)
         deficient += f.source.rank - rank_n < min(f.source.rank, f.target.rank)
         pieces = homalg._CoefficientPieces(f, red)
@@ -892,7 +860,7 @@ def test_kernel_maps_pass_the_map_constructor_unchanged():
     for k in range(64):
         ring = rings[k % len(rings)]
         alg = GradedAlgebra(ring, rng.choice((2, 101, 2**31 - 1)))
-        f = _draw_map(alg, rng)
+        f = draw_map(alg, rng)
         for _ in range(2):
             g = kernel_minimal_gens(f)[0]
             again = HomogeneousMap(alg, g.source, g.target, g.elts)

@@ -11,7 +11,14 @@ import pytest
 
 from burchkit import linalg
 from burchkit.linalg import PRIME_BOUND, EchelonSpan, check_prime
-from oracles import dense_nullspace, dense_reduce_row, dense_rref, scan_echelon, scan_residual
+from oracles import (
+    degree_monomials,
+    dense_nullspace,
+    dense_reduce_row,
+    dense_rref,
+    scan_echelon,
+    scan_residual,
+)
 
 PRIMES = (2, 3, 101)
 REFERENCE_PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1)
@@ -235,3 +242,41 @@ def test_check_prime():
             check_prime(n)
     with pytest.raises(ValueError, match="too large"):
         check_prime(PRIME_BOUND)
+
+
+def test_engine_hands_the_kernels_reduced_rows(monkeypatch):
+    # rref, nullspace and EchelonSpan.add take rows with entries in
+    # 1..p-1 and do not reduce them again; reduce_row reduces its own
+    from burchkit import fuzz, homalg, rings
+
+    real = linalg._residual
+    calls, bad = [], []
+
+    def checking(row, red, pivots, p):
+        calls.append(p)
+        if not all(0 < x < p for x in row.values()):
+            bad.append((dict(row), p))
+        return real(row, red, pivots, p)
+
+    monkeypatch.setattr(linalg, "_residual", checking)
+    cube = degree_monomials(2, 3)
+    square = degree_monomials(3, 2)
+    ci = [(2, 0, 0), (0, 3, 0), (0, 0, 4)]
+    inputs = [
+        (rings.QuotientRing(2, cube), 101, 6),
+        (rings.SemigroupRing((6, 7, 9, 11)), 101, 4),
+        (rings.QuotientRing(3, square), 101, 4),
+        (rings.QuotientRing(3, ci), 2**31 - 1, 5),
+        (rings.SemigroupRing((4, 5, 6, 7)), 2**31 - 1, 4),
+    ]
+    for ring, p, depth in inputs:
+        del calls[:]
+        homalg.resolve(homalg.cyclic_presentation(homalg.GradedAlgebra(ring, p), ring.maximal_ideal()), depth)
+        assert calls, ring
+    # a monomial suite and a semigroup suite; an exception inside a trial
+    # would become a counterexample, so the check only records
+    for name in ("prop26", "cor210"):
+        del calls[:]
+        assert fuzz.run_suite(name, fuzz.FuzzConfig(seed=11, trials=15)).passed
+        assert calls, name
+    assert bad == []

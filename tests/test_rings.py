@@ -267,3 +267,50 @@ def test_semigroup_ideal_from_an_iterator():
         ring.ideal(v for v in [3, 8])
     assert ring.ideal(v for v in [8, 9, 15]) == ring.ideal([8, 9, 15])
     assert ring.ideal(iter(())) == ring.zero_ideal()
+
+
+def _product_rings():
+    return [
+        QuotientRing(2, [(3, 0), (2, 1), (1, 2), (0, 3)]),
+        QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+        # not Artinian: a product is decided by A's membership test
+        QuotientRing(2, [(2, 0)]),
+        SemigroupRing((6, 7, 9, 11)),
+    ]
+
+
+def test_product_tables_agree_with_mult():
+    for ring in _product_rings():
+        labels = [a for d in range(7) for a in ring.basis(d)]
+        for a in labels:
+            assert not ring.times(a)  # cold: nothing read yet
+        for _ in ("cold", "warm"):
+            for a in labels:
+                row = ring.times(a)
+                assert all(row[b] == ring.mult(a, b) for b in labels), (ring, a)
+                assert len(row) == len(labels)
+        # one table per label, kept on the ring
+        assert ring.times(labels[1]) is ring.times(labels[1])
+    poly = QuotientRing(2, [(2, 0)])
+    assert poly.times((1, 0))[(1, 3)] is None
+    assert poly.times((0, 1))[(1, 3)] == (1, 4)
+
+
+def test_matrix_reads_the_product_tables_cold_and_warm():
+    from burchkit.homalg import GradedAlgebra, HomogeneousMap
+
+    rng = random.Random(2817)
+    for _ in range(5):
+        for ring in _product_rings():
+            alg = GradedAlgebra(ring, 101)
+            # drawn through mult: the tables are still cold
+            f = oracles.draw_map(alg, rng)
+            # another prime over the same ring reads the tables f filled
+            g = HomogeneousMap(GradedAlgebra(ring, 2), f.source, f.target, f.elts)
+            degrees = range(min(f.source.shifts), max(f.source.shifts) + 5)
+            for pmap in (f, f, g):
+                for d in degrees:
+                    rows, src, tgt = pmap.matrix(d)
+                    want_rows, want_src, want_tgt = oracles.dense_matrix(pmap, d)
+                    assert (src, tgt) == (want_src, want_tgt)
+                    assert [list(r.items()) for r in rows] == [list(r.items()) for r in want_rows]
