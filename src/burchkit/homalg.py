@@ -67,20 +67,18 @@ _kernel_memo = None
 class GradedAlgebra:
     """R with coefficients mod p.
 
-    basis(d), mult(a, b), times(a) and deg(label) are the ring's own
-    methods, bound here once, so each basis lookup is a single call.
-    Products are read from the ring's tables, times(a)[b], which outlive
-    the algebra.
+    basis(d), times(a) and deg(label) are the ring's own methods, bound
+    here once, so each lookup is a single call.  Products are read from
+    the ring's tables, times(a)[b], which outlive the algebra.
     """
 
-    __slots__ = ("ring", "p", "basis", "mult", "times", "deg")
+    __slots__ = ("ring", "p", "basis", "times", "deg")
 
     def __init__(self, ring, p=DEFAULT_PRIME):
         linalg.check_prime(p)
         self.ring = ring
         self.p = p
         self.basis = ring.basis
-        self.mult = ring.mult
         self.times = ring.times
         self.deg = ring.deg
 

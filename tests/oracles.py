@@ -459,7 +459,7 @@ def dense_matrix(pmap, d, ideal=None):
         col = cols[j]
         for i, entry in enumerate(col):
             for label, coeff in entry.items():
-                prod = algebra.mult(label, b)
+                prod = algebra.ring.mult(label, b)
                 if prod is None or not outside(prod):
                     continue
                 row = rows[index[(i, prod)]]
@@ -611,7 +611,7 @@ def draw_map(alg, rng, top=8):
             elt = {
                 (i, prod): c * x
                 for (i, label), x in elts[k].items()
-                if (prod := alg.mult(label, r)) is not None
+                if (prod := alg.ring.mult(label, r)) is not None
             }
             sshifts.append(sshifts[k] + e)
         else:

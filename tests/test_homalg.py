@@ -743,7 +743,7 @@ def test_relations_minimal_matches_the_kernel_walk():
         j = rng.randrange(f.source.rank)
         e = min(d for d in range(1, 9) if alg.basis(d))
         r = rng.choice(alg.basis(e))
-        col = {(i, prod): c for (i, b), c in f.elts[j].items() if (prod := alg.mult(b, r)) is not None}
+        col = {(i, prod): c for (i, b), c in f.elts[j].items() if (prod := alg.ring.mult(b, r)) is not None}
         g = HomogeneousMap(
             alg,
             GradedFreeModule(f.source.shifts + (f.source.shifts[j] + e,)),
@@ -1041,9 +1041,9 @@ def test_mult_agrees_with_membership_on_artinian_quotients(monkeypatch):
     for ring in rings:
         alg = GradedAlgebra(ring)
         std = [b for d in range(ring.top_degree() + 1) for b in alg.basis(d)]
-        alg.mult(std[0], std[0])  # builds the standard-monomial set
+        ring.mult(std[0], std[0])  # builds the standard-monomial set
         calls.clear()
-        got = {(a, b): alg.mult(a, b) for a in std for b in std}
+        got = {(a, b): ring.mult(a, b) for a in std for b in std}
         assert not calls  # one set lookup per product
         for (a, b), prod in got.items():
             want = tuple(x + y for x, y in zip(a, b))
@@ -1052,10 +1052,9 @@ def test_mult_agrees_with_membership_on_artinian_quotients(monkeypatch):
 
 def test_mult_on_a_non_artinian_quotient_tests_membership(monkeypatch):
     ring = QuotientRing(2, [(0, 2), (1, 1)])
-    alg = GradedAlgebra(ring)
     calls = _counting_member(monkeypatch)
-    assert alg.mult((3, 0), (2, 0)) == (5, 0)
-    assert alg.mult((1, 0), (0, 1)) is None
+    assert ring.mult((3, 0), (2, 0)) == (5, 0)
+    assert ring.mult((1, 0), (0, 1)) is None
     assert calls == [(5, 0), (1, 1)]
 
 
