@@ -13,13 +13,15 @@ with its certified flag, and the modulus of the early kernel stop.  An
 ideal I supplies the top degree of R/I (`quotient_top_degree`), which
 bounds each Tor window, and the basis of R/I (`outside`).  The ring
 classes in `rings` document how each window is certified.
-There is one algebra, R.  Over R/I, for a monomial ideal I, the
-degree-d piece of a map keeps the rows and columns (j, b) of R's with
-b outside I, in R's order.  A product label*b that lies in I has no row
-there, so the lookup that places each product drops it; that is the
-product being zero in R/I.  So Tor over R/I filters R's bases through
-`ideal.outside(e)`, the basis of R_e outside I, and needs no second
-algebra.
+There is one algebra, R.  Tor over R/I, for a monomial ideal I, reads
+each differential over R/I in one pass (`_rank_pass`): the pass walks
+the source basis (j, b), b in `ideal.outside(e)`, once, degree by
+degree, and turns each column into an elimination row keyed by the
+target elements (i, a*b) it meets, dropping a product that is zero in R
+or lies in I by one lookup in the numbered labels of R/I; it ranks the
+rows of each degree together and counts the source piece as it goes.
+A matrix and its transpose have one rank, so no degree piece is
+assembled, no target basis is listed and R/I needs no second algebra.
 A kernel walk spans the decomposable syzygies of each degree from
 products of lower generators.  A monomial quotient is generated in
 degree 1, so that span is R_1 N_(d-1), the variables times the echelon
@@ -94,16 +96,13 @@ class GradedFreeModule:
     def rank(self):
         return len(self.shifts)
 
-    def basis(self, algebra, d, ideal=None):
-        """Ordered basis of the degree-d piece over R, or over R/I when an
-        ideal I is given: the (j, b) with b outside I, in the same order."""
-        piece = algebra.basis if ideal is None else ideal.outside
-        return [(j, b) for j, s in enumerate(self.shifts) for b in piece(d - s)]
+    def basis(self, algebra, d):
+        """Ordered basis of the degree-d piece over R."""
+        return [(j, b) for j, s in enumerate(self.shifts) for b in algebra.basis(d - s)]
 
-    def dim(self, algebra, d, ideal=None):
-        """The length of basis(algebra, d, ideal), counted piece by piece."""
-        piece = algebra.basis if ideal is None else ideal.outside
-        return sum(len(piece(d - s)) for s in self.shifts)
+    def dim(self, algebra, d):
+        """The length of basis(algebra, d), counted piece by piece."""
+        return sum(len(algebra.basis(d - s)) for s in self.shifts)
 
 
 class HomogeneousMap:
@@ -113,7 +112,8 @@ class HomogeneousMap:
     element {(i, label): coeff} of the target listing its nonzero
     entries; each label has degree source.shifts[j] - target.shifts[i].
     Coefficients are reduced mod p when the map is built, and entries
-    that vanish mod p are dropped.
+    that vanish mod p are dropped.  A label that names no nonzero
+    monomial of R (`is_label` of the ring) is rejected.
     `cols` is a dense view built on demand, for inspection only.
     """
 
@@ -129,6 +129,7 @@ class HomogeneousMap:
             raise ValueError("column count does not match source rank")
         tshifts = target.shifts
         rank = target.rank
+        is_label = algebra.ring.is_label
         for j, elt in enumerate(self.elts):
             s = source.shifts[j]
             for i, label in elt:
@@ -136,6 +137,11 @@ class HomogeneousMap:
                     raise ValueError(
                         "entry row %d out of range for target rank %d"
                         % (i, rank)
+                    )
+                if not is_label(label):
+                    raise ValueError(
+                        "entry (%d, %d) = %r is not a nonzero monomial of R"
+                        % (i, j, label)
                     )
                 want = s - tshifts[i]
                 if want < 0 or algebra.deg(label) != want:
@@ -169,22 +175,21 @@ class HomogeneousMap:
     def is_zero(self):
         return not any(self.elts)
 
-    def matrix(self, d, ideal=None):
-        """Sparse GF(p) matrix of the degree-d piece over R, or over R/I
-        when an ideal I is given.
+    def matrix(self, d):
+        """Sparse GF(p) matrix of the degree-d piece over R.
 
-        Rows follow target.basis(algebra, d, ideal), columns
-        source.basis(algebra, d, ideal); each row is a {column: coeff}
-        dict of its nonzero entries.  A product that is zero in R, or
-        that lies in I, has no row and is dropped.  Both families'
-        monoids are cancellative, so the entries of one column land on
-        distinct rows and each cell is one entry of the map.
+        Rows follow target.basis(algebra, d), columns
+        source.basis(algebra, d); each row is a {column: coeff} dict of
+        its nonzero entries.  A product that is zero in R has no row and
+        is dropped.  Both families' monoids are cancellative, so the
+        entries of one column land on distinct rows and each cell is one
+        entry of the map.
         """
         algebra = self.algebra
         times = algebra.times
         elts = self.elts
-        src = self.source.basis(algebra, d, ideal)
-        tgt = self.target.basis(algebra, d, ideal)
+        src = self.source.basis(algebra, d)
+        tgt = self.target.basis(algebra, d)
         index = {key: r for r, key in enumerate(tgt)}
         rows = [{} for _ in tgt]
         last = None
@@ -737,10 +742,9 @@ class TorResult:
     window: tuple
 
 
-def _rank_of(pmap, d, ideal=None):
-    """Rank of the degree-d piece of pmap over R, or over R/I when an
-    ideal I is given."""
-    rows, src, _ = pmap.matrix(d, ideal)
+def _rank_of(pmap, d):
+    """Rank of the degree-d piece of pmap over R."""
+    rows, src, _ = pmap.matrix(d)
     rows = [r for r in rows if r]
     if not rows:
         return 0
@@ -759,7 +763,9 @@ def tor_dims(presentation, ideal, t0, t1):
 
     The resolution to depth t1 + 1 extends the shorter one each tor_dim
     call would build, so every result is the same.  Each map d_t is
-    ranked once per degree, though both Tor_(t-1) and Tor_t need it.
+    read over R/I in one pass (`_rank_pass`), made when Tor_(t-1) or
+    Tor_t first asks for it and kept for the other: the pass covers the
+    degrees of both windows, so no map is read twice.
     Against the residue field k = R/m nothing is ranked: every entry of
     a minimal differential lies in m, so Tor_t(M, k) = F_t (x) k and its
     dimensions are the shifts of F_t.  The resolution then goes to depth
@@ -771,54 +777,132 @@ def tor_dims(presentation, ideal, t0, t1):
     if ideal.ring != presentation.algebra.ring:
         raise ValueError("ambient mismatch")
     _check_stage(t0)
+    top = ideal.quotient_top_degree()
     if ideal != ideal.ring.maximal_ideal():
         res = resolve(presentation, t1 + 1)
-        ranks = {}  # (map index, degree) -> rank over R/I
-        return [_tor_from(res, ideal, t, ranks) for t in range(t0, t1 + 1)]
+        read = _pass_reader(res, ideal, top, t0, t1)
+        return [_tor_from(res, ideal, top, t, read) for t in range(t0, t1 + 1)]
     res = resolve(presentation, t1 if t1 > 1 else t1 + 1)
-    out = [_tor_from(res, ideal, t, None) for t in range(t0, t1 + 1)]
+    out = [_tor_from(res, ideal, top, t, None) for t in range(t0, t1 + 1)]
     if out and len(res.maps) == t1 and not res.complete:
         nxt = kernel_window(presentation.algebra, res.module(t1)).certified
         out[-1] = replace(out[-1], bound_certified=out[-1].bound_certified and nxt)
     return out
 
 
-def _tor_from(res, ideal, t, ranks):
-    """Tor_t(M, R/I) off res.  ranks caches the ranks of the maps over
-    R/I by (map index, degree); it is None over k = R/m, where every map
-    of a minimal resolution becomes zero."""
+def _tor_window(res, top, t):
+    """(lo, hi, certified): the degrees Tor_t is read in, for F_t != 0.
+    They end top past F_t's highest shift, with top the top degree of
+    R/I, or HEURISTIC_WINDOW past it, uncertified, when R/I is not
+    Artinian and top is None."""
+    ft = res.module(t)
+    if top is None:
+        return min(ft.shifts), max(ft.shifts) + HEURISTIC_WINDOW, False
+    return min(ft.shifts), max(ft.shifts) + top, res.certified_through(t + 1)
+
+
+def _pass_reader(res, ideal, top, t0, t1):
+    """read(i): the pass of maps[i] over R/I, made on the first call.
+
+    maps[i] enters F_i and leaves F_(i+1), so Tor_i and Tor_(i+1) read
+    it; its pass covers the degrees of their windows, for those in
+    t0..t1 with a nonzero module.  top is R/I's top degree.
+    """
+    windows = {t: _tor_window(res, top, t) for t in range(t0, t1 + 1) if res.rank(t)}
+    passes = {}
+
+    def read(i):
+        got = passes.get(i)
+        if got is None:
+            spans = [windows[t] for t in (i, i + 1) if t in windows]
+            lo = min(w[0] for w in spans)
+            hi = max(w[1] for w in spans)
+            got = passes[i] = _rank_pass(res.maps[i], ideal, lo, hi)
+        return got
+
+    return read
+
+
+def _rank_pass(pmap, ideal, lo, hi):
+    """(dims, ranks): for each degree d in lo..hi, dim (F (x) R/I)_d of
+    the source F, and the rank of the degree-d piece of pmap over R/I.
+
+    One walk of the source basis over R/I, degree by degree: each column
+    (j, b), b outside I, becomes an elimination row keyed by the target
+    elements (i, a*b) of its entries (i, a).  A product zero in R is
+    None and a product in I is no label of R/I, so one lookup in the
+    numbered labels of R/I drops both; the numbers make each key
+    (i, a*b) the int n * rank + i.
+    Both monoids are cancellative, so the entries of one column meet
+    distinct keys.  The rows of degree d are the transpose of the
+    degree-d piece, which has their rank; a degree with no row has rank
+    0 and no entry in ranks.
+    """
+    sshifts, tshifts = pmap.source.shifts, pmap.target.shifts
+    # the pieces of R/I that a label of the pass can lie in, numbered
+    pieces = [ideal.outside(e) for e in range(hi - min(sshifts + tshifts, default=hi) + 1)]
+    num = {}
+    for labels in pieces:
+        for a in labels:
+            num[a] = len(num)
+    rank = len(tshifts)
+    times = pmap.algebra.times
+    columns = [
+        (s, [(i, times(label), c) for (i, label), c in elt.items()])
+        for s, elt in zip(sshifts, pmap.elts)
+    ]
+    p = pmap.algebra.p
+    dims, ranks = {}, {}
+    for d in range(lo, hi + 1):
+        size = 0
+        rows = []  # the nonzero rows of degree d
+        for s, entries in columns:
+            if d < s:
+                continue
+            labels = pieces[d - s]
+            size += len(labels)
+            for b in labels:
+                row = {}
+                for i, prods, c in entries:
+                    n = num.get(prods[b])
+                    if n is not None:
+                        row[n * rank + i] = c
+                if row:
+                    rows.append(row)
+        if size:
+            dims[d] = size
+        if rows:
+            ranks[d] = linalg.rank(rows, p)
+    return dims, ranks
+
+
+def _tor_from(res, ideal, top, t, read):
+    """Tor_t(M, R/I) off res, with top the top degree of R/I.  read(i)
+    is the pass (`_rank_pass`) of maps[i] over R/I; read is None over
+    k = R/m, where every map of a minimal resolution becomes zero."""
     if res.rank(t) == 0:
         # zero F_t, or past the end; certified_through reads the stages there are
         return TorResult(t, {}, 0, res.certified_through(t), (0, -1))
     ft = res.module(t)
-    top = ideal.quotient_top_degree()
-    lo = min(ft.shifts)
-    if top is not None:
-        hi = max(ft.shifts) + top
-        certified = res.certified_through(t + 1)
-    else:
-        hi = max(ft.shifts) + HEURISTIC_WINDOW
-        certified = False
-
-    if ranks is None:
+    lo, hi, certified = _tor_window(res, top, t)
+    if read is None:
         dims = {}
         for s in sorted(ft.shifts):
             dims[s] = dims.get(s, 0) + 1
         return TorResult(t, dims, ft.rank, certified, (lo, hi))
-    # d_t = maps[t - 1] leaves F_t and d_(t+1) = maps[t] enters it
-    around = [i for i in (t - 1, t) if 0 <= i < len(res.maps)]
+    # d_t = maps[t - 1] leaves F_t, and its pass counts F_t (x) R/I;
+    # d_(t+1) = maps[t] enters F_t
+    if t:
+        size, leaving = read(t - 1)
+    else:
+        outside = ideal.outside
+        size = {d: sum(len(outside(d - s)) for s in ft.shifts) for d in range(lo, hi + 1)}
+        leaving = {}
+    entering = read(t)[1]
     dims = {}
     total = 0
     for d in range(lo, hi + 1):
-        nsrc = ft.dim(res.algebra, d, ideal)
-        if nsrc == 0:
-            continue
-        k = nsrc
-        for i in around:
-            rank = ranks.get((i, d))
-            if rank is None:
-                rank = ranks[i, d] = _rank_of(res.maps[i], d, ideal)
-            k -= rank
+        k = size.get(d, 0) - leaving.get(d, 0) - entering.get(d, 0)
         if k:
             dims[d] = k
             total += k

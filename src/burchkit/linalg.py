@@ -17,8 +17,9 @@ and `EchelonSpan` own their index; nothing else appends rows.
 
 The modulus must be prime (`check_prime`): inverses are taken as
 pow(x, -1, p).  Entries are reduced: every row handed to `rref`,
-`nullspace` or an `EchelonSpan` holds only coefficients in 1..p-1, and
-every row they return does too, so no kernel normalises its input.
+`rank`, `nullspace` or an `EchelonSpan` holds only coefficients in
+1..p-1, and every row they return does too, so no kernel normalises its
+input.
 Only `reduce_row`, the public entry for arbitrary rows, reduces
 coefficients mod p first.
 """
@@ -147,6 +148,12 @@ def rref(rows, ncols, p):
     red, pivots = _echelon(rows, p)
     order = sorted(pivots)
     return [red[pivots[c]] for c in order], {c: i for i, c in enumerate(order)}
+
+
+def rank(rows, p):
+    """Dimension of the row space; rows are reduced mod p, as for `rref`,
+    and may be keyed by any mutually comparable column names."""
+    return len(_echelon(rows, p)[0])
 
 
 def nullspace(rows, ncols, p, cols=None):

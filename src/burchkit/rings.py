@@ -5,6 +5,7 @@ tuples as labels; SemigroupRing is k[[S]], graded by valuation, with
 integer labels.  Each answers the graded-algebra calls of `homalg`:
 basis(d), mult(a, b) (None when the product is zero), times(a), the
 table {b: a*b} that `homalg` reads products from, deg(label),
+is_label(label), whether label names a nonzero monomial of R,
 kernel_window(slack), the width past a free module's highest shift that
 holds its kernel generators, with a certified flag, and stop_modulus(),
 the m of `homalg.kernel_stop` (None when there is none).  SemigroupRing
@@ -171,6 +172,16 @@ class QuotientRing(_Ring):
 
     def deg(self, label):
         return sum(label)
+
+    def is_label(self, label):
+        """Is label a standard monomial: an exponent tuple of nvars
+        nonnegative entries that lies outside A?"""
+        return (
+            type(label) is tuple
+            and len(label) == self.nvars
+            and min(label, default=0) >= 0
+            and not self.defining.member(label)
+        )
 
     def mult(self, a, b):
         """Product of two standard monomials; None when it lies in A.  Over
@@ -401,6 +412,10 @@ class SemigroupRing(_Ring):
 
     def deg(self, label):
         return label
+
+    def is_label(self, label):
+        """Is label a valuation t^label of R, an integer in S?"""
+        return type(label) is int and label in self.S
 
     def kernel_window(self, slack):
         return 2 * self.S.conductor + 1, True

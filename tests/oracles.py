@@ -431,7 +431,8 @@ def scan_echelon(rows, p):
 # the library built it while R/I was a second algebra: the bases keep
 # the elements outside I, and a product is checked against I after
 # multiplication.  tests/test_homalg.py compares HomogeneousMap.matrix
-# against it.
+# against it over R, and the ranks of each pass over R/I
+# (homalg._rank_pass) against the ranks of its pieces over R/I.
 
 def dense_matrix(pmap, d, ideal=None):
     """(rows, src, tgt) of the degree-d piece over R, or over R/I when

@@ -30,7 +30,7 @@ from burchkit.homalg import (
 from burchkit.fuzz import FuzzConfig, gen_module, trial_rng
 from burchkit.rings import QuotientRing, SemigroupRing
 
-from oracles import dense_matrix, draw_map, reference_kernel_gens
+from oracles import dense_matrix, dense_rref, draw_map, reference_kernel_gens
 
 
 def _cube_ring():
@@ -352,10 +352,10 @@ def test_tor_symmetry_on_small_pairs():
             assert a.dims_by_degree == b.dims_by_degree
 
 
-def test_tor_range_ranks_each_map_once_per_degree(monkeypatch):
-    # d_t bounds both Tor_(t-1) and Tor_t; one tor_dims call ranks it
-    # once per degree, with the same results as separate tor_dim calls
-    real = homalg._rank_of
+def test_tor_range_reads_each_map_once(monkeypatch):
+    # d_t bounds both Tor_(t-1) and Tor_t; one tor_dims call reads it in
+    # one pass, with the same results as separate tor_dim calls
+    real = homalg._rank_pass
     cube, sg = _cube_ring(), SemigroupRing((4, 5, 6))
     cases = [
         (cyclic_presentation(GradedAlgebra(cube), cube.maximal_ideal()), cube.ideal([(2, 0), (1, 1)])),
@@ -365,13 +365,13 @@ def test_tor_range_ranks_each_map_once_per_degree(monkeypatch):
         single = [tor_dim(pres, ideal, t) for t in range(4)]
         seen = []
 
-        def counting(pmap, d, ideal=None):
-            seen.append((id(pmap), d))
-            return real(pmap, d, ideal)
+        def counting(pmap, ideal, lo, hi):
+            seen.append(id(pmap))
+            return real(pmap, ideal, lo, hi)
 
-        monkeypatch.setattr(homalg, "_rank_of", counting)
+        monkeypatch.setattr(homalg, "_rank_pass", counting)
         assert homalg.tor_dims(pres, ideal, 0, 3) == single
-        monkeypatch.setattr(homalg, "_rank_of", real)
+        monkeypatch.setattr(homalg, "_rank_pass", real)
         assert seen and len(seen) == len(set(seen))
 
 
@@ -379,8 +379,9 @@ def _tor_by_ranks(pres, ideal, t1):
     """Tor_0..Tor_t1 through the ranks of every map over R/I, off one
     resolution to depth t1 + 1."""
     res = resolve(pres, t1 + 1)
-    ranks = {}
-    return [homalg._tor_from(res, ideal, t, ranks) for t in range(t1 + 1)]
+    top = ideal.quotient_top_degree()
+    read = homalg._pass_reader(res, ideal, top, 0, t1)
+    return [homalg._tor_from(res, ideal, top, t, read) for t in range(t1 + 1)]
 
 
 def test_tor_against_k_reads_the_resolution_off_f_t():
@@ -503,14 +504,31 @@ def test_resolution_window_uncertified_over_nonartinian_quotient():
     assert not r.bound_certified
 
 
-def _assert_matrices_match_dense(pmap, degrees, ideal=None):
+def _assert_matrices_match_dense(pmap, degrees):
     for d in degrees:
-        rows, src, tgt = pmap.matrix(d, ideal)
-        want_rows, want_src, want_tgt = dense_matrix(pmap, d, ideal)
+        rows, src, tgt = pmap.matrix(d)
+        want_rows, want_src, want_tgt = dense_matrix(pmap, d)
         assert (src, tgt) == (want_src, want_tgt)
         # same entries in the same insertion order, so elimination sees
         # identical input
         assert [list(r.items()) for r in rows] == [list(r.items()) for r in want_rows]
+
+
+def _assert_pass_matches_dense(pmap, ideal, lo, hi):
+    """The pass of pmap over R/I against the dense assembly of each
+    degree piece over R/I, ranked by the dense elimination."""
+    dims, ranks = homalg._rank_pass(pmap, ideal, lo, hi)
+    want_dims, want_ranks = {}, {}
+    for d in range(lo, hi + 1):
+        rows, src, _ = dense_matrix(pmap, d, ideal)
+        dense = [[r.get(c, 0) for c in range(len(src))] for r in rows]
+        rank = len(dense_rref(dense, len(src), pmap.algebra.p)[0])
+        if src:
+            want_dims[d] = len(src)
+        if rank:
+            want_ranks[d] = rank
+    assert dims == want_dims
+    assert ranks == want_ranks
 
 
 def test_matrix_matches_dense_assembly_on_residue_field_differentials():
@@ -521,7 +539,7 @@ def test_matrix_matches_dense_assembly_on_residue_field_differentials():
     for m in res.maps:
         degrees = range(min(m.source.shifts), max(m.source.shifts) + 3)
         _assert_matrices_match_dense(m, degrees)
-        _assert_matrices_match_dense(m, degrees, quotient)
+        _assert_pass_matches_dense(m, quotient, degrees[0], degrees[-1])
     ring = SemigroupRing((6, 7, 9, 11))
     alg = GradedAlgebra(ring)
     res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4)
@@ -529,7 +547,7 @@ def test_matrix_matches_dense_assembly_on_residue_field_differentials():
     for m in res.maps:
         degrees = range(min(m.source.shifts), max(m.source.shifts) + 14)
         _assert_matrices_match_dense(m, degrees)
-        _assert_matrices_match_dense(m, degrees, quotient)
+        _assert_pass_matches_dense(m, quotient, degrees[0], degrees[-1])
 
 
 def test_matrix_matches_dense_assembly_on_random_presentations():
@@ -549,9 +567,37 @@ def test_matrix_matches_dense_assembly_on_random_presentations():
                     continue
                 degrees = range(min(m.source.shifts), max(m.source.shifts) + 6)
                 _assert_matrices_match_dense(m, degrees)
-                _assert_matrices_match_dense(m, degrees, quotient)
+                _assert_pass_matches_dense(m, quotient, degrees[0], degrees[-1])
                 checked += 1
     assert checked >= 80
+
+
+@pytest.mark.parametrize("p", [2, 2147483647])
+def test_rank_pass_matches_dense_ranks_over_quotients(p):
+    # drawn maps over both families against zero, unit, m-primary and,
+    # over k[x,y], the non-Artinian (x); each degree's rank over R/I is
+    # the dense elimination's, in and past the degrees a map occupies
+    rng = random.Random(9041 + p % 1000)
+    poly = QuotientRing(2)
+    cube, box = _cube_ring(), _BOX
+    sg4, sg6 = SemigroupRing((4, 5, 6)), SemigroupRing((6, 7, 9, 11))
+    cases = [
+        (poly, [poly.ideal([(1, 0)]), poly.ideal([(2, 0), (1, 1)]), poly.zero_ideal(), poly.unit_ideal()]),
+        (cube, [cube.mpow(2), cube.ideal([(1, 0)]), cube.zero_ideal(), cube.unit_ideal()]),
+        (box, [box.ideal([(1, 0, 0), (0, 2, 0)]), box.maximal_ideal(), box.zero_ideal()]),
+        (sg4, [sg4.ideal([8, 9]), sg4.maximal_ideal(), sg4.zero_ideal(), sg4.unit_ideal()]),
+        (sg6, [sg6.ideal([12, 13]), sg6.mpow(2), sg6.zero_ideal()]),
+    ]
+    for ring, ideals in cases:
+        alg = GradedAlgebra(ring, p)
+        for _ in range(6):
+            pmap = draw_map(alg, rng)
+            lo = min(pmap.target.shifts) - 1
+            hi = max(pmap.source.shifts) + 6
+            for ideal in ideals:
+                _assert_pass_matches_dense(pmap, ideal, lo, hi)
+                # a window that starts inside the map's degrees
+                _assert_pass_matches_dense(pmap, ideal, max(pmap.source.shifts), hi)
 
 
 def test_map_constructor_rejects_malformed_columns():
@@ -573,6 +619,29 @@ def test_map_constructor_rejects_malformed_columns():
         HomogeneousMap(alg, source, target, [])
     with pytest.raises(ValueError, match="column count"):
         HomogeneousMap(alg, source, target, [{}, {}])
+
+
+def test_map_constructor_rejects_labels_outside_r():
+    # a label that names no nonzero monomial of R is refused, with the
+    # entry named, before it can give a wrong answer
+    sg = SemigroupRing((4, 5, 6))
+    alg = GradedAlgebra(sg)
+    source, target = GradedFreeModule((7,)), GradedFreeModule((0,))
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) = 7 is not a nonzero monomial of R"):
+        HomogeneousMap(alg, source, target, [{(0, 7): 1}])
+    for bad in (-1, 7.0, (7,)):
+        with pytest.raises(ValueError, match="not a nonzero monomial"):
+            HomogeneousMap(alg, source, target, [{(0, bad): 1}])
+    assert HomogeneousMap(alg, GradedFreeModule((8,)), target, [{(0, 8): 1}]).elts == ({(0, 8): 1},)
+    ring = QuotientRing(2, [(2, 0), (0, 2)])
+    alg = GradedAlgebra(ring)
+    source, target = GradedFreeModule((2,)), GradedFreeModule((0,))
+    # x^2 is zero in R, and a 3-variable label is no monomial of R
+    for bad in ((2, 0), (1, 1, 0), (1,), (3, -1)):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) = .* is not a nonzero monomial of R"):
+            HomogeneousMap(alg, source, target, [{(0, bad): 1}])
+    # a coefficient that vanishes mod p leaves no entry to check
+    assert HomogeneousMap(alg, source, target, [{(0, (1, 1)): 101}]).is_zero()
 
 
 def test_dense_cols_view_round_trips_to_elts():
@@ -928,9 +997,9 @@ def _record_matrix_degrees(monkeypatch):
     top = {}
     build = HomogeneousMap.matrix
 
-    def recording(self, d, ideal=None):
+    def recording(self, d):
         top[id(self)] = max(top.get(id(self), d), d)
-        return build(self, d, ideal)
+        return build(self, d)
 
     monkeypatch.setattr(HomogeneousMap, "matrix", recording)
     return top

@@ -137,6 +137,10 @@ def test_sparse_kernel_matches_dense_reference(p):
             want_red, want_pivots = dense_rref(dense, ncols, p)
             assert [_dense(r, ncols) for r in red] == want_red
             assert list(pivots) == want_pivots
+            # the rank, of the rows and of the columns keyed by row
+            assert linalg.rank(rows, p) == len(want_red)
+            cols = [{r: x for r, row in enumerate(dense) if (x := row[c])} for c in range(ncols)]
+            assert linalg.rank([c for c in cols if c], p) == len(want_red)
             null = linalg.nullspace(rows, ncols, p)
             assert [_dense(v, ncols) for v in null] == dense_nullspace(dense, ncols, p)
             for _ in range(5):
