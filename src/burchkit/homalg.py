@@ -22,6 +22,9 @@ or lies in I by one lookup in the numbered labels of R/I; it ranks the
 rows of each degree together and counts the source piece as it goes.
 A matrix and its transpose have one rank, so no degree piece is
 assembled, no target basis is listed and R/I needs no second algebra.
+The same pass, against the zero ideal, ranks over R itself for
+`audit_resolution`, `euler_holds` and `annihilates`: it is the one code
+that ranks a degree piece.
 A kernel walk spans the decomposable syzygies of each degree from
 products of lower generators.  A monomial quotient is generated in
 degree 1, so that span is R_1 N_(d-1), the variables times the echelon
@@ -183,7 +186,8 @@ class HomogeneousMap:
         its nonzero entries.  A product that is zero in R has no row and
         is dropped.  Both families' monoids are cancellative, so the
         entries of one column land on distinct rows and each cell is one
-        entry of the map.
+        entry of the map.  Its readers are `_full_walk` and
+        `fuzz._relations_minimal`; ranks are taken by `_rank_pass`.
         """
         algebra = self.algebra
         times = algebra.times
@@ -742,16 +746,6 @@ class TorResult:
     window: tuple
 
 
-def _rank_of(pmap, d):
-    """Rank of the degree-d piece of pmap over R."""
-    rows, src, _ = pmap.matrix(d)
-    rows = [r for r in rows if r]
-    if not rows:
-        return 0
-    reduced, _ = linalg.rref(rows, len(src), pmap.algebra.p)
-    return len(reduced)
-
-
 def tor_dim(presentation, ideal, t):
     """dim_k Tor_t(M, R/I) by degree, over a certified window when
     R/I has finite length."""
@@ -924,16 +918,18 @@ def annihilates(ideal, presentation, t):
     jgens = ideal.min_gens()
     if t == 0:
         pmap = presentation.map
+        zero = algebra.ring.zero_ideal()
         for i, s in enumerate(presentation.generators.shifts):
             for g in jgens:
                 # g*e_i lies in the image iff, as one more column, it
-                # leaves the rank of the degree-d piece unchanged
+                # leaves the rank of the degree-d piece unchanged; each
+                # pass holds that rank alone, or nothing for rank 0
                 d = s + algebra.deg(g)
-                wider = HomogeneousMap(
+                wider = _trusted_map(
                     algebra, GradedFreeModule(pmap.source.shifts + (d,)),
                     pmap.target, pmap.elts + ({(i, g): 1},),
                 )
-                if _rank_of(wider, d) != _rank_of(pmap, d):
+                if _rank_pass(wider, zero, d, d)[1] != _rank_pass(pmap, zero, d, d)[1]:
                     return False
         return True
     res = resolve(presentation, t)
@@ -953,7 +949,9 @@ def audit_resolution(res):
     consecutive maps compose to zero on module generators, that
     dim ker(d_i)_d = dim im(d_{i+1})_d for every degree in the stage
     windows (homology vanishes strictly between stages), and the Euler
-    identity of `euler_holds`.
+    identity of `euler_holds`.  Both sides of each equality come from
+    passes over R (`_rank_pass` against the zero ideal), one per map of
+    each consecutive pair, on the outer map's window.
     """
     algebra = res.algebra
     for pmap in res.maps:
@@ -963,18 +961,16 @@ def audit_resolution(res):
         for col in b.elts:
             if a.apply_sparse(col):
                 return False
-    for idx in range(len(res.maps) - 1):
-        outer, inner = res.maps[idx], res.maps[idx + 1]
+    zero = algebra.ring.zero_ideal()
+    for outer, inner in zip(res.maps, res.maps[1:]):
         if outer.source.rank == 0:
             continue
         lo = min(outer.source.shifts)
         hi = kernel_window(algebra, outer.source).bound
-        for d in range(lo, hi + 1):
-            nsrc = outer.source.dim(algebra, d)
-            if nsrc == 0:
-                continue
-            dim_ker = nsrc - _rank_of(outer, d)
-            if dim_ker != _rank_of(inner, d):
+        dims, ranks = _rank_pass(outer, zero, lo, hi)
+        images = _rank_pass(inner, zero, lo, hi)[1]
+        for d, size in dims.items():
+            if size - ranks.get(d, 0) != images.get(d, 0):
                 return False
     return euler_holds(res)
 
@@ -986,7 +982,10 @@ def euler_holds(res):
     dim M_d by (-1)^n dim (ker d_n)_d, and ker d_n is the image of the
     next minimal differential, zero up to min shift of F_n; so the
     identity is checked for every degree up to there, or, when F_n = 0
-    and the resolution has ended, up to the last stage's window.
+    and the resolution has ended, up to the last stage's window.  The
+    F_0 term stands on both sides and cancels, so one pass of d_1 over R
+    (`_rank_pass`) gives what is left of the right side and the i = 1
+    term of the left.
     """
     algebra = res.algebra
     f0 = res.module(0)
@@ -998,9 +997,11 @@ def euler_holds(res):
         hi = min(last.shifts)
     else:
         hi = kernel_window(algebra, res.module(n - 1)).bound
-    modules = [res.module(i) for i in range(n + 1)]
-    for d in range(min(f0.shifts), hi + 1):
-        alt = sum((-1) ** i * f.dim(algebra, d) for i, f in enumerate(modules))
-        if alt != f0.dim(algebra, d) - _rank_of(res.maps[0], d):
+    lo = min(f0.shifts)
+    dims, ranks = _rank_pass(res.maps[0], algebra.ring.zero_ideal(), lo, hi)
+    modules = [res.module(i) for i in range(2, n + 1)]
+    for d in range(lo, hi + 1):
+        alt = sum((-1) ** i * f.dim(algebra, d) for i, f in enumerate(modules, 2))
+        if alt - dims.get(d, 0) != -ranks.get(d, 0):
             return False
     return True

@@ -3,8 +3,8 @@
 QuotientRing is k[x_1..x_n]/A, graded by total degree, with exponent
 tuples as labels; SemigroupRing is k[[S]], graded by valuation, with
 integer labels.  Each answers the graded-algebra calls of `homalg`:
-basis(d), mult(a, b) (None when the product is zero), times(a), the
-table {b: a*b} that `homalg` reads products from, deg(label),
+basis(d), times(a), the table {b: a*b} that `homalg` reads every
+product from (None where it is zero), filled from mult(a, b), deg(label),
 is_label(label), whether label names a nonzero monomial of R,
 kernel_window(slack), the width past a free module's highest shift that
 holds its kernel generators, with a certified flag, and stop_modulus(),
@@ -92,7 +92,7 @@ class QuotientRing(_Ring):
     a heuristic slack, flagged certified=False.
     """
 
-    __slots__ = ("nvars", "defining", "_basis", "_socle", "_powers", "_std", "_top", "_times")
+    __slots__ = ("nvars", "defining", "_basis", "_socle", "_powers", "_top", "_times")
 
     def __init__(self, nvars, defining_gens=()):
         defining = MonomialIdeal(nvars, defining_gens)
@@ -103,9 +103,8 @@ class QuotientRing(_Ring):
         self._basis = {}
         self._socle = None
         self._powers = {}
-        self._std = None  # standard monomials of an Artinian R; False if not
         self._times = {}
-        # read by mpow, mult and every kernel window, so computed once
+        # read by mpow and every kernel window, so computed once
         self._top = self.zero_ideal().quotient_top_degree()
 
     def basis(self, d):
@@ -184,18 +183,9 @@ class QuotientRing(_Ring):
         )
 
     def mult(self, a, b):
-        """Product of two standard monomials; None when it lies in A.  Over
-        an Artinian R, one lookup in the set of all standard monomials."""
+        """Product of two standard monomials; None when it lies in A."""
         prod = tuple(map(add, a, b))
-        std = self._std
-        if std is None:
-            top = self.top_degree()
-            std = self._std = False if top is None else frozenset(
-                u for d in range(top + 1) for u in self.basis(d)
-            )
-        if std is False:
-            return None if self.defining.member(prod) else prod
-        return prod if prod in std else None
+        return None if self.defining.member(prod) else prod
 
     def top_degree(self):
         return self._top

@@ -266,6 +266,44 @@ def test_annihilates_semantics():
     assert annihilates(ring.mpow(2), pres, 2)
 
 
+def _draw_ideal(ring, rng):
+    """The zero ideal, the unit ideal, or one to three labels of degree
+    1..12."""
+    u = rng.random()
+    if u < 0.1:
+        return ring.zero_ideal()
+    if u < 0.15:
+        return ring.unit_ideal()
+    labels = [b for d in range(1, 13) for b in ring.basis(d)]
+    return ring.ideal(rng.sample(labels, rng.randint(1, 3)))
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        SemigroupRing((4, 5, 6)),
+        SemigroupRing((6, 7, 9, 11)),
+        _cube_ring(),
+        QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
+    ],
+    ids=["sg456", "sg6_7_9_11", "cube", "box"],
+)
+def test_annihilates_at_t0_matches_containment_and_products(ring):
+    # J kills R/K iff J <= K, and kills I iff JI = 0
+    rng = random.Random(2718)
+    alg = GradedAlgebra(ring)
+    seen = set()
+    for _ in range(12):
+        j, k = _draw_ideal(ring, rng), _draw_ideal(ring, rng)
+        got = annihilates(j, cyclic_presentation(alg, k), 0)
+        assert got == j.subset_of(k), (j, k)
+        seen.add(("R/K", got))
+        got = annihilates(j, module_from_ideal(alg, k)[0], 0)
+        assert got == (j * k).is_zero(), (j, k)
+        seen.add(("I", got))
+    assert len(seen) == 4
+
+
 def test_negative_homological_degrees_are_rejected():
     # k over k[[t^4, t^5, t^6]]: no stage -1 or -2 exists to read
     ring = SemigroupRing((4, 5, 6))
@@ -992,16 +1030,16 @@ def test_semigroup_walk_reduces_only_newly_free_columns(monkeypatch, gens, p, de
         assert want == sum(res.betti()[2:])
 
 
-def _record_matrix_degrees(monkeypatch):
-    """Largest degree each map builds a matrix in, by map identity."""
+def _record_pass_tops(monkeypatch):
+    """Largest hi each map is passed to `_rank_pass` with, by map identity."""
     top = {}
-    build = HomogeneousMap.matrix
+    real = homalg._rank_pass
 
-    def recording(self, d):
-        top[id(self)] = max(top.get(id(self), d), d)
-        return build(self, d)
+    def recording(pmap, ideal, lo, hi):
+        top[id(pmap)] = max(top.get(id(pmap), hi), hi)
+        return real(pmap, ideal, lo, hi)
 
-    monkeypatch.setattr(HomogeneousMap, "matrix", recording)
+    monkeypatch.setattr(homalg, "_rank_pass", recording)
     return top
 
 
@@ -1037,7 +1075,7 @@ def test_audit_walks_the_full_window(monkeypatch):
     ring = SemigroupRing((6, 7, 9, 11))
     alg = GradedAlgebra(ring)
     res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4)
-    top = _record_matrix_degrees(monkeypatch)
+    top = _record_pass_tops(monkeypatch)
     assert audit_resolution(res)
     for f in res.maps[:-1]:
         assert top[id(f)] == kernel_window(alg, f.source).bound
@@ -1049,19 +1087,29 @@ def _with_last_map(res, columns, shifts):
     return Resolution(res.presentation, res.maps[:-1] + [moved], res.stage_certified, False)
 
 
-def test_audit_rejects_moved_shift_dropped_and_repeated_columns():
-    ring = SemigroupRing((3, 4, 5))
+@pytest.mark.parametrize(
+    "ring, by",
+    [
+        (SemigroupRing((3, 4, 5)), 3),
+        # the least-shift column of d_4 is y e_0 + x e_1, and x keeps both
+        (QuotientRing(2, [(4, 0), (0, 4)]), (1, 0)),
+    ],
+    ids=["sg345", "x4y4"],
+)
+def test_audit_rejects_moved_shift_dropped_and_repeated_columns(ring, by):
     alg = GradedAlgebra(ring)
     res = resolve(cyclic_presentation(alg, ring.maximal_ideal()), 4)
     assert audit_resolution(res) and euler_holds(res)
     last = res.maps[-1]
     shifts, elts = list(last.source.shifts), list(last.elts)
     j = shifts.index(min(shifts))
-    # the generator at the least shift moved up by t^3: still a minimal
-    # complex, but F_4 is one dimension short in that degree
-    moved = {(i, label + 3): c for (i, label), c in elts[j].items()}
+    # the generator at the least shift times by (t^3, or x): still a
+    # minimal complex, but F_4 is one dimension short in that degree
+    prods = alg.times(by)
+    moved = {(i, prods[label]): c for (i, label), c in elts[j].items()}
+    e = alg.deg(by)
     bad = _with_last_map(
-        res, elts[:j] + [moved] + elts[j + 1:], shifts[:j] + [shifts[j] + 3] + shifts[j + 1:]
+        res, elts[:j] + [moved] + elts[j + 1:], shifts[:j] + [shifts[j] + e] + shifts[j + 1:]
     )
     assert not euler_holds(bad) and not audit_resolution(bad)
     # a column dropped at the least shift
@@ -1096,7 +1144,7 @@ def _counting_member(monkeypatch):
     return calls
 
 
-def test_mult_agrees_with_membership_on_artinian_quotients(monkeypatch):
+def test_mult_agrees_with_membership_on_artinian_quotients():
     rng = random.Random(7)
     nvars = rng.randint(2, 3)
     powers = [tuple(rng.randint(2, 4) if k == v else 0 for k in range(nvars)) for v in range(nvars)]
@@ -1106,14 +1154,10 @@ def test_mult_agrees_with_membership_on_artinian_quotients(monkeypatch):
         QuotientRing(3, [(2, 0, 0), (0, 3, 0), (0, 0, 4)]),
         QuotientRing(nvars, powers + [m for m in mixed if any(m)]),
     )
-    calls = _counting_member(monkeypatch)
     for ring in rings:
         alg = GradedAlgebra(ring)
         std = [b for d in range(ring.top_degree() + 1) for b in alg.basis(d)]
-        ring.mult(std[0], std[0])  # builds the standard-monomial set
-        calls.clear()
         got = {(a, b): ring.mult(a, b) for a in std for b in std}
-        assert not calls  # one set lookup per product
         for (a, b), prod in got.items():
             want = tuple(x + y for x, y in zip(a, b))
             assert prod == (None if ring.defining.member(want) else want)
