@@ -34,6 +34,7 @@ from .classify import (
     l3_equivalence,
 )
 from .homalg import (
+    KERNEL_MEMO_CAP,
     GradedAlgebra,
     GradedFreeModule,
     GradedPresentation,
@@ -1003,16 +1004,26 @@ def run_suite(name: str, cfg: FuzzConfig = FuzzConfig()) -> SuiteReport:
     failures = 0
     counterexample = None
     tags = Counter()
-    # trials draw small rings from fixed pools, so rings, ideal colons
-    # and products, and syzygies recur: rings (_build_ring), colons and
-    # products stay in bounded caches across runs, syzygies in a memo
-    # for this run only
+    # trials draw small rings from fixed pools, so rings, ideal colons,
+    # products and closures recur, and so do syzygies and whole
+    # instances: rings (_build_ring) and the ideal operations stay in
+    # bounded caches across runs; syzygies, and the verdicts of checks
+    # that returned keyed by repr(inst), in memos for this run only, so
+    # each distinct instance is checked once.  As in kernel_memo, a
+    # check that raises stores nothing.
+    verdicts = {}
     with kernel_memo():
         for index in range(cfg.trials):
             inst = suite.generate(trial_rng(cfg, index))
             if inst is None:
                 continue
-            verdict, exc = _outcome(suite.check, inst)
+            key = repr(inst)
+            if key in verdicts:
+                verdict, exc = verdicts[key], None
+            else:
+                verdict, exc = _outcome(suite.check, inst)
+                if exc is None and len(verdicts) < KERNEL_MEMO_CAP:
+                    verdicts[key] = verdict
             if verdict is None:
                 continue
             effective += 1

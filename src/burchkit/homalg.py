@@ -919,17 +919,20 @@ def annihilates(ideal, presentation, t):
     if t == 0:
         pmap = presentation.map
         zero = algebra.ring.zero_ideal()
+        ranks = {}  # {d: ranks of pmap's pass at degree d}
         for i, s in enumerate(presentation.generators.shifts):
             for g in jgens:
                 # g*e_i lies in the image iff, as one more column, it
                 # leaves the rank of the degree-d piece unchanged; each
                 # pass holds that rank alone, or nothing for rank 0
                 d = s + algebra.deg(g)
+                if d not in ranks:
+                    ranks[d] = _rank_pass(pmap, zero, d, d)[1]
                 wider = _trusted_map(
                     algebra, GradedFreeModule(pmap.source.shifts + (d,)),
                     pmap.target, pmap.elts + ({(i, g): 1},),
                 )
-                if _rank_pass(wider, zero, d, d)[1] != _rank_pass(pmap, zero, d, d)[1]:
+                if _rank_pass(wider, zero, d, d)[1] != ranks[d]:
                     return False
         return True
     res = resolve(presentation, t)

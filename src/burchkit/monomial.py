@@ -52,9 +52,9 @@ def _from_gens(nvars, gens):
     return out
 
 
-# Products and colons recur across the trials of a fuzz suite, so both
-# are memoized on the generator tuples; the stored values are tuples of
-# exponent vectors and hold no ideal or ring.
+# Products, colons and integral closures recur across the trials of a
+# fuzz suite, so all three are memoized on the generator tuples; the
+# stored values are tuples of exponent vectors and hold no ideal or ring.
 _OP_CACHE_SIZE = 512
 
 
@@ -286,19 +286,25 @@ def _newton_halfspaces(gens):
 
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Integral closure of a monomial ideal in the polynomial ring: the
-    monomials in its Newton polyhedron.
+    monomials in its Newton polyhedron."""
+    if ideal.is_zero() or ideal.is_unit():
+        return ideal
+    return _from_gens(ideal.nvars, _closure(ideal.gens))
+
+
+@lru_cache(maxsize=_OP_CACHE_SIZE)
+def _closure(gens):
+    """Minimal generators of the integral closure of the nonzero, proper
+    ideal on gens.
 
     Every minimal generator of the closure is componentwise bounded by
     the generator maxima: past the bound in coordinate c the convex
     constraint at c is slack, so subtracting e_c stays in the closure.
     """
-    if ideal.is_zero() or ideal.is_unit():
-        return ideal
-    top = tuple(map(max, zip(*ideal.gens)))
-    rows = _newton_halfspaces(ideal.gens)
+    top = tuple(map(max, zip(*gens)))
+    rows = _newton_halfspaces(gens)
     mask = 0
     for idx, v in enumerate(product(*[range(t + 1) for t in top])):
         if all(sum(map(mul, a, v)) + b >= 0 for a, b in rows):
             mask |= 1 << idx
-    return _from_gens(ideal.nvars, _mask_gens(mask, _staircase(top)))
-
+    return _mask_gens(mask, _staircase(top))

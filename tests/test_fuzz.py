@@ -272,6 +272,91 @@ def test_raising_check_becomes_a_shrunk_counterexample(monkeypatch):
     json.loads(report.to_json())
 
 
+def _trial_instances(name, cfg):
+    """The instances of the trials whose generator returns one, by repr."""
+    out = []
+    for k in range(cfg.trials):
+        inst = SUITES[name].generate(trial_rng(cfg, k))
+        if inst is not None:
+            out.append(repr(inst))
+    return out
+
+
+def _wrap_check(monkeypatch, name, check):
+    real = SUITES[name]
+    monkeypatch.setitem(SUITES, name, Suite(name, real.generate, check, real.tags))
+    return real
+
+
+@pytest.mark.parametrize("name", ["prop24", "cor214", "prop26", "hw12"])
+def test_suite_run_checks_each_distinct_instance_once(monkeypatch, name):
+    cfg = FuzzConfig(seed=11, trials=60)
+    plain = run_suite(name, cfg).to_json()
+    instances = _trial_instances(name, cfg)
+    assert len(set(instances)) < len(instances)  # the run repeats some
+    calls = []
+
+    def counting(inst):
+        calls.append(repr(inst))
+        return real.check(inst)
+
+    real = _wrap_check(monkeypatch, name, counting)
+    assert run_suite(name, cfg).to_json() == plain
+    assert sorted(calls) == sorted(set(instances))
+
+
+@pytest.mark.parametrize("name", ["prop24", "cor214"])
+@pytest.mark.parametrize("convict", [False, True])
+def test_memoized_verdicts_count_every_trial(monkeypatch, name, convict):
+    # effective and failures recounted trial by trial with replay_instance;
+    # with convict, every other distinct effective instance fails, so
+    # stored false verdicts must count once per repeat too
+    cfg = FuzzConfig(seed=11, trials=60)
+    if convict:
+
+        def check(inst):
+            verdict = real.check(inst)
+            return verdict and len(repr(inst)) % 2 == 0
+
+        real = _wrap_check(monkeypatch, name, check)
+    report = run_suite(name, cfg)
+    replays = [
+        replay_instance(name, inst)
+        for inst in (SUITES[name].generate(trial_rng(cfg, k)) for k in range(cfg.trials))
+        if inst is not None
+    ]
+    assert report.effective == sum(effective for effective, _ in replays)
+    assert report.failures == sum(effective and not ok for effective, ok in replays)
+    assert (report.failures > 0) == convict
+
+
+def test_raising_check_is_called_on_every_repeat(monkeypatch):
+    # prop24's most repeated instance raises: each of its trials is one
+    # effective failure, and none is answered from the verdict memo
+    cfg = FuzzConfig(seed=11, trials=60)
+    clean = run_suite("prop24", cfg)
+    instances = _trial_instances("prop24", cfg)
+    bad = max(set(instances), key=instances.count)
+    repeats = instances.count(bad)
+    assert repeats > 1
+    calls = {"n": 0}
+
+    def check(inst):
+        if repr(inst) == bad:
+            calls["n"] += 1
+            raise ZeroDivisionError("repeated")
+        return real.check(inst)
+
+    real = _wrap_check(monkeypatch, "prop24", check)
+    report = run_suite("prop24", cfg)
+    assert report.failures == repeats
+    assert report.effective == clean.effective
+    assert report.counterexample["error"] == {"type": "ZeroDivisionError", "message": "repeated"}
+    # one call per trial, and one more for the error of the reported
+    # instance (no smaller candidate raises, so it is its own shrink)
+    assert calls["n"] == repeats + 1
+
+
 def _count_nullspace(monkeypatch):
     count = {"n": 0}
     real = linalg.nullspace
@@ -395,9 +480,11 @@ def test_suites_leave_no_ring_for_the_collector():
     assert freed == []
 
 
-# bounded caches kept across suite runs: fuzz rings, colons and products
+# bounded caches kept across suite runs: fuzz rings, colons, products
+# and integral closures
 PROCESS_CACHES = (
     fuzz._shared_ring,
+    monomial._closure,
     monomial._colon,
     monomial._product,
     semigroup._colon,

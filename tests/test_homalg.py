@@ -266,6 +266,25 @@ def test_annihilates_semantics():
     assert annihilates(ring.mpow(2), pres, 2)
 
 
+def test_annihilates_at_t0_passes_the_presentation_once_per_degree(monkeypatch):
+    # m^2 = (x^2, xy, y^2) on R/m^2 over k[x,y]/(x,y)^3: all three
+    # products e*g sit in degree 2, so one pass of the presentation map
+    # there and one per widened map
+    ring = _cube_ring()
+    pres = cyclic_presentation(GradedAlgebra(ring), ring.mpow(2))
+    real = homalg._rank_pass
+    degrees = []
+
+    def counting(pmap, ideal, lo, hi):
+        degrees.append((pmap.source.rank, lo, hi))
+        return real(pmap, ideal, lo, hi)
+
+    monkeypatch.setattr(homalg, "_rank_pass", counting)
+    assert annihilates(ring.mpow(2), pres, 0)
+    rank = pres.map.source.rank
+    assert sorted(degrees) == [(rank, 2, 2)] + [(rank + 1, 2, 2)] * 3
+
+
 def _draw_ideal(ring, rng):
     """The zero ideal, the unit ideal, or one to three labels of degree
     1..12."""

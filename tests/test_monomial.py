@@ -213,3 +213,22 @@ def test_memoized_colon_and_product_match_fresh_and_brute_force():
             assert prod == MonomialIdeal(nvars, oracles.brute_product_gens(igens, jgens))
     assert monomial._colon.cache_info().hits >= len(cases)
     assert monomial._product.cache_info().hits >= len(cases)
+
+
+def test_memoized_closure_matches_reference_cold_and_warm():
+    # the second pass is answered from the cache; both passes must equal
+    # an uncached computation and the Fourier-Motzkin oracle
+    rng = random.Random(1602)
+    ideals = [
+        MonomialIdeal(nvars, oracles.rand_gens(rng, nvars, rng.randint(1, 4), 5))
+        for nvars in (2, 3) * 60
+    ]
+    ideals = [i for i in ideals if not i.is_unit()]
+    monomial._closure.cache_clear()
+    for _ in range(2):
+        for i in ideals:
+            got = integral_closure(i)
+            assert got.nvars == i.nvars
+            assert got.gens == monomial._closure.__wrapped__(i.gens)
+            assert got.gens == oracles.reference_closure(i.gens, i.nvars), i
+    assert monomial._closure.cache_info().hits >= len(ideals)
